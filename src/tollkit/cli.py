@@ -23,7 +23,8 @@ from .errors import (ConstructionFailed, GameValidationError,
                      InfeasibleParams, InvalidParams, KernelNonConvergent,
                      KernelOverflow, MaxItersExceeded, TollkitError, TooLarge,
                      UnsupportedBasis)
-from .game import BasisFunction, GameInstance, TaxProfile
+from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
+                   save_json)
 from .kernel import KernelConfig, bell_fractional, mu_factor, rho_factor
 from .learning import best_profile_approximation, multiplicative_weights_run
 from .oracle import check_smoothness, empirical_poa
@@ -61,8 +62,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 def _write_config(args, argv) -> None:
@@ -75,7 +75,7 @@ def _write_config(args, argv) -> None:
             label = f"forge-{args.forge_command}"
         # Per-command names so pipelines sharing one output directory keep
         # every stage replayable.
-        _write_json(os.path.join(args.out, f"config-{label}.json"),
+        save_json(os.path.join(args.out, f"config-{label}.json"),
                     config.to_json())
 
 
@@ -94,17 +94,11 @@ def _kernel_config(args) -> KernelConfig:
     return KernelConfig(tol_tail=args.tol_tail, i_max=args.i_max)
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _emit(args, payload, name: str) -> None:
     print(json.dumps(payload, indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, name), payload)
+        save_json(os.path.join(args.out, name), payload)
 
 
 def cmd_analyze_basis(args) -> int:
@@ -422,7 +416,7 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         try:
             replay = ExperimentConfig.load(argv[1])
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot load config: {exc}", file=sys.stderr)
             return EXIT_PARSE
         argv = list(replay.argv) + argv[2:]

@@ -22,24 +22,20 @@ whole rows everywhere and realises the system cost ``n * |R| * c(k)``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .errors import ConstructionFailed, InfeasibleParams, InvalidParams
-from .game import BasisFunction, GameInstance
+from .game import (BasisFunction, GameInstance, load_json, save_json,
+                   seeded_rng)
 from .kernel import binomial_expectation
 
 P2_EXHAUSTIVE_LIMIT = 1_000_000
 P2_DEFAULT_SAMPLES = 100_000
 _CONSTRUCTION_RETRIES = 100
-
-
-def _rng(seed: int) -> Generator:
-    return Generator(Philox(key=seed))
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,11 @@ class PartitioningSystem:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PartitioningSystem":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
@@ -198,7 +191,7 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
                 worst = min(worst, cost - threshold)
                 checked += 1
     elif mode == "sampled":
-        rng = _rng(seed)
+        rng = seeded_rng(seed)
         for _ in range(samples):
             rows = rng.choice(beta, size=h, replace=False)
             picks = rng.integers(h, size=h)
@@ -242,7 +235,7 @@ def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
 
     worst_overall = -math.inf
     for attempt in range(_CONSTRUCTION_RETRIES):
-        rng = _rng(seed + attempt)
+        rng = seeded_rng(seed + attempt)
         blocks = tuple(
             tuple(tuple(sorted(b)) for b in _balanced_row(n, h, k, rng))
             for _ in range(beta))
@@ -335,13 +328,10 @@ class LabelCoverInstance:
 
     @classmethod
     def load(cls, path) -> "LabelCoverInstance":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
 
 def reduce_label_cover(lc: LabelCoverInstance, ps_params: dict,
@@ -430,7 +420,7 @@ def random_instance(num_players: int, num_resources: int, basis,
     if not (0.0 <= lo_c <= hi_c) or hi_c <= 0:
         raise InvalidParams("coefficient range must satisfy 0 <= lo <= hi, hi > 0")
 
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(1000):
         strategies = []
         for _i in range(num_players):

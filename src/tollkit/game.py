@@ -18,14 +18,49 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import GameValidationError
+from numpy.random import Generator, Philox
+
+from .errors import GameValidationError, TollkitError
 
 # Slack for float tables in monotonicity / convexity validation.
 _VALIDATION_SLACK = 1e-12
 
+# A unilateral deviation as (resource, extra_load) pairs; see deviation_moves.
+Move = list[tuple[int, int]]
+
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
+
+
+def seeded_rng(seed: int) -> Generator:
+    """The package's random stream: numpy's counter-based Philox keyed by
+    ``seed``, so seeded outputs are bit-identical within one build."""
+    return Generator(Philox(key=seed))
+
+
+def save_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def load_json(cls, path):
+    """``cls.from_json`` of the JSON document at ``path``.
+
+    A document that parses but lacks a field, or holds one of the wrong
+    type or value, raises ``GameValidationError`` instead of the raw
+    ``KeyError``/``TypeError``/``ValueError`` that ``from_json`` hits.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return cls.from_json(data)
+    except TollkitError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise GameValidationError(
+            f"malformed {cls.__name__} JSON in {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -255,11 +290,7 @@ class GameInstance:
     def loads(self, allocation: "Allocation") -> list[int]:
         """Number of users per resource under ``allocation``."""
         self.validate_allocation(allocation)
-        loads = [0] * self.num_resources
-        for i, k in enumerate(allocation.choices):
-            for r in self.strategies[i][k]:
-                loads[r] += 1
-        return loads
+        return loads_of(self, allocation.choices)
 
     def to_json(self) -> dict:
         return {
@@ -280,14 +311,11 @@ class GameInstance:
         return cls.build(basis, coefficients, strategies)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "GameInstance":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 @dataclass(frozen=True)
@@ -309,7 +337,7 @@ class TaxProfile:
     ``ell_bar[r][x]`` the modified (perceived) cost; ``v[r]`` is the design
     parameter the tables were generated from. Taxes are non-negative and
     modified costs non-decreasing up to float rounding; ``audit_taxes``
-    checks both with explicit tolerances.
+    checks both with explicit tolerances. Every entry must be finite.
     """
 
     v: tuple[float, ...]
@@ -324,6 +352,9 @@ class TaxProfile:
             if len(t) != self.n_cap + 1 or len(e) != self.n_cap + 1:
                 raise GameValidationError(
                     f"resource {r}: tax tables must cover loads 0..{self.n_cap}")
+            if not all(math.isfinite(x) for x in (self.v[r], *t, *e)):
+                raise GameValidationError(
+                    f"resource {r}: v, tau and ell_bar entries must be finite")
 
     @property
     def num_resources(self) -> int:
@@ -349,21 +380,84 @@ class TaxProfile:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TaxProfile":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
-def _check_taxes(instance: GameInstance, taxes: Optional[TaxProfile]) -> None:
-    if taxes is not None and taxes.num_resources != instance.num_resources:
+def check_tax_cover(instance: GameInstance, taxes: TaxProfile) -> None:
+    """Raise unless ``taxes`` has one table per resource of ``instance``
+    covering every load ``0..N`` that ``N`` players can produce."""
+    if taxes.num_resources != instance.num_resources:
         raise GameValidationError(
             f"tax profile covers {taxes.num_resources} resources, "
             f"instance has {instance.num_resources}")
+    if taxes.n_cap < instance.num_players:
+        raise GameValidationError(
+            f"tax tables cover loads up to {taxes.n_cap}, "
+            f"need {instance.num_players}")
+
+
+def loads_of(instance: GameInstance, choices: Sequence[int]) -> list[int]:
+    """Users per resource when player ``i`` plays strategy ``choices[i]``;
+    the indices are not validated."""
+    loads = [0] * instance.num_resources
+    for i, k in enumerate(choices):
+        for r in instance.strategies[i][k]:
+            loads[r] += 1
+    return loads
+
+
+def perceived_tables(instance: GameInstance,
+                     taxes: Optional[TaxProfile]) -> list[list[float]]:
+    """``tables[r][x] = ell_r(x) + tau_r(x)`` for loads ``0..N``; the
+    untaxed costs when ``taxes`` is None."""
+    tables = instance.ell_tables(instance.num_players)
+    if taxes is not None:
+        check_tax_cover(instance, taxes)
+        tables = [[cost + taxes.tau[r][x] for x, cost in enumerate(row)]
+                  for r, row in enumerate(tables)]
+    return tables
+
+
+def system_cost_tables(instance: GameInstance) -> list[list[float]]:
+    """``tables[r][x] = x * ell_r(x)`` for loads ``0..N``: what resource
+    ``r`` costs the system under load ``x``. Taxes never enter it."""
+    return [[x * cost for x, cost in enumerate(row)]
+            for row in instance.ell_tables(instance.num_players)]
+
+
+def system_cost(tables: list[list[float]], loads: Sequence[int]) -> float:
+    """Social cost of ``loads`` priced on ``system_cost_tables``."""
+    return sum([tables[r][x] for r, x in enumerate(loads) if x])
+
+
+def deviation_moves(instance: GameInstance) -> list[list[list[Move]]]:
+    """``moves[i][k][a]``: player ``i``'s move from strategy ``k`` to ``a``.
+
+    A move lists ``(resource, extra_load)`` pairs over the resources of
+    ``a``: ``extra_load`` is 0 on resources ``k`` already uses (the player's
+    own unit is already in the load) and 1 on the others. Priced with
+    ``move_cost``, ``moves[i][k][k]`` is the player's current cost.
+    """
+    moves = []
+    for strats in instance.strategies:
+        by_current = []
+        for current in strats:
+            members = set(current)
+            by_current.append([[(r, 0 if r in members else 1) for r in alt]
+                               for alt in strats])
+        moves.append(by_current)
+    return moves
+
+
+def move_cost(tables: list[list[float]], loads: Sequence[int],
+              move: Move) -> float:
+    """Cost of ``move`` (from ``deviation_moves``) against ``loads``, priced
+    on ``tables``: what the mover pays after a unilateral deviation."""
+    return sum([tables[r][loads[r] + d] for r, d in move])
 
 
 def social_cost(instance: GameInstance, allocation: Allocation) -> float:
@@ -373,7 +467,7 @@ def social_cost(instance: GameInstance, allocation: Allocation) -> float:
     system actually pays.
     """
     loads = instance.loads(allocation)
-    return sum(x * instance.ell(r, x) for r, x in enumerate(loads) if x)
+    return system_cost(system_cost_tables(instance), loads)
 
 
 def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
@@ -381,15 +475,10 @@ def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
     """Perceived cost of ``player``: selected resources' cost plus tax."""
     if player < 0 or player >= instance.num_players:
         raise GameValidationError(f"player index {player} out of range")
-    _check_taxes(instance, taxes)
+    tables = perceived_tables(instance, taxes)
     loads = instance.loads(allocation)
-    total = 0.0
-    for r in instance.strategies[player][allocation.choices[player]]:
-        x = loads[r]
-        total += instance.ell(r, x)
-        if taxes is not None:
-            total += taxes.tau[r][x]
-    return total
+    return sum(tables[r][loads[r]]
+               for r in instance.strategies[player][allocation.choices[player]])
 
 
 def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
@@ -400,12 +489,10 @@ def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
     perceived-cost change, which is what makes best-response dynamics
     terminate.
     """
-    _check_taxes(instance, taxes)
+    tables = perceived_tables(instance, taxes)
     loads = instance.loads(allocation)
     total = 0.0
     for r, x in enumerate(loads):
         for u in range(1, x + 1):
-            total += instance.ell(r, u)
-            if taxes is not None:
-                total += taxes.tau[r][u]
+            total += tables[r][u]
     return total

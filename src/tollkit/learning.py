@@ -21,17 +21,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from numpy.random import Generator, Philox
-
 from .errors import InvalidParams, NotConverged, TooLarge
-from .game import Allocation, GameInstance, TaxProfile
-from .oracle import (IMPROVEMENT_THRESHOLD, _loads_of, _perceived_tables,
-                     brute_force_min_sc)
+from .game import (Allocation, GameInstance, TaxProfile, deviation_moves,
+                   loads_of, move_cost, perceived_tables, seeded_rng,
+                   system_cost, system_cost_tables)
+from .oracle import IMPROVEMENT_THRESHOLD, brute_force_min_sc, smoothness_lhs
 from .relaxation import FractionalProfile, check_feasible
-
-
-def _rng(seed: int) -> Generator:
-    return Generator(Philox(key=seed))
 
 
 def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] = None,
@@ -49,15 +44,16 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
     """
     if max_steps < 1:
         raise InvalidParams(f"max_steps must be >= 1, got {max_steps}")
-    tables = _perceived_tables(instance, taxes)
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
     n = instance.num_players
     if start is None:
-        rng = _rng(seed)
+        rng = seeded_rng(seed)
         choices = [int(rng.integers(instance.num_strategies(i))) for i in range(n)]
     else:
         instance.validate_allocation(start)
         choices = list(start.choices)
-    loads = _loads_of(instance, tuple(choices))
+    loads = loads_of(instance, choices)
 
     strategies = instance.strategies
     steps = 0
@@ -66,16 +62,14 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
     player = 0
     while quiet < n:
         k = choices[player]
-        current_set = strategies[player][k]
-        members = set(current_set)
-        current = sum(tables[r][loads[r]] for r in current_set)
+        own_moves = moves[player][k]
+        current = move_cost(tables, loads, own_moves[k])
         threshold = current - IMPROVEMENT_THRESHOLD * max(1.0, abs(current))
         best_alt, best_cost = None, threshold
-        for alt, alt_set in enumerate(strategies[player]):
+        for alt, move in enumerate(own_moves):
             if alt == k:
                 continue
-            cost = sum(tables[r][loads[r] + (0 if r in members else 1)]
-                       for r in alt_set)
+            cost = move_cost(tables, loads, move)
             if cost < best_cost:
                 best_alt, best_cost = alt, cost
         if best_alt is None:
@@ -84,7 +78,7 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
             if steps >= max_steps:
                 raise NotConverged(
                     f"no equilibrium within {max_steps} moves", trace=trace)
-            for r in current_set:
+            for r in strategies[player][k]:
                 loads[r] -= 1
             for r in strategies[player][best_alt]:
                 loads[r] += 1
@@ -161,7 +155,8 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     """
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
-    tables = _perceived_tables(instance, taxes)
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
     n = instance.num_players
     strategies = instance.strategies
 
@@ -179,8 +174,8 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     if any(not math.isfinite(e) or e < 0 for e in etas):
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
 
-    sc_tables = instance.ell_tables(n)
-    rng = _rng(seed)
+    sc_tables = system_cost_tables(instance)
+    rng = seeded_rng(seed)
     weights = [[1.0] * instance.num_strategies(i) for i in range(n)]
     profiles = []
     social_costs = []
@@ -203,24 +198,21 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
                     break
             choices.append(pick)
         choices = tuple(choices)
-        loads = _loads_of(instance, choices)
-        sc = sum(x * sc_tables[r][x] for r, x in enumerate(loads) if x)
+        loads = loads_of(instance, choices)
+        sc = system_cost(sc_tables, loads)
         profiles.append(choices)
         social_costs.append(sc)
         if sc < best_sc:
             best_sc = sc
             best_profile = choices
 
-        for i in range(n):
-            members = set(strategies[i][choices[i]])
+        for i, played in enumerate(choices):
             row = weights[i]
             rate = etas[i] / scale[i]
-            for k, strat in enumerate(strategies[i]):
-                # Load player i would see on r: the others' load plus one.
-                cost = sum(tables[r][loads[r] + (0 if r in members else 1)]
-                           for r in strat)
+            for k, move in enumerate(moves[i][played]):
+                cost = move_cost(tables, loads, move)
                 alt_totals[i][k] += cost
-                if k == choices[i]:
+                if k == played:
                     incurred[i] += cost
                 row[k] *= math.exp(-rate * cost)
             top = max(row)
@@ -302,29 +294,16 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     vanishing term.
     """
     check_feasible(instance, profile)
-    perceived = _perceived_tables(instance, taxes)
-    sc_tables = instance.ell_tables(instance.num_players)
+    lhs = smoothness_lhs(instance, taxes, profile)
+    sc_tables = system_cost_tables(instance)
     _, min_cost = brute_force_min_sc(instance, cap)
-    strategies = instance.strategies
 
     expected_sc = 0.0
     expected_lhs = 0.0
     for choices, weight in trace.empirical_distribution.items():
-        loads = _loads_of(instance, choices)
-        sc = sum(x * sc_tables[r][x] for r, x in enumerate(loads) if x)
-        lhs = 0.0
-        for i, k in enumerate(choices):
-            members = set(strategies[i][k])
-            own = sum(perceived[r][loads[r]] for r in strategies[i][k])
-            mixed = 0.0
-            for alt, w in enumerate(profile.weights[i]):
-                if w:
-                    mixed += w * sum(
-                        perceived[r][loads[r] + (0 if r in members else 1)]
-                        for r in strategies[i][alt])
-            lhs += own - mixed
-        expected_sc += weight * sc
-        expected_lhs += weight * lhs
+        loads = loads_of(instance, choices)
+        expected_sc += weight * system_cost(sc_tables, loads)
+        expected_lhs += weight * lhs(choices, loads)
 
     rho_bound = rho * min_cost
     slack = expected_lhs - (expected_sc - rho_bound)

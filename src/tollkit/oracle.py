@@ -19,10 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GameValidationError, TooLarge
-from .game import Allocation, GameInstance, TaxProfile
+from .game import (Allocation, GameInstance, TaxProfile, deviation_moves,
+                   loads_of, move_cost, perceived_tables, system_cost,
+                   system_cost_tables)
 from .relaxation import FractionalProfile, check_feasible
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -46,61 +48,30 @@ def _iter_profiles(instance: GameInstance) -> Iterator[tuple[int, ...]]:
                                for i in range(instance.num_players)))
 
 
-def _perceived_tables(instance: GameInstance,
-                      taxes: Optional[TaxProfile]) -> list[list[float]]:
-    n = instance.num_players
-    tables = instance.ell_tables(n)
-    if taxes is not None:
-        if taxes.num_resources != instance.num_resources:
-            raise GameValidationError(
-                f"tax profile covers {taxes.num_resources} resources, "
-                f"instance has {instance.num_resources}")
-        if taxes.n_cap < n:
-            raise GameValidationError(
-                f"tax tables cover loads up to {taxes.n_cap}, need {n}")
-        tables = [[cost + taxes.tau[r][x] for x, cost in enumerate(row)]
-                  for r, row in enumerate(tables)]
-    return tables
-
-
-def _loads_of(instance: GameInstance, choices: tuple[int, ...]) -> list[int]:
-    loads = [0] * instance.num_resources
-    for i, k in enumerate(choices):
-        for r in instance.strategies[i][k]:
-            loads[r] += 1
-    return loads
-
-
 def brute_force_min_sc(instance: GameInstance,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Allocation, float]:
     """Exact social-cost minimiser; ties go to the first profile in
     lexicographic choice order."""
     _enumeration_size(instance, cap)
-    sc_tables = instance.ell_tables(instance.num_players)
+    sc_tables = system_cost_tables(instance)
     best_choices = None
     best_cost = math.inf
     for choices in _iter_profiles(instance):
-        loads = _loads_of(instance, choices)
-        cost = sum(x * sc_tables[r][x] for r, x in enumerate(loads) if x)
+        cost = system_cost(sc_tables, loads_of(instance, choices))
         if cost < best_cost:
             best_cost = cost
             best_choices = choices
     return Allocation(best_choices), best_cost
 
 
-def _is_pure_nash(instance: GameInstance, tables: list[list[float]],
+def _is_pure_nash(moves, tables: list[list[float]],
                   choices: tuple[int, ...], loads: list[int]) -> bool:
     for i, k in enumerate(choices):
-        current_set = instance.strategies[i][k]
-        current = sum(tables[r][loads[r]] for r in current_set)
+        own_moves = moves[i][k]
+        current = move_cost(tables, loads, own_moves[k])
         threshold = current - IMPROVEMENT_THRESHOLD * max(1.0, abs(current))
-        members = set(current_set)
-        for alt, alt_set in enumerate(instance.strategies[i]):
-            if alt == k:
-                continue
-            deviated = sum(tables[r][loads[r] + (0 if r in members else 1)]
-                           for r in alt_set)
-            if deviated < threshold:
+        for alt, move in enumerate(own_moves):
+            if alt != k and move_cost(tables, loads, move) < threshold:
                 return False
     return True
 
@@ -111,11 +82,12 @@ def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = No
     the perceived costs. Nonempty for every valid instance: the dynamics
     descend a potential, so a minimiser of it is always an equilibrium."""
     _enumeration_size(instance, cap)
-    tables = _perceived_tables(instance, taxes)
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
     out = []
     for choices in _iter_profiles(instance):
-        loads = _loads_of(instance, choices)
-        if _is_pure_nash(instance, tables, choices, loads):
+        loads = loads_of(instance, choices)
+        if _is_pure_nash(moves, tables, choices, loads):
             out.append(Allocation(choices))
     return out
 
@@ -164,20 +136,21 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
     social cost is always the untaxed system cost.
     """
     size = _enumeration_size(instance, cap)
-    sc_tables = instance.ell_tables(instance.num_players)
-    tables = _perceived_tables(instance, taxes)
+    sc_tables = system_cost_tables(instance)
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
     best_choices = None
     best_cost = math.inf
     worst_ne = None
     worst_ne_cost = -math.inf
     num_ne = 0
     for choices in _iter_profiles(instance):
-        loads = _loads_of(instance, choices)
-        cost = sum(x * sc_tables[r][x] for r, x in enumerate(loads) if x)
+        loads = loads_of(instance, choices)
+        cost = system_cost(sc_tables, loads)
         if cost < best_cost:
             best_cost = cost
             best_choices = choices
-        if _is_pure_nash(instance, tables, choices, loads):
+        if _is_pure_nash(moves, tables, choices, loads):
             num_ne += 1
             if cost > worst_ne_cost:
                 worst_ne_cost = cost
@@ -208,6 +181,33 @@ class SmoothnessResult:
                    witness=Allocation.of(data["witness"]))
 
 
+def smoothness_lhs(instance: GameInstance, taxes: TaxProfile,
+                   profile: FractionalProfile
+                   ) -> Callable[[Sequence[int], Sequence[int]], float]:
+    """The certificate's left side as a function of a profile and its loads:
+
+        lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(a'_{i,k}, a_{-i})].
+
+    Only strategies with nonzero weight in ``profile`` are priced.
+    """
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
+    supports = [[(a, w) for a, w in enumerate(row) if w]
+                for row in profile.weights]
+
+    def lhs(choices: Sequence[int], loads: Sequence[int]) -> float:
+        total = 0.0
+        for i, k in enumerate(choices):
+            own_moves = moves[i][k]
+            mixed = 0.0
+            for alt, w in supports[i]:
+                mixed += w * move_cost(tables, loads, own_moves[alt])
+            total += move_cost(tables, loads, own_moves[k]) - mixed
+        return total
+
+    return lhs
+
+
 def check_smoothness(instance: GameInstance, taxes: TaxProfile,
                      profile: FractionalProfile, rho: float,
                      cap: int = DEFAULT_ENUMERATION_CAP,
@@ -220,30 +220,18 @@ def check_smoothness(instance: GameInstance, taxes: TaxProfile,
     """
     _enumeration_size(instance, cap)
     check_feasible(instance, profile)
-    sc_tables = instance.ell_tables(instance.num_players)
-    perceived = _perceived_tables(instance, taxes)
+    sc_tables = system_cost_tables(instance)
+    lhs = smoothness_lhs(instance, taxes, profile)
     _, min_cost = brute_force_min_sc(instance, cap)
     bound = rho * min_cost
 
     worst_margin = math.inf
     witness = None
     passed = True
-    strategies = instance.strategies
     for choices in _iter_profiles(instance):
-        loads = _loads_of(instance, choices)
-        sc = sum(x * sc_tables[r][x] for r, x in enumerate(loads) if x)
-        lhs = 0.0
-        for i, k in enumerate(choices):
-            members = set(strategies[i][k])
-            own = sum(perceived[r][loads[r]] for r in strategies[i][k])
-            mixed = 0.0
-            for alt, w in enumerate(profile.weights[i]):
-                if w:
-                    mixed += w * sum(
-                        perceived[r][loads[r] + (0 if r in members else 1)]
-                        for r in strategies[i][alt])
-            lhs += own - mixed
-        margin = lhs - (sc - bound)
+        loads = loads_of(instance, choices)
+        sc = system_cost(sc_tables, loads)
+        margin = lhs(choices, loads) - (sc - bound)
         if margin < worst_margin:
             worst_margin = margin
             witness = choices

@@ -16,12 +16,11 @@ per-player argmin, so Frank-Wolfe applies directly and its duality gap
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import GameValidationError, InvalidParams, MaxItersExceeded
-from .game import GameInstance
+from .game import GameInstance, load_json, save_json
 from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, kernel_evaluators,
                      poisson_kernel)
 
@@ -58,14 +57,11 @@ class FractionalProfile:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "FractionalProfile":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 def fractional_loads(instance: GameInstance, weights) -> list[float]:
@@ -208,8 +204,7 @@ def duality_gap(instance: GameInstance, profile: FractionalProfile,
 
 def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
                      max_iters: int = 10_000,
-                     cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
-                     step_rule: str = "linesearch") -> FractionalProfile:
+                     cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> FractionalProfile:
     """Frank-Wolfe on the load relaxation, from the uniform profile.
 
     Stops once the duality gap falls below ``tol_gap * max(1, |objective|)``
@@ -217,20 +212,17 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     (still feasible and usable; the recorded gap quantifies its
     suboptimality).
 
-    ``step_rule="linesearch"`` (default) takes exact line-search steps,
-    preferring the pairwise direction that shifts mass from each player's
-    worst supported strategy onto the oracle one and falling back to the
-    classic step towards the oracle vertex. Pairwise steps empty supported
-    coordinates in finitely many drops, removing the zigzag that keeps
-    plain Frank-Wolfe at an O(1/t) gap on face-constrained optima.
-    ``step_rule="vanilla"`` is the bare ``2/(t+2)`` schedule.
+    Steps are exact line searches, preferring the pairwise direction that
+    shifts mass from each player's worst supported strategy onto the oracle
+    one and falling back to the classic step towards the oracle vertex.
+    Pairwise steps empty supported coordinates in finitely many drops,
+    removing the zigzag that keeps plain Frank-Wolfe at an O(1/t) gap on
+    face-constrained optima.
     """
     if tol_gap <= 0:
         raise InvalidParams(f"tol_gap must be > 0, got {tol_gap}")
     if max_iters < 1:
         raise InvalidParams(f"max_iters must be >= 1, got {max_iters}")
-    if step_rule not in ("linesearch", "vanilla"):
-        raise InvalidParams(f"unknown step rule {step_rule!r}")
 
     objective_fn = _Objective(instance, cfg)
     strategies = instance.strategies
@@ -257,55 +249,46 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
                 profile=snapshot(gap, t))
 
         moved = False
-        if step_rule == "vanilla":
-            gamma = 2.0 / (t + 2.0)
+        away = []
+        cap = math.inf
+        delta_pw = [0.0] * instance.num_resources
+        for i, scores in enumerate(grad):
+            support = [k for k, w in enumerate(weights[i]) if w > 0.0]
+            worst = max(support, key=lambda k: (scores[k], -k))
+            if worst == vertex[i] or scores[worst] <= scores[vertex[i]]:
+                continue
+            away.append((i, worst))
+            cap = min(cap, weights[i][worst])
+            for r in strategies[i][vertex[i]]:
+                delta_pw[r] += 1.0
+            for r in strategies[i][worst]:
+                delta_pw[r] -= 1.0
+        if away:
+            gamma = objective_fn.exact_step(loads, delta_pw, cap)
+            if gamma > 0.0:
+                for i, worst in away:
+                    weights[i][vertex[i]] += gamma
+                    weights[i][worst] = max(0.0, weights[i][worst] - gamma)
+                moved = True
+        if not moved:
+            vertex_loads = [0.0] * instance.num_resources
             for i, k in enumerate(vertex):
-                row = weights[i]
-                for kk in range(len(row)):
-                    row[kk] *= 1.0 - gamma
-                row[k] += gamma
-            moved = True
-        else:
-            away = []
-            cap = math.inf
-            delta_pw = [0.0] * instance.num_resources
-            for i, scores in enumerate(grad):
-                support = [k for k, w in enumerate(weights[i]) if w > 0.0]
-                worst = max(support, key=lambda k: (scores[k], -k))
-                if worst == vertex[i] or scores[worst] <= scores[vertex[i]]:
-                    continue
-                away.append((i, worst))
-                cap = min(cap, weights[i][worst])
-                for r in strategies[i][vertex[i]]:
-                    delta_pw[r] += 1.0
-                for r in strategies[i][worst]:
-                    delta_pw[r] -= 1.0
-            if away:
-                gamma = objective_fn.exact_step(loads, delta_pw, cap)
-                if gamma > 0.0:
-                    for i, worst in away:
-                        weights[i][vertex[i]] += gamma
-                        weights[i][worst] = max(0.0, weights[i][worst] - gamma)
-                    moved = True
-            if not moved:
-                vertex_loads = [0.0] * instance.num_resources
+                for r in strategies[i][k]:
+                    vertex_loads[r] += 1.0
+            delta_fw = [sv - v for sv, v in zip(vertex_loads, loads)]
+            gamma = objective_fn.exact_step(loads, delta_fw, 1.0)
+            if gamma > 0.0:
                 for i, k in enumerate(vertex):
-                    for r in strategies[i][k]:
-                        vertex_loads[r] += 1.0
-                delta_fw = [sv - v for sv, v in zip(vertex_loads, loads)]
-                gamma = objective_fn.exact_step(loads, delta_fw, 1.0)
-                if gamma > 0.0:
-                    for i, k in enumerate(vertex):
-                        row = weights[i]
-                        for kk in range(len(row)):
-                            row[kk] *= 1.0 - gamma
-                        row[k] += gamma
-                    moved = True
-            if not moved:
-                # No representable progress in either direction: the gap has
-                # hit its float floor above the requested tolerance.
-                raise MaxItersExceeded(
-                    f"no representable step improves the gap {gap:g}",
-                    profile=snapshot(gap, t))
+                    row = weights[i]
+                    for kk in range(len(row)):
+                        row[kk] *= 1.0 - gamma
+                    row[k] += gamma
+                moved = True
+        if not moved:
+            # No representable progress in either direction: the gap has
+            # hit its float floor above the requested tolerance.
+            raise MaxItersExceeded(
+                f"no representable step improves the gap {gap:g}",
+                profile=snapshot(gap, t))
         loads = fractional_loads(instance, weights)
         objective = objective_fn.value(loads)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GameValidationError, InvalidParams, KernelOverflow
-from .game import BasisFunction, GameInstance, TaxProfile
+from .errors import InvalidParams, KernelOverflow
+from .game import BasisFunction, GameInstance, TaxProfile, check_tax_cover
 from .kernel import DEFAULT_KERNEL_CONFIG, KernelConfig, poisson_kernel
 
 # Below this parameter the tables collapse to the v -> 0 limit f(x, 0) = b(x),
@@ -199,10 +199,7 @@ def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7,
 
     Failures are reported in the audit record, never raised.
     """
-    if taxes.num_resources != instance.num_resources:
-        raise GameValidationError(
-            f"tax profile covers {taxes.num_resources} resources, "
-            f"instance has {instance.num_resources}")
+    check_tax_cover(instance, taxes)
     n = taxes.n_cap
     audits = []
     passed = True

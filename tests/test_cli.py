@@ -287,3 +287,46 @@ class TestOracle:
         _, path = write_two_by_two(tmp_path)
         code, _, err = run_cli(capsys, "oracle", str(path), "--enum-cap", "1")
         assert code == 3
+
+
+def _drop_tau(data):
+    del data["resources"][0]["tau"]
+
+
+def _nan_tau(data):
+    data["resources"][0]["tau"][1] = "nan"
+
+
+def _drop_pi(data):
+    del data["pi"]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command,edit", [
+        ("oracle", _drop_tau), ("learn", _drop_tau), ("oracle", _nan_tau),
+        ("reduce", _drop_pi),
+    ], ids=["oracle-taxes-without-tau", "learn-taxes-without-tau",
+            "oracle-taxes-nan-tau", "reduce-labelcover-without-pi"])
+    def test_exits_two(self, capsys, tmp_path, command, edit):
+        from tollkit import LabelCoverInstance
+        inst, path = write_two_by_two(tmp_path)
+        bad = tmp_path / "bad.json"
+        if command == "reduce":
+            data = LabelCoverInstance(
+                num_left=2, num_right=1, edges=((0, 0), (1, 0)), h=2, alpha=1,
+                beta=1, pi={(0, 0): (0,), (1, 0): (0,)}).to_json()
+        else:
+            data = build_tax_profile(inst, [1.0, 1.0]).to_json()
+        edit(data)
+        bad.write_text(json.dumps(data))
+        argv = {
+            "oracle": ["oracle", str(path), "--taxes", str(bad)],
+            "learn": ["learn", str(path), "--taxes", str(bad), "--rounds", "1",
+                      "--seeds", "0", "--out", str(tmp_path / "runs")],
+            "reduce": ["forge", "reduce", "--labelcover", str(bad), "--n", "8",
+                       "--k", "1", "--eta", "0.5", "--beta", "2",
+                       "--monomial", "1"],
+        }[command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
