@@ -3,8 +3,8 @@
 Subcommands: ``analyze-basis``, ``design``, ``learn``, ``forge``, ``oracle``.
 All commands honour ``--seed`` and ``--out``, never mutate their inputs, and
 emit JSON (plus CSV summaries where tabular). Every run with ``--out`` also
-drops a ``config.json`` snapshot; ``tollkit --config config.json`` replays it
-to bit-identical outputs. Exit codes: 0 success, 2 parse or validation
+drops a ``config-<command>.json`` snapshot; ``tollkit --config <snapshot>``
+replays it to bit-identical outputs. Exit codes: 0 success, 2 parse or validation
 failure, 3 numeric failure where non-convergence is an error, 4 construction
 failure.
 """
@@ -42,23 +42,18 @@ EXIT_CONSTRUCTION = 4
 class ExperimentConfig:
     """A reproducible record of one CLI invocation.
 
-    Stores the exact argument vector plus the resolved seed and output
-    directory; replaying the vector regenerates the same outputs bit-exactly
-    within one build.
+    Stores the exact argument vector, seed and output directory included;
+    replaying it regenerates the same outputs bit-exactly within one build.
     """
 
     argv: tuple[str, ...]
-    seed: int | None
-    out: str | None
 
     def to_json(self) -> dict:
-        return {"argv": list(self.argv), "seed": self.seed, "out": self.out}
+        return {"argv": list(self.argv)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        return cls(argv=tuple(str(a) for a in data["argv"]),
-                   seed=None if data.get("seed") is None else int(data["seed"]),
-                   out=data.get("out"))
+        return cls(argv=tuple(str(a) for a in data["argv"]))
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -68,8 +63,7 @@ class ExperimentConfig:
 def _write_config(args, argv) -> None:
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
-        config = ExperimentConfig(argv=tuple(argv), seed=getattr(args, "seed", None),
-                                  out=args.out)
+        config = ExperimentConfig(argv=tuple(argv))
         label = args.command
         if label == "forge":
             label = f"forge-{args.forge_command}"
@@ -221,7 +215,6 @@ def cmd_design(args) -> int:
 def cmd_learn(args) -> int:
     instance = GameInstance.load(args.instance)
     taxes = TaxProfile.load(args.taxes)
-    cfg = _kernel_config(args)
     seeds = [int(s) + args.seed for s in args.seeds.split(",") if s.strip()]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -340,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="multiplicative-weights runs over seeds")
     p.add_argument("instance")
     p.add_argument("--taxes", required=True)
-    _add_kernel_flags(p)
     p.add_argument("--rounds", type=int, default=5000)
     p.add_argument("--eta", type=str, default="auto")
     p.add_argument("--seeds", type=str, default="0,1,2")
@@ -430,7 +422,7 @@ def main(argv=None) -> int:
         _write_config(args, argv)
         return args.func(args)
     except (GameValidationError, InvalidParams, InfeasibleParams,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (KernelNonConvergent, KernelOverflow, TooLarge) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -31,6 +32,15 @@ Move = list[tuple[int, int]]
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
+
+
+def _as_index(value) -> int:
+    """A resource index: Python and numpy integers pass, nothing is rounded."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GameValidationError(
+            f"resource index must be an integer, got {value!r}") from None
 
 
 def seeded_rng(seed: int) -> Generator:
@@ -243,7 +253,7 @@ class GameInstance:
             basis=tuple(basis),
             coefficients=tuple(_as_float_tuple(c) for c in coefficients),
             strategies=tuple(
-                tuple(tuple(sorted(int(r) for r in strat)) for strat in player)
+                tuple(tuple(sorted(_as_index(r) for r in strat)) for strat in player)
                 for player in strategies),
         )
 

@@ -13,6 +13,7 @@ the fractional Bell number ``exp(-1) * sum_i i**(d+1) / i!``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -103,24 +104,84 @@ def _min_terms(basis: BasisFunction) -> int:
     return 0
 
 
+@functools.cache
+def _stirling_row(n: int) -> tuple[float, ...]:
+    """Stirling partition numbers ``S(n, 0..n)``."""
+    row = [1.0]
+    for m in range(1, n + 1):
+        new = [0.0] * (m + 1)
+        for k in range(1, m + 1):
+            new[k] = k * (row[k] if k < m else 0.0) + row[k - 1]
+        row = new
+    return tuple(row)
+
+
+def kernel_evaluators(basis: BasisFunction,
+                      cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
+    """The ``(p, p')`` evaluator pair for one basis.
+
+    This is the one place that decides how the kernel is evaluated.
+    Integer-degree monomials admit the closed moment polynomial
+    ``E_{Poi(v)}[P^(d+1)] = sum_i S(d+1, i) v^i`` with Stirling partition
+    coefficients, exact up to rounding; everything else runs the truncated
+    series. The pair does not validate ``v``, so inner solver loops pay
+    neither checks nor dispatch per evaluation; ``poisson_kernel`` and its
+    derivative are the checked entry points.
+    """
+    if (basis.kind == "monomial" and float(basis.degree).is_integer()
+            and basis.degree <= 120):
+        n = int(basis.degree) + 1
+        coeffs = _stirling_row(n)
+
+        def p(v: float) -> float:
+            acc = 0.0
+            for i in range(n, 0, -1):
+                acc = acc * v + coeffs[i]
+            return acc * v
+
+        def dp(v: float) -> float:
+            acc = 0.0
+            for i in range(n, 0, -1):
+                acc = acc * v + i * coeffs[i]
+            return acc
+
+        return p, dp
+
+    c = basis.c
+    min_terms = _min_terms(basis)
+
+    def delta_c(i: int) -> float:
+        return c(i + 1) - c(i)
+
+    # The forward differences of the convex ``c(x) = x * b(x)`` are
+    # non-negative and non-decreasing, so p' truncates by the same rule.
+    return (lambda v: _poisson_series(c, v, cfg, min_terms),
+            lambda v: _poisson_series(delta_c, v, cfg, min_terms))
+
+
+def _checked(evaluate: Callable[[float], float], v: float) -> float:
+    if v < 0 or not math.isfinite(v):
+        raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
+    value = evaluate(v)
+    if not math.isfinite(value):
+        raise KernelOverflow(f"kernel overflowed at v={v}", v=v)
+    return value
+
+
 def poisson_kernel(basis: BasisFunction, v: float,
                    cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
     """Load kernel ``p(v) = E_{P ~ Poi(v)}[P * b(P)]``; ``p(0) = 0``."""
-    return _poisson_series(basis.c, v, cfg, min_terms=_min_terms(basis))
+    return _checked(kernel_evaluators(basis, cfg)[0], v)
 
 
 def poisson_kernel_derivative(basis: BasisFunction, v: float,
                               cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
     """Derivative ``p'(v) = exp(-v) * sum_i (v^i / i!) * (c(i+1) - c(i))``.
 
-    The forward differences of the convex ``c(x) = x * b(x)`` are
-    non-negative and non-decreasing, so the same truncation rule applies;
-    convexity of ``p`` itself follows from these differences increasing.
+    Convexity of ``p`` follows from the forward differences of ``c``
+    increasing.
     """
-    def delta_c(i: int) -> float:
-        return basis.c(i + 1) - basis.c(i)
-
-    return _poisson_series(delta_c, v, cfg, min_terms=_min_terms(basis))
+    return _checked(kernel_evaluators(basis, cfg)[1], v)
 
 
 @dataclass(frozen=True)
@@ -205,57 +266,13 @@ def bell_fractional(degree: float) -> float:
     """Fractional Bell number ``exp(-1) * sum_{i>=0} i**(degree+1) / i!``.
 
     Equals the ``(degree+1)``'st Bell number for integer degrees and the
-    efficiency factor of the monomial generator ``b(x) = x**degree``.
+    efficiency factor of the monomial generator ``b(x) = x**degree``: it is
+    the load kernel of that monomial at ``v = 1``.
     """
     if not math.isfinite(degree) or degree < 0:
         raise InvalidParams(f"degree must be a finite real >= 0, got {degree}")
-    exponent = degree + 1.0
-    cfg = KernelConfig(tol_tail=1e-14, i_max=1_000_000)
-    return _poisson_series(lambda i: float(i) ** exponent if i else 0.0, 1.0, cfg)
-
-
-def _stirling_row(n: int) -> list[float]:
-    """Stirling partition numbers ``S(n, 0..n)``."""
-    row = [1.0]
-    for m in range(1, n + 1):
-        new = [0.0] * (m + 1)
-        for k in range(1, m + 1):
-            new[k] = k * (row[k] if k < m else 0.0) + row[k - 1]
-        row = new
-    return row
-
-
-def kernel_evaluators(basis: BasisFunction,
-                      cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
-    """Fast ``(p, p')`` evaluator pair for one basis.
-
-    Integer-degree monomials admit the closed moment polynomial
-    ``E_{Poi(v)}[P^(d+1)] = sum_i S(d+1, i) v^i`` with Stirling partition
-    coefficients, exact up to rounding; everything else falls back to the
-    truncated series. The pair agrees with ``poisson_kernel`` and its
-    derivative to machine precision and exists so that inner solver loops
-    do not pay the series cost per evaluation.
-    """
-    if (basis.kind == "monomial" and float(basis.degree).is_integer()
-            and basis.degree <= 120):
-        n = int(basis.degree) + 1
-        coeffs = _stirling_row(n)
-
-        def p(v: float) -> float:
-            acc = 0.0
-            for i in range(n, 0, -1):
-                acc = acc * v + coeffs[i]
-            return acc * v
-
-        def dp(v: float) -> float:
-            acc = 0.0
-            for i in range(n, 0, -1):
-                acc = acc * v + i * coeffs[i]
-            return acc
-
-        return p, dp
-    return (lambda v: poisson_kernel(basis, v, cfg),
-            lambda v: poisson_kernel_derivative(basis, v, cfg))
+    return poisson_kernel(BasisFunction.monomial(degree), 1.0,
+                          KernelConfig(i_max=1_000_000))
 
 
 # Unit-rate Poisson weights exp(-1)/i!; 1/i! underflows past i ~ 170, far

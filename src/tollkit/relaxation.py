@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GameValidationError, InvalidParams, MaxItersExceeded
-from .game import GameInstance, load_json, save_json
+from .game import GameInstance, load_json, loads_of, save_json
 from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, kernel_evaluators,
                      poisson_kernel)
 
@@ -111,28 +111,25 @@ class _Objective:
                     total += alpha * self.p[j](v)
         return total
 
+    def _margin(self, coeffs, v: float) -> float:
+        """One resource's marginal cost ``sum_j alpha_j * p_j'(v)``."""
+        m = 0.0
+        for j, alpha in enumerate(coeffs):
+            if alpha:
+                m += alpha * self.dp[j](v)
+        return m
+
     def margins(self, loads) -> list[float]:
-        out = []
-        for coeffs, v in zip(self.instance.coefficients, loads):
-            m = 0.0
-            for j, alpha in enumerate(coeffs):
-                if alpha:
-                    m += alpha * self.dp[j](v)
-            out.append(m)
-        return out
+        return [self._margin(coeffs, v)
+                for coeffs, v in zip(self.instance.coefficients, loads)]
 
     def slope(self, loads, delta, gamma: float) -> float:
         """Directional derivative along ``delta`` at step ``gamma``."""
         total = 0.0
         for r, d in enumerate(delta):
             if d:
-                v = loads[r] + gamma * d
-                coeffs = self.instance.coefficients[r]
-                m = 0.0
-                for j, alpha in enumerate(coeffs):
-                    if alpha:
-                        m += alpha * self.dp[j](v)
-                total += d * m
+                total += d * self._margin(self.instance.coefficients[r],
+                                          loads[r] + gamma * d)
         return total
 
     def exact_step(self, loads, delta, hi: float) -> float:
@@ -162,7 +159,7 @@ class _Objective:
 def relaxation_objective(instance: GameInstance, profile: FractionalProfile,
                          cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
     """Objective value ``sum_r sum_j alpha_j^r p_j(v_r)`` at a feasible
-    profile, via the kernel series."""
+    profile, via ``poisson_kernel``."""
     check_feasible(instance, profile)
     total = 0.0
     for r, coeffs in enumerate(instance.coefficients):
@@ -173,13 +170,18 @@ def relaxation_objective(instance: GameInstance, profile: FractionalProfile,
     return total
 
 
+def _strategy_scores(instance: GameInstance, margins) -> list[list[float]]:
+    """Per-strategy sums of resource margins: the gradient in the weights."""
+    return [[sum(margins[r] for r in strat) for strat in player]
+            for player in instance.strategies]
+
+
 def gradient(instance: GameInstance, weights,
              cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> list[list[float]]:
     """Partial derivatives of the objective in every strategy weight."""
     objective = _Objective(instance, cfg)
-    margins = objective.margins(fractional_loads(instance, weights))
-    return [[sum(margins[r] for r in strat) for strat in instance.strategies[i]]
-            for i in range(instance.num_players)]
+    return _strategy_scores(
+        instance, objective.margins(fractional_loads(instance, weights)))
 
 
 def _oracle_and_gap(weights, grad) -> tuple[list[int], float]:
@@ -237,9 +239,7 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
             objective=objective, gap=gap, iters=iters)
 
     for t in range(max_iters + 1):
-        margins = objective_fn.margins(loads)
-        grad = [[sum(margins[r] for r in strat) for strat in strategies[i]]
-                for i in range(instance.num_players)]
+        grad = _strategy_scores(instance, objective_fn.margins(loads))
         vertex, gap = _oracle_and_gap(weights, grad)
         if gap <= tol_gap * max(1.0, abs(objective)):
             return snapshot(gap, t)
@@ -271,10 +271,7 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
                     weights[i][worst] = max(0.0, weights[i][worst] - gamma)
                 moved = True
         if not moved:
-            vertex_loads = [0.0] * instance.num_resources
-            for i, k in enumerate(vertex):
-                for r in strategies[i][k]:
-                    vertex_loads[r] += 1.0
+            vertex_loads = loads_of(instance, vertex)
             delta_fw = [sv - v for sv, v in zip(vertex_loads, loads)]
             gamma = objective_fn.exact_step(loads, delta_fw, 1.0)
             if gamma > 0.0:

@@ -149,18 +149,22 @@ class ResourceAudit:
     max_residual: float
     min_monotonicity_gap: float
     min_tax: float
+    max_split_error: float
 
 
 @dataclass(frozen=True)
 class TaxAudit:
-    """Per-resource check of the three properties the efficiency bound needs.
+    """Per-resource check of the stored tables the efficiency bound needs.
 
-    ``max_residual`` is the worst defect of the recursion
-    ``x*b(x) - x*f(x,v) + v*f(x+1,v) = p(v)`` over ``x = 0..N-1`` and all
-    bases with positive weight, scaled by ``max(1, p(v))``;
-    ``min_monotonicity_gap`` the smallest ``f(x+1) - f(x)``; ``min_tax`` the
-    smallest table entry. ``passed`` holds iff residuals stay within ``tol``
-    and the two minima above ``-tol``.
+    The recursion is linear in the bases, so the combined table satisfies
+    ``x*ell(x) - x*ell_bar(x) + v*ell_bar(x+1) = P(v)`` with
+    ``P = sum_j alpha_j * p_j``. ``max_residual`` is its worst defect over
+    ``x = 0..N-1``, scaled by ``max(1, P(v))``; ``min_monotonicity_gap``
+    the smallest ``ell_bar(x+1) - ell_bar(x)``; ``min_tax`` the smallest
+    ``tau`` entry; ``max_split_error`` the worst
+    ``|ell_bar(x) - ell(x) - tau(x)| / max(1, |ell_bar(x)|)``. ``passed``
+    holds iff the residual and split error stay within ``tol`` and the two
+    minima above ``-tol``.
     """
 
     resources: tuple[ResourceAudit, ...]
@@ -172,7 +176,7 @@ class TaxAudit:
             "resources": [
                 {"resource": a.resource, "max_residual": a.max_residual,
                  "min_monotonicity_gap": a.min_monotonicity_gap,
-                 "min_tax": a.min_tax}
+                 "min_tax": a.min_tax, "max_split_error": a.max_split_error}
                 for a in self.resources
             ],
             "passed": self.passed,
@@ -186,7 +190,8 @@ class TaxAudit:
                 ResourceAudit(resource=int(a["resource"]),
                               max_residual=float(a["max_residual"]),
                               min_monotonicity_gap=float(a["min_monotonicity_gap"]),
-                              min_tax=float(a["min_tax"]))
+                              min_tax=float(a["min_tax"]),
+                              max_split_error=float(a["max_split_error"]))
                 for a in data["resources"]),
             passed=bool(data["passed"]),
             tol=float(data["tol"]),
@@ -195,32 +200,37 @@ class TaxAudit:
 
 def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7,
                 cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> TaxAudit:
-    """Recompute and check recursion, monotonicity, and tax sign.
+    """Check the stored ``ell_bar`` and ``tau`` tables: recursion,
+    monotonicity, tax sign, and ``ell_bar == ell + tau``.
 
-    Failures are reported in the audit record, never raised.
+    Only the kernel values ``P(v_r)`` are computed; the tables are read as
+    handed in. Failures are reported in the audit record, never raised.
     """
     check_tax_cover(instance, taxes)
     n = taxes.n_cap
+    ell_tables = instance.ell_tables(n)
     audits = []
     passed = True
     for r, coeffs in enumerate(instance.coefficients):
         v = taxes.v[r]
-        max_residual = 0.0
-        min_gap = math.inf
-        for j, alpha in enumerate(coeffs):
-            if alpha == 0.0:
-                continue
-            b = instance.basis[j]
-            p = poisson_kernel(b, v, cfg) if v >= V_FLOOR else 0.0
-            f = modified_cost_table(b, v, n, cfg)
-            scale = max(1.0, p)
-            for x in range(n):
-                residual = abs(x * b.b(x) - x * f[x] + v * f[x + 1] - p) / scale
-                max_residual = max(max_residual, residual)
-                min_gap = min(min_gap, f[x + 1] - f[x])
-        min_tax = min(taxes.tau[r])
+        ell, ell_bar, tau = ell_tables[r], taxes.ell_bar[r], taxes.tau[r]
+        p_r = 0.0
+        if v >= V_FLOOR:
+            for j, alpha in enumerate(coeffs):
+                if alpha:
+                    p_r += alpha * poisson_kernel(instance.basis[j], v, cfg)
+        scale = max(1.0, p_r)
+        max_residual = max(
+            abs(x * ell[x] - x * ell_bar[x] + v * ell_bar[x + 1] - p_r) / scale
+            for x in range(n))
+        min_gap = min(ell_bar[x + 1] - ell_bar[x] for x in range(n))
+        min_tax = min(tau)
+        max_split = max(abs(eb - e - t) / max(1.0, abs(eb))
+                        for e, eb, t in zip(ell, ell_bar, tau))
         audits.append(ResourceAudit(resource=r, max_residual=max_residual,
-                                    min_monotonicity_gap=min_gap, min_tax=min_tax))
-        if max_residual > tol or min_gap < -tol or min_tax < -tol:
+                                    min_monotonicity_gap=min_gap, min_tax=min_tax,
+                                    max_split_error=max_split))
+        if (max_residual > tol or max_split > tol or min_gap < -tol
+                or min_tax < -tol):
             passed = False
     return TaxAudit(resources=tuple(audits), passed=passed, tol=tol)

@@ -215,8 +215,10 @@ class TestExperimentConfig:
                              "--seed", "3", "--out", str(out_dir))
         assert code == 0
         config = json.loads((out_dir / "config-forge-random.json").read_text())
-        assert config["seed"] == 3
-        assert "forge" in config["argv"]
+        assert config == {"argv": config["argv"]}
+        argv = config["argv"]
+        assert "forge" in argv
+        assert argv[argv.index("--seed") + 1] == "3"
 
     def test_config_replay_bit_identical(self, capsys, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -233,8 +235,12 @@ class TestExperimentConfig:
 
     def test_round_trip(self):
         from tollkit.cli import ExperimentConfig
-        config = ExperimentConfig(argv=("oracle", "x.json"), seed=4, out="runs")
+        config = ExperimentConfig(argv=("oracle", "x.json", "--seed", "4",
+                                        "--out", "runs"))
         assert ExperimentConfig.from_json(config.to_json()) == config
+        # Snapshots written before the seed/out fields were dropped replay.
+        old = {**config.to_json(), "seed": 4, "out": "runs"}
+        assert ExperimentConfig.from_json(old) == config
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--config", str(tmp_path / "none.json"))
@@ -301,12 +307,18 @@ def _drop_pi(data):
     del data["pi"]
 
 
+def _fractional_index(data):
+    data["players"][0]["strategies"] = [[0.9], [1.2]]
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("command,edit", [
         ("oracle", _drop_tau), ("learn", _drop_tau), ("oracle", _nan_tau),
-        ("reduce", _drop_pi),
+        ("reduce", _drop_pi), ("instance", _fractional_index),
+        ("directory", None),
     ], ids=["oracle-taxes-without-tau", "learn-taxes-without-tau",
-            "oracle-taxes-nan-tau", "reduce-labelcover-without-pi"])
+            "oracle-taxes-nan-tau", "reduce-labelcover-without-pi",
+            "oracle-fractional-resource-index", "oracle-directory"])
     def test_exits_two(self, capsys, tmp_path, command, edit):
         from tollkit import LabelCoverInstance
         inst, path = write_two_by_two(tmp_path)
@@ -315,11 +327,16 @@ class TestMalformedInputFiles:
             data = LabelCoverInstance(
                 num_left=2, num_right=1, edges=((0, 0), (1, 0)), h=2, alpha=1,
                 beta=1, pi={(0, 0): (0,), (1, 0): (0,)}).to_json()
+        elif command == "instance":
+            data = inst.to_json()
         else:
             data = build_tax_profile(inst, [1.0, 1.0]).to_json()
-        edit(data)
+        if edit is not None:
+            edit(data)
         bad.write_text(json.dumps(data))
         argv = {
+            "instance": ["oracle", str(bad)],
+            "directory": ["oracle", str(tmp_path)],
             "oracle": ["oracle", str(path), "--taxes", str(bad)],
             "learn": ["learn", str(path), "--taxes", str(bad), "--rounds", "1",
                       "--seeds", "0", "--out", str(tmp_path / "runs")],

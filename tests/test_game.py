@@ -56,6 +56,18 @@ class TestInstanceValidation:
             GameInstance.build([BasisFunction.monomial(1)], [[1.0]],
                                [[[0]], [[3]]])
 
+    @pytest.mark.parametrize("index", [0.9, 1.0, "1"])
+    def test_non_integer_resource_index_rejected(self, index):
+        with pytest.raises(GameValidationError, match="integer"):
+            GameInstance.build([BasisFunction.monomial(1)], [[1.0], [1.0]],
+                               [[[0], [index]]])
+
+    def test_numpy_resource_index_accepted(self):
+        import numpy as np
+        inst = GameInstance.build([BasisFunction.monomial(1)], [[1.0], [1.0]],
+                                  [[[np.int64(1)], [np.int32(0)]]])
+        assert inst.strategies == (((1,), (0,)),)
+
     def test_zero_coefficients_rejected(self):
         with pytest.raises(GameValidationError, match="resource 0"):
             GameInstance.build([BasisFunction.monomial(1)], [[0.0]], [[[0]]])

@@ -4,10 +4,12 @@ import mpmath as mp
 import pytest
 
 from tollkit import (BasisFunction, InvalidParams, KernelConfig,
-                     KernelNonConvergent, RhoReport, UnsupportedBasis,
-                     bell_fractional, binomial_expectation, mu_factor,
-                     poisson_kernel, poisson_kernel_derivative, rho_factor)
-from tollkit.kernel import kernel_evaluators
+                     KernelNonConvergent, KernelOverflow, RhoReport,
+                     UnsupportedBasis, bell_fractional, binomial_expectation,
+                     mu_factor, poisson_kernel, poisson_kernel_derivative,
+                     rho_factor)
+from tollkit.kernel import (DEFAULT_KERNEL_CONFIG, _poisson_series,
+                            kernel_evaluators)
 
 mp.mp.dps = 40
 
@@ -63,14 +65,32 @@ class TestPoissonKernel:
         assert poisson_kernel(b, 900.0) == pytest.approx(900.0 + 900.0 ** 2, rel=1e-10)
 
     def test_nonconvergent_when_cap_too_small(self):
-        # The term peak sits near i = v = 100, past the 64-term cap.
-        b = BasisFunction.monomial(3)
+        # The term peak sits near i = v = 100, past the 64-term cap. A
+        # fractional degree keeps the series evaluator.
+        b = BasisFunction.monomial(3.5)
         with pytest.raises(KernelNonConvergent):
             poisson_kernel(b, 100.0, KernelConfig(i_max=64))
 
     def test_rejects_negative_rate(self):
         with pytest.raises(InvalidParams):
             poisson_kernel(BasisFunction.monomial(1), -1.0)
+
+    @pytest.mark.parametrize("degree", [1, 1.5])
+    @pytest.mark.parametrize("v", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_rate_on_both_evaluators(self, degree, v):
+        # Both evaluators: the moment polynomial and the series.
+        b = BasisFunction.monomial(degree)
+        with pytest.raises(InvalidParams):
+            poisson_kernel(b, v)
+        with pytest.raises(InvalidParams):
+            poisson_kernel_derivative(b, v)
+
+    def test_polynomial_overflow_raises(self):
+        b = BasisFunction.monomial(120)
+        with pytest.raises(KernelOverflow):
+            poisson_kernel(b, 1e3)
+        with pytest.raises(KernelOverflow):
+            poisson_kernel_derivative(b, 1e3)
 
 
 class TestKernelDerivative:
@@ -136,14 +156,26 @@ class TestRhoFactor:
         assert all(s >= 1.0 - 1e-9 for s in report.samples)
 
     def test_infinite_flag_on_nonconvergence(self):
-        report = rho_factor(BasisFunction.monomial(40), cfg=KernelConfig(i_max=64))
+        report = rho_factor(BasisFunction.monomial(40.5), cfg=KernelConfig(i_max=64))
         assert report.infinite and math.isinf(report.value)
 
     def test_report_round_trip(self):
         for report in (rho_factor(BasisFunction.monomial(1)),
-                       rho_factor(BasisFunction.monomial(40),
+                       rho_factor(BasisFunction.monomial(40.5),
                                   cfg=KernelConfig(i_max=64))):
             assert RhoReport.from_json(report.to_json()) == report
+
+    def test_integer_monomial_ignores_series_cap(self):
+        # The moment polynomial has no term cap: rho(x^40) is B(41) exactly.
+        report = rho_factor(BasisFunction.monomial(40), cfg=KernelConfig(i_max=64))
+        assert not report.infinite
+        assert report.value == float(mp.bell(41))
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_integer_monomials_give_exact_bell(self, degree):
+        report = rho_factor(BasisFunction.monomial(degree))
+        assert report.value == bell_triangle(degree + 1)[degree + 1]
+        assert report.argmax == 1
 
 
 class TestBellFractional:
@@ -243,9 +275,16 @@ class TestKernelEvaluators:
     def test_polynomial_fast_path_matches_series(self, degree):
         basis = BasisFunction.monomial(degree)
         p, dp = kernel_evaluators(basis)
+        cfg = DEFAULT_KERNEL_CONFIG
+
+        def delta_c(i):
+            return basis.c(i + 1) - basis.c(i)
+
         for v in (0.0, 0.3, 1.0, 2.5, 7.0):
-            assert p(v) == pytest.approx(poisson_kernel(basis, v), rel=1e-12, abs=1e-12)
-            assert dp(v) == pytest.approx(poisson_kernel_derivative(basis, v),
+            assert p(v) == pytest.approx(kernel_oracle(basis, v), rel=1e-12, abs=1e-12)
+            assert p(v) == pytest.approx(_poisson_series(basis.c, v, cfg),
+                                         rel=1e-12, abs=1e-12)
+            assert dp(v) == pytest.approx(_poisson_series(delta_c, v, cfg),
                                           rel=1e-12, abs=1e-12)
 
     def test_fractional_degree_uses_series(self):

@@ -208,6 +208,46 @@ class TestAuditTaxes:
         assert not audit.passed
         assert audit.resources[0].min_tax == pytest.approx(-0.5)
 
+    @staticmethod
+    def designed(basis):
+        from tollkit import solve_relaxation
+        inst = GameInstance.build(
+            [basis], [[1.0], [2.0]], [[[0], [1]], [[0, 1], [1]], [[0]]])
+        return inst, build_tax_profile(inst, solve_relaxation(inst).loads)
+
+    @pytest.mark.parametrize("bump_tau,bump_ell_bar", [
+        (5.0, 0.0), (0.0, 5.0), (5.0, 5.0),
+    ], ids=["tau", "ell_bar", "both-split-kept"])
+    def test_tampered_stored_tables_fail(self, bump_tau, bump_ell_bar):
+        # Each edit leaves v and every tax non-negative, so only a check of
+        # the stored tables themselves can catch it.
+        from tollkit import TaxProfile
+        inst, taxes = self.designed(BasisFunction.monomial(2))
+        assert audit_taxes(inst, taxes).passed
+
+        def bumped(rows, delta):
+            first = list(rows[0])
+            first[1] += delta
+            return (tuple(first),) + rows[1:]
+
+        broken = TaxProfile(v=taxes.v, tau=bumped(taxes.tau, bump_tau),
+                            ell_bar=bumped(taxes.ell_bar, bump_ell_bar),
+                            n_cap=taxes.n_cap)
+        audit = audit_taxes(inst, broken)
+        assert not audit.passed
+        assert audit.resources[0].min_tax >= 0.0
+        if bump_tau == bump_ell_bar:
+            assert audit.resources[0].max_split_error <= audit.tol
+            assert audit.resources[0].max_residual > audit.tol
+        else:
+            assert audit.resources[0].max_split_error > audit.tol
+
+    def test_designed_table_basis_passes(self):
+        inst, taxes = self.designed(BasisFunction.table([1.0, 1.5, 2.5]))
+        audit = audit_taxes(inst, taxes)
+        assert audit.passed
+        assert all(a.max_split_error <= audit.tol for a in audit.resources)
+
     def test_audit_round_trip(self):
         inst = shared_resource_instance(BasisFunction.monomial(2))
         audit = audit_taxes(inst, build_tax_profile(inst, [1.0]))
