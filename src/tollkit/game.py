@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from numpy.random import Generator, Philox
 
-from .errors import GameValidationError, TollkitError
+from .errors import GameValidationError, KernelOverflow, TollkitError
 
 # Slack for float tables in monotonicity / convexity validation.
 _VALIDATION_SLACK = 1e-12
@@ -136,12 +136,19 @@ class BasisFunction:
             return vals[-1] - vals[-2]
         return 0.0
 
+    def _power(self, t: float) -> float:
+        try:
+            return t ** self.degree
+        except OverflowError:
+            raise KernelOverflow(
+                f"b({t}) = {t}**{self.degree} leaves the double range") from None
+
     def b(self, x: int) -> float:
         """Generator value at an integer load, with ``b(0) = 0``."""
         if x <= 0:
             return 0.0
         if self.kind == "monomial":
-            return float(x) ** self.degree
+            return self._power(float(x))
         vals = self.values
         if x <= len(vals):
             return vals[x - 1]
@@ -163,7 +170,7 @@ class BasisFunction:
         if t <= 0.0:
             return 0.0
         if self.kind == "monomial":
-            return t ** self.degree
+            return self._power(t)
         vals = self.values
         if t <= 1.0:
             return t * vals[0]

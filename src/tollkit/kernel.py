@@ -9,12 +9,17 @@ over integer ``x`` gives the efficiency factor ``rho_b``; the analogous
 ratio with a scaled unit-rate Poisson over real ``x`` gives the rounding
 factor ``mu_b >= rho_b``. For the monomial ``b(x) = x**d`` the factor equals
 the fractional Bell number ``exp(-1) * sum_i i**(d+1) / i!``.
+
+Integer-degree monomials (degree up to 120) and table bases have exact
+kernels; only non-integer degrees and higher integer degrees run the
+truncated series that ``KernelConfig`` controls (see ``kernel_evaluators``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +39,8 @@ class KernelConfig:
 
     ``tol_tail`` is the relative size at which a decreasing tail is cut;
     ``i_max`` caps the number of terms, and hitting it raises
-    ``KernelNonConvergent``.
+    ``KernelNonConvergent``. Only non-integer monomial degrees and integer
+    degrees above 120 use the series; the exact evaluators ignore both.
     """
 
     tol_tail: float = 1e-14
@@ -50,15 +56,14 @@ class KernelConfig:
 DEFAULT_KERNEL_CONFIG = KernelConfig()
 
 
-def _poisson_series(coef: Callable[[int], float], v: float, cfg: KernelConfig,
-                    min_terms: int = 0) -> float:
+def _poisson_series(coef: Callable[[int], float], v: float,
+                    cfg: KernelConfig) -> float:
     """``exp(-v) * sum_{i>=0} coef(i) * v^i / i!`` for non-negative ``coef``.
 
     Truncates once the running term falls below ``tol_tail * (sum + 1)``
     while the terms are decreasing and the Poisson weight peak (``i ~ v``)
-    is past; ``min_terms`` postpones truncation across any table range where
-    ``coef`` may still jump. Accumulation is rescaled on the fly so weights
-    like ``v^i / i!`` never overflow before the closing ``exp(-v)``.
+    is past. Accumulation is rescaled on the fly so weights like
+    ``v^i / i!`` never overflow before the closing ``exp(-v)``.
     """
     if v < 0 or not math.isfinite(v):
         raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
@@ -83,7 +88,7 @@ def _poisson_series(coef: Callable[[int], float], v: float, cfg: KernelConfig,
             raise KernelOverflow(
                 f"kernel term overflowed at i={i}, v={v}", x=i, v=v)
         total += term
-        if i >= min_terms and i > v and term <= prev \
+        if i > v and term <= prev \
                 and term <= cfg.tol_tail * (total + 1.0):
             converged = True
             break
@@ -95,13 +100,6 @@ def _poisson_series(coef: Callable[[int], float], v: float, cfg: KernelConfig,
     if total <= 0.0:
         return 0.0
     return math.exp(shift - v + math.log(total))
-
-
-def _min_terms(basis: BasisFunction) -> int:
-    """Terms to force before truncation: past any table knots."""
-    if basis.kind == "table":
-        return len(basis.values) + 1
-    return 0
 
 
 @functools.cache
@@ -116,6 +114,116 @@ def _stirling_row(n: int) -> tuple[float, ...]:
     return tuple(row)
 
 
+# Below this rate exp(-v) is a normal double, so Poisson weights can be
+# walked up from x = 0; above it the walk starts from a log-space anchor.
+_EXP_SAFE = 700.0
+# A table tail is cut once the geometric bound on what is left drops below
+# this share of its first term.
+_TAIL_EPS = 1e-17
+
+
+def _poisson_weight(m: int, v: float) -> float:
+    """``Poi(m; v)`` for ``v > _EXP_SAFE`` and ``m >= 1``.
+
+    Uses ``log Poi(m; v) = -m*(d - log1p(d)) - log(2*pi*m)/2 - e(m)`` with
+    ``d = (v - m)/m`` and the Stirling remainder ``e(m)``, whose parts stay
+    small, instead of ``m*log(v) - v - lgamma(m + 1)``, whose parts run to
+    thousands and would cost ~1e-13 of relative accuracy. The three-term
+    series for ``e(m)`` is inexact only for small ``m``, where the weight
+    is below ``exp(-500)`` at such rates and counts for nothing.
+    """
+    d = (v - m) / m
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m
+    return math.exp(-m * (d - math.log1p(d)) - stirling) / math.sqrt(2.0 * math.pi * m)
+
+
+def _head_sum(coef: tuple[float, ...], v: float) -> tuple[float, float]:
+    """``sum_{x<n} coef[x] * Poi(x; v)`` and ``Poi(n; v)``, ``n = len(coef)``.
+
+    Weights are walked up from ``exp(-v)``. When that underflows, the walk
+    starts at the mode (or at ``n`` if that is lower) from a log-space
+    weight and runs both ways; weights lost to underflow on the way are
+    below any term that counts.
+    """
+    n = len(coef)
+    total = 0.0
+    if v <= _EXP_SAFE:
+        w = math.exp(-v)
+        for x in range(n):
+            total += coef[x] * w
+            w *= v / (x + 1)
+        return total, w
+    m = min(int(v), n)
+    anchor = _poisson_weight(m, v)
+    w = anchor
+    for x in range(m - 1, -1, -1):
+        w *= (x + 1) / v
+        total += coef[x] * w
+    w = anchor
+    for x in range(m, n):
+        total += coef[x] * w
+        w *= v / (x + 1)
+    return total, w
+
+
+def _table_evaluator(head: tuple[float, ...], e2: float, e1: float,
+                     e0: float) -> Callable[[float], float]:
+    """Exact ``E_{P~Poi(v)}[g(P)]`` for ``g(x) = head[x]`` below
+    ``L = len(head)`` and ``g(x) = q(x) = (e2*u + e1)*u + e0`` with
+    ``u = x - L`` from ``L`` on.
+
+    The ``e`` coefficients are non-negative, so ``q`` is evaluated without
+    cancellation. Below ``L`` the head and the tail are summed directly:
+    every term is non-negative, so nothing cancels at small ``v``. The tail
+    is ``Poi(L; v) * sum_u b_u * (v/L)^u`` with
+    ``b_u = q(L+u) * L^u * L!/(L+u)!``, run by Horner's rule over
+    coefficients fixed here. Its terms only shrink as ``v`` falls below
+    ``L``, so the cut that leaves a remainder under ``_TAIL_EPS * q(L)`` at
+    ``v = L`` holds for every ``v < L``. From ``L`` on the closed form
+    ``E[q(P)] = e2*(v + (v-L)^2) + e1*(v-L) + e0`` takes over, plus the
+    finite head correction ``sum_{x<L} (head[x] - q(x)) * Poi(x; v)``.
+    """
+    L = len(head)
+    # b_u = q(L+u) * prod_{j<=u} L/(L+j) is the tail term at v = L; its
+    # ratio falls once it is below 1, which bounds the remainder
+    # geometrically.
+    coeffs = [e0]
+    weight = 1.0
+    u = 0
+    while True:
+        u += 1
+        weight *= L / (L + u)
+        term = ((e2 * u + e1) * u + e0) * weight
+        if not math.isfinite(term):
+            raise KernelOverflow(f"table kernel tail overflowed at x={L + u}", x=L + u)
+        prev = coeffs[-1]
+        coeffs.append(term)
+        if term < prev:
+            r = term / prev
+            if term * r <= _TAIL_EPS * (1.0 - r) * e0:
+                break
+    tail = tuple(reversed(coeffs))
+    correction = tuple(g - (e2 * (x - L) + e1) * (x - L) - e0
+                       for x, g in enumerate(head))
+    if not all(map(math.isfinite, correction)):
+        raise KernelOverflow("table kernel head correction overflowed")
+
+    def evaluate(v: float) -> float:
+        if v >= L:
+            d = v - L
+            return (e2 * (v + d * d) + e1 * d + e0
+                    + _head_sum(correction, v)[0])
+        total, w = _head_sum(head, v)
+        y = v / L
+        acc = 0.0
+        for coeff in tail:
+            acc = acc * y + coeff
+        return total + w * acc
+
+    return evaluate
+
+
+@functools.lru_cache(maxsize=256)
 def kernel_evaluators(basis: BasisFunction,
                       cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
     """The ``(p, p')`` evaluator pair for one basis.
@@ -123,10 +231,14 @@ def kernel_evaluators(basis: BasisFunction,
     This is the one place that decides how the kernel is evaluated.
     Integer-degree monomials admit the closed moment polynomial
     ``E_{Poi(v)}[P^(d+1)] = sum_i S(d+1, i) v^i`` with Stirling partition
-    coefficients, exact up to rounding; everything else runs the truncated
-    series. The pair does not validate ``v``, so inner solver loops pay
-    neither checks nor dispatch per evaluation; ``poisson_kernel`` and its
-    derivative are the checked entry points.
+    coefficients, exact up to rounding. A table basis with ``L`` entries is
+    affine past ``L``, so ``c(x) = x * b(x)`` is a quadratic there and both
+    kernels are exact finite sums (``_table_evaluator``). Everything else
+    runs the truncated series, which alone reads ``cfg``. The pair does not
+    validate ``v``, so inner solver loops pay neither checks nor dispatch
+    per evaluation; ``poisson_kernel`` and its derivative are the checked
+    entry points. Pairs are cached per ``(basis, cfg)``, so a ``rho_factor``
+    scan builds a table's coefficients once.
     """
     if (basis.kind == "monomial" and float(basis.degree).is_integer()
             and basis.degree <= 120):
@@ -148,15 +260,25 @@ def kernel_evaluators(basis: BasisFunction,
         return p, dp
 
     c = basis.c
-    min_terms = _min_terms(basis)
 
     def delta_c(i: int) -> float:
         return c(i + 1) - c(i)
 
+    if basis.kind == "table":
+        # With u = x - L >= 0 past the last entry b_L and tail slope s,
+        # c(x) = (L + u) * (b_L + s*u) and c(x+1) - c(x) = b_L + s*(L+1+2u).
+        L = len(basis.values)
+        b_last = basis.values[-1]
+        s = basis._tail_slope
+        return (_table_evaluator(tuple(c(x) for x in range(L)),
+                                 s, b_last + s * L, L * b_last),
+                _table_evaluator(tuple(delta_c(x) for x in range(L)),
+                                 0.0, 2.0 * s, b_last + s * (L + 1)))
+
     # The forward differences of the convex ``c(x) = x * b(x)`` are
     # non-negative and non-decreasing, so p' truncates by the same rule.
-    return (lambda v: _poisson_series(c, v, cfg, min_terms),
-            lambda v: _poisson_series(delta_c, v, cfg, min_terms))
+    return (lambda v: _poisson_series(c, v, cfg),
+            lambda v: _poisson_series(delta_c, v, cfg))
 
 
 def _checked(evaluate: Callable[[float], float], v: float) -> float:
@@ -275,27 +397,30 @@ def bell_fractional(degree: float) -> float:
                           KernelConfig(i_max=1_000_000))
 
 
-# Unit-rate Poisson weights exp(-1)/i!; 1/i! underflows past i ~ 170, far
-# below any tail that could matter at double precision.
-_POI1_COUNTS = np.arange(171)
-_POI1_WEIGHTS = np.exp(-1.0 - np.cumsum(np.concatenate(
-    ([0.0], np.log(np.arange(1, 171, dtype=float))))))
+# Unit-rate Poisson log-weights -1 - log(i!) for i = 1..170; 1/i! underflows
+# past i ~ 170, far below any tail that could matter at double precision.
+_POI1_COUNTS = np.arange(1, 171, dtype=float)
+_POI1_LOG_COUNTS = np.log(_POI1_COUNTS)
+_POI1_LOG_WEIGHTS = -1.0 - np.cumsum(_POI1_LOG_COUNTS)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
-def _b_real_vec(basis: BasisFunction, t: np.ndarray) -> np.ndarray:
+def _log_cost_ratios(basis: BasisFunction, x: float) -> np.ndarray:
+    """``log(c(x*i) / c(x))`` for ``i = 1..170``, with ``c(t) = t * b(t)``.
+
+    Only ratios are formed, so nothing overflows or underflows however high
+    a monomial degree or however large ``x`` is.
+    """
     if basis.kind == "monomial":
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = t[pos] ** basis.degree
-        return out
+        return (basis.degree + 1.0) * _POI1_LOG_COUNTS
     vals = np.asarray(basis.values)
-    knots_x = np.arange(len(vals) + 1, dtype=float)
-    knots_y = np.concatenate(([0.0], vals))
-    out = np.interp(t, knots_x, knots_y)
+    t = x * _POI1_COUNTS
+    b = np.interp(t, np.arange(len(vals) + 1, dtype=float),
+                  np.concatenate(([0.0], vals)))
     tail = t > len(vals)
     if np.any(tail):
-        out[tail] = vals[-1] + (t[tail] - len(vals)) * basis._tail_slope
-    return out
+        b[tail] = vals[-1] + (t[tail] - len(vals)) * basis._tail_slope
+    return _POI1_LOG_COUNTS + np.log(b / b[0])
 
 
 def mu_factor(basis: BasisFunction, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
@@ -316,9 +441,11 @@ def mu_factor(basis: BasisFunction, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
             "to use the table's piecewise linear extension")
 
     def ratio(x: float) -> float:
-        args = x * _POI1_COUNTS.astype(float)
-        expectation = float(np.sum(_POI1_WEIGHTS * args * _b_real_vec(basis, args)))
-        return expectation / (x * basis.b_real(x))
+        # sum_i Poi(i; 1) * c(x*i) / c(x), summed in log space.
+        terms = _POI1_LOG_WEIGHTS + _log_cost_ratios(basis, x)
+        top = float(np.max(terms))
+        log_ratio = top + math.log(float(np.sum(np.exp(terms - top))))
+        return math.exp(log_ratio) if log_ratio < _LOG_DOUBLE_MAX else math.inf
 
     low, high = grid_low, grid_high
     best_x, best = None, -math.inf

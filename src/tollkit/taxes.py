@@ -19,8 +19,8 @@ small: the summands then cancel to a result many orders below their own
 magnitude. Evaluation therefore runs on the recursion instead, forwards
 (stable while ``x <= v``) and backwards from a far seed (stable while
 ``x > v``, each step contracting errors by ``v/x``); see
-``modified_cost_table``. The factorial sum is kept as a cross-check for
-well-conditioned arguments.
+``modified_cost_table``. The test suite keeps the factorial sum as a
+cross-check for well-conditioned arguments.
 """
 
 from __future__ import annotations
@@ -85,22 +85,6 @@ def modified_cost(basis: BasisFunction, x: int, v: float,
     if x < 0:
         raise InvalidParams(f"load must be >= 0, got {x}")
     return modified_cost_table(basis, v, x, cfg)[x]
-
-
-def _modified_cost_direct(basis: BasisFunction, x: int, v: float, p: float) -> float:
-    """Literal factorial-sum form of ``f(x, v)``.
-
-    Only meaningful where the sum is well conditioned (roughly ``v`` not far
-    below ``x``); retained as an independent cross-check of the recursion.
-    """
-    if x == 0:
-        return 0.0
-    acc = 0.0
-    coef = 1.0 / v  # (x-1)! / (i! * v^(x-i)) at i = x-1
-    for i in range(x - 1, -1, -1):
-        acc += (p - basis.c(i)) * coef
-        coef *= i / v
-    return acc
 
 
 def build_tax_profile(instance: GameInstance, v,

@@ -67,6 +67,14 @@ class TestAnalyzeBasis:
         code, _, _ = run_cli(capsys, "analyze-basis", "--table", "3,1")
         assert code == 2
 
+    @pytest.mark.parametrize("degree", ["103", "104", "110", "300"])
+    def test_high_degree_never_ends_in_traceback(self, capsys, degree):
+        code, out, err = run_cli(capsys, "analyze-basis", "--monomial", degree)
+        assert code in (0, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["mu"] is not None
+
 
 class TestDesign:
     def test_two_by_two_bundle(self, capsys, tmp_path):
@@ -97,18 +105,30 @@ class TestDesign:
         assert bundle["stages"]["poa"]["poa"] == 1.0
 
     def test_nonconvergent_records_infinite_rho(self, capsys, tmp_path):
-        # A steep table has its kernel peak far past a tiny term cap, so the
-        # scan cannot settle and the stage reports an unbounded factor.
-        b = BasisFunction.table([float(3 ** x) for x in range(1, 13)])
+        # A steep fractional monomial has its kernel peak far past a tiny
+        # term cap, so the scan cannot settle and the stage reports an
+        # unbounded factor.
+        b = BasisFunction.monomial(40.5)
         inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
         path = tmp_path / "steep.json"
         inst.save(path)
         code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
         assert code == 0
         bundle = json.loads(out)
-        statuses = {s.get("status") for s in bundle["stages"].values()}
-        assert "infinite-rho" in statuses
+        assert bundle["stages"]["rho"]["status"] == "infinite-rho"
         assert bundle["stages"]["smoothness"]["status"] == "skipped"
+
+    def test_steep_table_designs_despite_tiny_term_cap(self, capsys, tmp_path):
+        # Table kernels are exact finite sums, so the term cap never binds.
+        b = BasisFunction.table([float(3 ** x) for x in range(1, 13)])
+        inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
+        path = tmp_path / "steep.json"
+        inst.save(path)
+        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
+        assert code == 0
+        stages = json.loads(out)["stages"]
+        assert {s["status"] for s in stages.values()} == {"ok"}
+        assert stages["audit"]["passed"] and stages["smoothness"]["passed"]
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "design", str(tmp_path / "nope.json"))

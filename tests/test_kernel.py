@@ -2,6 +2,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tollkit import (BasisFunction, InvalidParams, KernelConfig,
                      KernelNonConvergent, KernelOverflow, RhoReport,
@@ -291,3 +293,95 @@ class TestKernelEvaluators:
         basis = BasisFunction.monomial(1.5)
         p, _ = kernel_evaluators(basis)
         assert p(2.0) == poisson_kernel(basis, 2.0)
+
+
+def table_kernel_oracle(basis, v):
+    """``p(v)`` and ``p'(v)`` as an explicit finite Poisson sum at 60 digits.
+
+    About ``3v + 200`` terms, far past the Poisson mass at every ``v`` used
+    here; each term is exact in ``mpmath``, so no tail estimate is needed.
+    """
+    with mp.workdps(60):
+        v = mp.mpf(v)
+        c = [mp.mpf(x) * mp.mpf(basis.b(x))
+             for x in range(int(3 * v) + 202)]
+        p = dp = mp.mpf(0)
+        w = mp.exp(-v)
+        for x in range(len(c) - 1):
+            p += c[x] * w
+            dp += (c[x + 1] - c[x]) * w
+            w = w * v / (x + 1)
+        return p, dp
+
+
+ORACLE_TABLES = {
+    "const": [2.0],
+    "linear": [1.0, 2.0, 3.0],
+    "convex": [1.0, 1.5, 2.5],
+    "square-L4": [float(x * x) for x in range(1, 5)],
+    "quartic-L30": [float(x ** 4) for x in range(1, 31)],
+    "steep-L12": [float(3 ** x) for x in range(1, 13)],
+    # Long enough that exp(-v) underflows below L.
+    "long-L1000": [x ** 1.5 for x in range(1, 1001)],
+}
+
+
+def oracle_rates(length):
+    return [0.0, 1e-9, 1e-6, 0.01, 0.3, length - 0.01, float(length),
+            2.0 * length, 200.0, 700.0]
+
+
+def valid_tables():
+    """Random admissible tables: ``c(x) = x * b(x)`` built from a positive
+    first difference and non-negative increments, so ``c`` is convex and
+    ``b = c(x)/x`` non-decreasing."""
+    def build(first, increments):
+        diffs, c = [first], [0.0, first]
+        for g in increments:
+            diffs.append(diffs[-1] + g)
+            c.append(c[-1] + diffs[-1])
+        return [c[x] / x for x in range(1, len(c))]
+
+    return st.builds(build, st.floats(0.5, 5.0),
+                     st.lists(st.floats(0.0, 3.0), max_size=11))
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+    def test_matches_finite_sum_oracle(self, name):
+        basis = BasisFunction.table(ORACLE_TABLES[name])
+        p, dp = kernel_evaluators(basis)
+        for v in oracle_rates(len(basis.values)):
+            want_p, want_dp = table_kernel_oracle(basis, v)
+            assert abs(p(v) - want_p) <= 1e-13 * abs(want_p), (name, v)
+            assert abs(dp(v) - want_dp) <= 1e-13 * abs(want_dp), (name, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=valid_tables(), v=st.floats(0.0, 60.0))
+    def test_matches_series(self, values, v):
+        basis = BasisFunction.table(values)
+        p, dp = kernel_evaluators(basis)
+
+        def delta_c(i):
+            return basis.c(i + 1) - basis.c(i)
+
+        assert p(v) == pytest.approx(
+            _poisson_series(basis.c, v, DEFAULT_KERNEL_CONFIG), rel=1e-12, abs=0)
+        assert dp(v) == pytest.approx(
+            _poisson_series(delta_c, v, DEFAULT_KERNEL_CONFIG), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+    def test_ignores_series_term_cap(self, name):
+        basis = BasisFunction.table(ORACLE_TABLES[name])
+        p, dp = kernel_evaluators(basis, KernelConfig(i_max=64))
+        for v in oracle_rates(len(basis.values)) + [1e4]:
+            assert math.isfinite(poisson_kernel(basis, v, KernelConfig(i_max=64)))
+            assert math.isfinite(p(v)) and math.isfinite(dp(v))
+        report = rho_factor(basis, cfg=KernelConfig(i_max=64))
+        assert not report.infinite
+
+    @pytest.mark.parametrize("values", [[1e308], [1e308, 1e308], [1.0, 1e308]])
+    def test_overflowing_table_raises_kernel_overflow(self, values):
+        # c(x) = x * b(x) leaves the double range just past the table.
+        with pytest.raises(KernelOverflow):
+            poisson_kernel(BasisFunction.table(values), 1.0)

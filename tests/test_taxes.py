@@ -6,7 +6,6 @@ import pytest
 from tollkit import (BasisFunction, GameInstance, InvalidParams, TaxAudit,
                      audit_taxes, build_tax_profile, modified_cost,
                      modified_cost_table, poisson_kernel)
-from tollkit.taxes import _modified_cost_direct
 
 # The factorial-sum oracle cancels ~(x log10 v^-1 + log10 x!) digits at small
 # v; 80 digits keeps ~40 significant ones on the whole grid.
@@ -15,6 +14,22 @@ mp.mp.dps = 80
 GRID_DEGREES = (0, 0.5, 1, 2, 3)
 GRID_V = (0.1, 0.5, 1.0, 2.0, 5.0)
 GRID_X = 20
+
+
+def modified_cost_direct(basis, x, v, p):
+    """Literal factorial-sum form of ``f(x, v)``.
+
+    Only meaningful where the sum is well conditioned (roughly ``v`` not far
+    below ``x``); an independent cross-check of the recursion.
+    """
+    if x == 0:
+        return 0.0
+    acc = 0.0
+    coef = 1.0 / v  # (x-1)! / (i! * v^(x-i)) at i = x-1
+    for i in range(x - 1, -1, -1):
+        acc += (p - basis.c(i)) * coef
+        coef *= i / v
+    return acc
 
 
 def oracle_table(basis, v, x_cap, terms=400):
@@ -86,7 +101,7 @@ class TestModifiedCost:
                 p = poisson_kernel(basis, v)
                 table = modified_cost_table(basis, v, 10)
                 for x in range(1, 11):
-                    direct = _modified_cost_direct(basis, x, v, p)
+                    direct = modified_cost_direct(basis, x, v, p)
                     assert table[x] == pytest.approx(direct, rel=1e-7)
 
     def test_rejects_negative_load(self):
