@@ -106,6 +106,8 @@ class BasisFunction:
                 raise GameValidationError(
                     f"monomial degree must be a finite real >= 0, got {self.degree}")
         elif self.kind == "table":
+            # A tuple keeps the basis hashable, which the kernel cache needs.
+            object.__setattr__(self, "values", _as_float_tuple(self.values))
             vals = self.values
             if not vals:
                 raise GameValidationError("table basis needs at least one value")

@@ -380,6 +380,11 @@ class TestTableKernel:
         report = rho_factor(basis, cfg=KernelConfig(i_max=64))
         assert not report.infinite
 
+    def test_directly_built_table_is_cacheable(self):
+        basis = BasisFunction(kind="table", values=[1.0, 2.0])
+        assert kernel_evaluators(basis)[0](1.0) == poisson_kernel(
+            BasisFunction.table([1.0, 2.0]), 1.0)
+
     @pytest.mark.parametrize("values", [[1e308], [1e308, 1e308], [1.0, 1e308]])
     def test_overflowing_table_raises_kernel_overflow(self, values):
         # c(x) = x * b(x) leaves the double range just past the table.
