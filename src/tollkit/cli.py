@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -398,6 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then kept. parse_args
+    fills a fresh namespace on every call, so no value carries over."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -412,9 +420,8 @@ def main(argv=None) -> int:
             print(f"error: cannot load config: {exc}", file=sys.stderr)
             return EXIT_PARSE
         argv = list(replay.argv) + argv[2:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the parse-error contract
         return int(exc.code or 0)

@@ -17,8 +17,10 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import GameValidationError, KernelOverflow, TollkitError
@@ -477,6 +479,102 @@ def move_cost(tables: list[list[float]], loads: Sequence[int],
     """Cost of ``move`` (from ``deviation_moves``) against ``loads``, priced
     on ``tables``: what the mover pays after a unilateral deviation."""
     return sum([tables[r][loads[r] + d] for r, d in move])
+
+
+class CompiledGame:
+    """A game's cost tables and strategy sets as numpy arrays, for pricing
+    batches of pure profiles at once.
+
+    Strategies are numbered in one sequence: player ``i``'s strategy ``k``
+    is row ``offsets[i] + k``. A batch of ``B`` profiles is a
+    ``(num_players, B)`` array of such rows (``strategy_rows``), one column
+    per profile. Memory per call is ``B`` times a size of the game.
+
+    Every sum adds its terms one at a time in the order ``system_cost`` and
+    ``move_cost`` use (resources in index order, resp. strategy order), so
+    each value is bit-identical to the scalar one; numpy's reductions over
+    a short axis add pairwise and would move the last bits.
+    """
+
+    def __init__(self, instance: GameInstance,
+                 taxes: Optional[TaxProfile] = None):
+        n = instance.num_players
+        num_r = instance.num_resources
+        ell = np.array(instance.ell_tables(n), dtype=float)
+        perceived = ell
+        if taxes is not None:
+            check_tax_cover(instance, taxes)
+            perceived = ell + np.array([t[:n + 1] for t in taxes.tau], dtype=float)
+        resource = np.arange(num_r)[:, None]
+        # Same IEEE products and sums as system_cost_tables/perceived_tables.
+        self._system = (np.arange(n + 1) * ell).ravel()
+        self._system_at = resource * (n + 1)
+        # A mover pays perceived[r][others + 1], others being the load
+        # without them: 0..n-1.
+        self._deviation = perceived[:, 1:].ravel()
+        self._deviation_at = resource * n
+
+        self.radices = tuple(map(len, instance.strategies))
+        flat = [strat for strats in instance.strategies for strat in strats]
+        owner = [i for i, strats in enumerate(instance.strategies) for _ in strats]
+        self.owners = np.array(owner)
+        self.offsets = np.array(list(accumulate(self.radices[:-1], initial=0)))
+        members_t = np.zeros(num_r * len(flat), dtype=np.intp)
+        members_t[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
+        self._members_t = members_t.reshape(num_r, len(flat))
+
+        # Strategy costs are summed position by position: the p-th resource
+        # of every strategy that has one. Longest strategies first, so the
+        # strategies with a p-th resource are a prefix of that order. Each
+        # entry names the (resource, player) row, resource * n + player, of
+        # the others' loads that strategy_costs builds.
+        order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
+        entries = []
+        self._blocks = []
+        for p in range(len(flat[order[0]])):
+            rows = [j for j in order if len(flat[j]) > p]
+            if p:
+                self._blocks.append((len(entries), len(rows)))
+            entries += [flat[j][p] * n + owner[j] for j in rows]
+        self._entries = np.array(entries)
+        self._unsort = None
+        if order != sorted(order):
+            unsort = [0] * len(order)
+            for position, j in enumerate(order):
+                unsort[j] = position
+            self._unsort = np.array(unsort)
+
+    def strategy_rows(self, choices: np.ndarray) -> np.ndarray:
+        """Rows of a ``(num_players, B)`` array of strategy indices."""
+        return choices + self.offsets[:, None]
+
+    def loads(self, rows: np.ndarray) -> np.ndarray:
+        """``(num_resources, B)`` users per resource (integer counts, so
+        the order of this sum does not matter)."""
+        return self._members_t.take(rows, axis=1).sum(axis=1)
+
+    def social_costs(self, loads: np.ndarray) -> np.ndarray:
+        """``(B,)`` untaxed system cost, as ``system_cost`` sums it. An
+        unused resource adds the exact zero that ``system_cost`` skips."""
+        terms = self._system.take(loads + self._system_at)
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
+
+    def strategy_costs(self, rows: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """``(strategies, B)`` perceived cost of every strategy to its
+        player against the others' play: row ``offsets[i] + a`` is what
+        player ``i`` pays on moving to ``a`` (its current cost when ``a`` is
+        the strategy it plays), as ``move_cost`` sums it."""
+        own = self._members_t.take(rows, axis=1)
+        others = (loads + self._deviation_at)[:, None, :] - own
+        others = others.reshape(-1, rows.shape[1]).take(self._entries, axis=0)
+        terms = self._deviation.take(others)
+        costs = terms[:len(self.owners)]
+        for start, count in self._blocks:
+            costs[:count] += terms[start:start + count]
+        return costs if self._unsort is None else costs.take(self._unsort, axis=0)
 
 
 def social_cost(instance: GameInstance, allocation: Allocation) -> float:

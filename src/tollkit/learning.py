@@ -21,11 +21,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidParams, NotConverged, TooLarge
-from .game import (Allocation, GameInstance, TaxProfile, deviation_moves,
-                   loads_of, move_cost, perceived_tables, seeded_rng,
-                   system_cost, system_cost_tables)
-from .oracle import IMPROVEMENT_THRESHOLD, brute_force_min_sc, smoothness_lhs
+from .game import (Allocation, CompiledGame, GameInstance, TaxProfile,
+                   deviation_moves, loads_of, move_cost, perceived_tables,
+                   seeded_rng, system_cost, system_cost_tables)
+from .oracle import (CHUNK_PROFILES, IMPROVEMENT_THRESHOLD, brute_force_min_sc,
+                     certificate_lhs)
 from .relaxation import FractionalProfile, check_feasible
 
 
@@ -294,16 +297,25 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     vanishing term.
     """
     check_feasible(instance, profile)
-    lhs = smoothness_lhs(instance, taxes, profile)
-    sc_tables = system_cost_tables(instance)
+    game = CompiledGame(instance, taxes)
+    lhs = certificate_lhs(game, profile)
     _, min_cost = brute_force_min_sc(instance, cap)
 
+    distribution = trace.empirical_distribution
+    visited = np.array(list(distribution), dtype=np.intp).reshape(
+        -1, instance.num_players).T
     expected_sc = 0.0
     expected_lhs = 0.0
-    for choices, weight in trace.empirical_distribution.items():
-        loads = loads_of(instance, choices)
-        expected_sc += weight * system_cost(sc_tables, loads)
-        expected_lhs += weight * lhs(choices, loads)
+    weights = list(distribution.values())
+    for start in range(0, len(weights), CHUNK_PROFILES):
+        stop = start + CHUNK_PROFILES
+        rows = game.strategy_rows(visited[:, start:stop])
+        loads = game.loads(rows)
+        costs = game.social_costs(loads).tolist()
+        sides = lhs(rows, game.strategy_costs(rows, loads)).tolist()
+        for weight, sc, side in zip(weights[start:stop], costs, sides):
+            expected_sc += weight * sc
+            expected_lhs += weight * side
 
     rho_bound = rho * min_cost
     slack = expected_lhs - (expected_sc - rho_bound)

@@ -12,19 +12,27 @@ where ``Cbar`` is the perceived cost under the taxes. When the certificate
 holds, every pure Nash equilibrium (where the left side is non-positive)
 costs at most ``rho`` times the optimum, and the same bound extends in
 expectation to any distribution over profiles.
+
+Every pass is one numpy sweep over a ``CompiledGame``. Profiles are
+numbered in ``itertools.product`` order (the last player's choice varies
+fastest) and priced ``CHUNK_PROFILES`` at a time, so memory is a chunk
+times a size of the game, never the number of profiles. Each chunk is
+reduced with first-occurrence ``argmin``/``argmax`` and chunks are compared
+strictly, so witnesses are the lexicographically first ones, and every sum
+adds its terms in the scalar order, so every value is bit-identical to a
+profile-by-profile loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .errors import GameValidationError, TooLarge
-from .game import (Allocation, GameInstance, TaxProfile, deviation_moves,
-                   loads_of, move_cost, perceived_tables, system_cost,
-                   system_cost_tables)
+from .game import Allocation, CompiledGame, GameInstance, TaxProfile
 from .relaxation import FractionalProfile, check_feasible
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -32,6 +40,12 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # A deviation counts as improving only past this relative threshold; exact
 # float comparisons would make equilibrium sets depend on rounding noise.
 IMPROVEMENT_THRESHOLD = 1e-12
+
+# Profiles priced per sweep step. A chunk's arrays are this many columns by
+# at most (resources x players) rows; kept this small they are reused from
+# the allocator's free memory instead of faulted in afresh, which at 1024
+# columns made a 10-player sweep about twice as slow.
+CHUNK_PROFILES = 256
 
 
 def _enumeration_size(instance: GameInstance, cap: int) -> int:
@@ -43,52 +57,62 @@ def _enumeration_size(instance: GameInstance, cap: int) -> int:
     return size
 
 
-def _iter_profiles(instance: GameInstance) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*(range(instance.num_strategies(i))
-                               for i in range(instance.num_players)))
+def _profile_chunks(game: CompiledGame, size: int) -> Iterator[np.ndarray]:
+    """Strategy rows of profiles ``0..size-1`` in ``itertools.product``
+    order, ``CHUNK_PROFILES`` columns at a time."""
+    for start in range(0, size, CHUNK_PROFILES):
+        index = np.arange(start, min(start + CHUNK_PROFILES, size))
+        yield game.strategy_rows(np.array(np.unravel_index(index, game.radices)))
+
+
+def _allocation(game: CompiledGame, rows: np.ndarray, column: int) -> Allocation:
+    return Allocation(tuple((rows[:, column] - game.offsets).tolist()))
+
+
+def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
+    best_choices = None
+    best_cost = math.inf
+    for rows in _profile_chunks(game, size):
+        costs = game.social_costs(game.loads(rows))
+        j = int(costs.argmin())
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_choices = _allocation(game, rows, j)
+    return best_choices, best_cost
 
 
 def brute_force_min_sc(instance: GameInstance,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Allocation, float]:
     """Exact social-cost minimiser; ties go to the first profile in
     lexicographic choice order."""
-    _enumeration_size(instance, cap)
-    sc_tables = system_cost_tables(instance)
-    best_choices = None
-    best_cost = math.inf
-    for choices in _iter_profiles(instance):
-        cost = system_cost(sc_tables, loads_of(instance, choices))
-        if cost < best_cost:
-            best_cost = cost
-            best_choices = choices
-    return Allocation(best_choices), best_cost
+    size = _enumeration_size(instance, cap)
+    return _min_social_cost(CompiledGame(instance), size)
 
 
-def _is_pure_nash(moves, tables: list[list[float]],
-                  choices: tuple[int, ...], loads: list[int]) -> bool:
-    for i, k in enumerate(choices):
-        own_moves = moves[i][k]
-        current = move_cost(tables, loads, own_moves[k])
-        threshold = current - IMPROVEMENT_THRESHOLD * max(1.0, abs(current))
-        for alt, move in enumerate(own_moves):
-            if alt != k and move_cost(tables, loads, move) < threshold:
-                return False
-    return True
+def _nash(game: CompiledGame, rows: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """``(B,)`` mask of the profiles where no strategy costs its player
+    less than the improvement threshold below their current cost. The
+    current strategy never lies below its own threshold, and NaN never
+    counts as improving."""
+    width = rows.shape[1]
+    current = costs.take(rows * width + np.arange(width))
+    threshold = current - IMPROVEMENT_THRESHOLD * np.maximum(1.0, np.abs(current))
+    return ~(costs < threshold.take(game.owners, axis=0)).any(axis=0)
 
 
 def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = None,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> list[Allocation]:
     """All profiles with no strictly improving unilateral deviation under
-    the perceived costs. Nonempty for every valid instance: the dynamics
-    descend a potential, so a minimiser of it is always an equilibrium."""
-    _enumeration_size(instance, cap)
-    tables = perceived_tables(instance, taxes)
-    moves = deviation_moves(instance)
+    the perceived costs, in lexicographic choice order. Nonempty for every
+    valid instance: the dynamics descend a potential, so a minimiser of it
+    is always an equilibrium."""
+    size = _enumeration_size(instance, cap)
+    game = CompiledGame(instance, taxes)
     out = []
-    for choices in _iter_profiles(instance):
-        loads = loads_of(instance, choices)
-        if _is_pure_nash(moves, tables, choices, loads):
-            out.append(Allocation(choices))
+    for rows in _profile_chunks(game, size):
+        nash = _nash(game, rows, game.strategy_costs(rows, game.loads(rows)))
+        choices = (rows[:, nash] - game.offsets[:, None]).T.tolist()
+        out.extend(Allocation(tuple(c)) for c in choices)
     return out
 
 
@@ -130,36 +154,39 @@ class PoaReport:
 
 def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> PoaReport:
-    """Worst equilibrium social cost over the exact minimum.
+    """Worst equilibrium social cost over the exact minimum, from one sweep.
 
     Equilibria are detected under the perceived (taxed) costs but their
-    social cost is always the untaxed system cost.
+    social cost is always the untaxed system cost. Both witnesses are the
+    first profile in lexicographic choice order that attains the value.
     """
     size = _enumeration_size(instance, cap)
-    sc_tables = system_cost_tables(instance)
-    tables = perceived_tables(instance, taxes)
-    moves = deviation_moves(instance)
+    game = CompiledGame(instance, taxes)
     best_choices = None
     best_cost = math.inf
     worst_ne = None
     worst_ne_cost = -math.inf
     num_ne = 0
-    for choices in _iter_profiles(instance):
-        loads = loads_of(instance, choices)
-        cost = system_cost(sc_tables, loads)
-        if cost < best_cost:
-            best_cost = cost
-            best_choices = choices
-        if _is_pure_nash(moves, tables, choices, loads):
-            num_ne += 1
-            if cost > worst_ne_cost:
-                worst_ne_cost = cost
-                worst_ne = choices
+    for rows in _profile_chunks(game, size):
+        loads = game.loads(rows)
+        costs = game.social_costs(loads)
+        j = int(costs.argmin())
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_choices = _allocation(game, rows, j)
+        nash = _nash(game, rows, game.strategy_costs(rows, loads))
+        count = int(np.count_nonzero(nash))
+        if count:
+            num_ne += count
+            j = int(np.where(nash, costs, -math.inf).argmax())
+            if costs[j] > worst_ne_cost:
+                worst_ne_cost = float(costs[j])
+                worst_ne = _allocation(game, rows, j)
     if worst_ne is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     return PoaReport(
-        min_cost=best_cost, min_witness=Allocation(best_choices),
-        worst_ne_cost=worst_ne_cost, worst_ne_witness=Allocation(worst_ne),
+        min_cost=best_cost, min_witness=best_choices,
+        worst_ne_cost=worst_ne_cost, worst_ne_witness=worst_ne,
         poa=worst_ne_cost / best_cost, num_pure_ne=num_ne,
         enumerated_profiles=size)
 
@@ -181,28 +208,42 @@ class SmoothnessResult:
                    witness=Allocation.of(data["witness"]))
 
 
-def smoothness_lhs(instance: GameInstance, taxes: TaxProfile,
-                   profile: FractionalProfile
-                   ) -> Callable[[Sequence[int], Sequence[int]], float]:
-    """The certificate's left side as a function of a profile and its loads:
+def certificate_lhs(game: CompiledGame, profile: FractionalProfile
+                    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The certificate's left side on a batch, given its strategy rows and
+    ``game.strategy_costs``:
 
         lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(a'_{i,k}, a_{-i})].
 
-    Only strategies with nonzero weight in ``profile`` are priced.
+    Only strategies with nonzero weight in ``profile`` are priced, in weight
+    order, and players are summed by index.
     """
-    tables = perceived_tables(instance, taxes)
-    moves = deviation_moves(instance)
-    supports = [[(a, w) for a, w in enumerate(row) if w]
-                for row in profile.weights]
+    n = len(game.radices)
+    supports = [[(int(game.offsets[i]) + a, w) for a, w in enumerate(row) if w]
+                for i, row in enumerate(profile.weights)]
+    # Players with the most support entries first, so the players with a
+    # q-th entry are a prefix of this order.
+    order = sorted(range(n), key=lambda i: -len(supports[i]))
+    steps = []
+    for q in range(len(supports[order[0]])):
+        players = [i for i in order if len(supports[i]) > q]
+        steps.append((len(players),
+                      np.array([supports[i][q][0] for i in players]),
+                      np.array([[supports[i][q][1]] for i in players])))
+    position = [order.index(i) for i in range(n)]
+    order = np.array(order)
 
-    def lhs(choices: Sequence[int], loads: Sequence[int]) -> float:
-        total = 0.0
-        for i, k in enumerate(choices):
-            own_moves = moves[i][k]
-            mixed = 0.0
-            for alt, w in supports[i]:
-                mixed += w * move_cost(tables, loads, own_moves[alt])
-            total += move_cost(tables, loads, own_moves[k]) - mixed
+    def lhs(rows: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        width = rows.shape[1]
+        net = costs.take(rows[order] * width + np.arange(width))
+        _, first, weight = steps[0]
+        mixed = costs[first] * weight
+        for count, alts, weight in steps[1:]:
+            mixed[:count] += costs[alts] * weight
+        net -= mixed
+        total = net[position[0]].copy()
+        for p in position[1:]:
+            total += net[p]
         return total
 
     return lhs
@@ -216,26 +257,29 @@ def check_smoothness(instance: GameInstance, taxes: TaxProfile,
 
     The margin of a profile is the left side minus the right side of the
     certificate inequality; the check passes when every margin stays above
-    ``-tol * max(1, SC(a))``. Returns the smallest margin and its witness.
+    ``-tol * max(1, SC(a))``. Returns the smallest margin and its witness,
+    the first such profile in lexicographic choice order. One compiled game
+    serves two sweeps: social costs alone for ``SC(a_opt)``, then margins.
     """
-    _enumeration_size(instance, cap)
+    size = _enumeration_size(instance, cap)
     check_feasible(instance, profile)
-    sc_tables = system_cost_tables(instance)
-    lhs = smoothness_lhs(instance, taxes, profile)
-    _, min_cost = brute_force_min_sc(instance, cap)
+    game = CompiledGame(instance, taxes)
+    lhs = certificate_lhs(game, profile)
+    _, min_cost = _min_social_cost(game, size)
     bound = rho * min_cost
 
     worst_margin = math.inf
     witness = None
     passed = True
-    for choices in _iter_profiles(instance):
-        loads = loads_of(instance, choices)
-        sc = system_cost(sc_tables, loads)
-        margin = lhs(choices, loads) - (sc - bound)
-        if margin < worst_margin:
-            worst_margin = margin
-            witness = choices
-        if margin < -tol * max(1.0, sc):
+    for rows in _profile_chunks(game, size):
+        loads = game.loads(rows)
+        costs = game.social_costs(loads)
+        margin = lhs(rows, game.strategy_costs(rows, loads)) - (costs - bound)
+        j = int(margin.argmin())
+        if margin[j] < worst_margin:
+            worst_margin = float(margin[j])
+            witness = _allocation(game, rows, j)
+        if passed and (margin < -tol * np.maximum(1.0, costs)).any():
             passed = False
     return SmoothnessResult(passed=passed, worst_margin=worst_margin,
-                            witness=Allocation(witness))
+                            witness=witness)

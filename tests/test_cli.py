@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from tollkit import BasisFunction, GameInstance, build_tax_profile
+from tollkit import BasisFunction, GameInstance, build_tax_profile, cli
 from tollkit.cli import main
 
 
@@ -272,6 +275,53 @@ class TestExperimentConfig:
                        "--seed", "5")[0] == 0
         assert run_cli(capsys, "design", str(path), "--seed", "5")[0] == 0
         assert run_cli(capsys, "oracle", str(path), "--seed", "5")[0] == 0
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call must still print
+    what a run with a freshly built parser prints."""
+
+    def run_both(self, capsys, monkeypatch, *argv):
+        kept = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = run_cli(capsys, *argv)
+        assert kept == fresh
+        return kept
+
+    def test_sequence_matches_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        _, path = write_two_by_two(tmp_path)
+        code, out, _ = self.run_both(capsys, monkeypatch, "design", str(path),
+                                     "--enum-cap", "1")
+        assert code == 0
+        assert json.loads(out)["stages"]["poa"]["status"] == "too-large"
+        code, _, err = self.run_both(capsys, monkeypatch, "design", str(path),
+                                     "--no-such-flag")
+        assert code == 2 and "unrecognized arguments" in err
+        code, _, _ = self.run_both(capsys, monkeypatch, "forge", "random",
+                                   "--players", "3", "--resources", "3",
+                                   "--monomial", "2", "--seed", "11",
+                                   "--out", str(tmp_path / "a"))
+        assert code == 0
+        code, out, _ = self.run_both(capsys, monkeypatch, "--config",
+                                     str(tmp_path / "a" / "config-forge-random.json"),
+                                     "--out", str(tmp_path / "b"))
+        assert code == 0
+        assert out == (tmp_path / "a" / "instance.json").read_text()
+        # Nothing from the earlier calls leaks in: --enum-cap is back at its
+        # default, so the oracle stages run.
+        code, out, _ = self.run_both(capsys, monkeypatch, "design", str(path))
+        assert code == 0
+        assert json.loads(out)["stages"]["poa"]["status"] == "ok"
+        assert cli._parser() is cli._parser()
+
+    def test_import_builds_no_parser(self):
+        probe = ("import tollkit.cli as c; "
+                 "print(c._parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.stdout.strip() == "0"
 
 
 class TestReportRoundTrips:

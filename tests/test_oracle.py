@@ -1,12 +1,20 @@
 import itertools
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tollkit import (Allocation, BasisFunction, GameInstance, PoaReport,
-                     TooLarge, bell_fractional, brute_force_min_sc,
-                     build_tax_profile, check_smoothness, empirical_poa,
-                     enumerate_pure_nash, player_cost, random_instance,
-                     social_cost, solve_relaxation)
+import reference_oracle as reference
+from game_strategies import fractional_profiles, small_games
+from tollkit import (Allocation, BasisFunction, FractionalProfile,
+                     GameInstance, PoaReport, TooLarge, bell_fractional,
+                     brute_force_min_sc, build_tax_profile, check_smoothness,
+                     coarse_correlated_check, empirical_poa,
+                     enumerate_pure_nash, learning, multiplicative_weights_run,
+                     oracle, player_cost, random_instance, social_cost,
+                     solve_relaxation)
 
 
 def two_by_two_symmetric():
@@ -204,3 +212,96 @@ class TestCheckSmoothness:
         taxes = build_tax_profile(inst, prof.loads)
         result = check_smoothness(inst, taxes, prof, rho=0.1)
         assert not result.passed
+
+
+class TestAgainstScalarReference:
+    """The sweeps equal the profile-by-profile loops exactly, at the
+    production chunk size and at chunk sizes that split small games."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_oracle_output_matches(self, data):
+        inst = data.draw(small_games())
+        profile = data.draw(fractional_profiles(inst))
+        taxes = (build_tax_profile(inst, profile.loads)
+                 if data.draw(st.booleans()) else None)
+        rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
+        chunk = data.draw(st.sampled_from([oracle.CHUNK_PROFILES, 1, 3, 7]))
+        trace = multiplicative_weights_run(inst, taxes, rounds=40,
+                                           seed=data.draw(st.integers(0, 9)))
+
+        want = (reference.brute_force_min_sc(inst),
+                reference.enumerate_pure_nash(inst, taxes),
+                reference.empirical_poa(inst, taxes).to_json(),
+                reference.check_smoothness(inst, taxes, profile, rho).to_json(),
+                reference.coarse_correlated_check(inst, taxes, profile, rho,
+                                                  trace).to_json())
+        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
+                mock.patch.object(learning, "CHUNK_PROFILES", chunk):
+            got = (brute_force_min_sc(inst),
+                   enumerate_pure_nash(inst, taxes),
+                   empirical_poa(inst, taxes).to_json(),
+                   check_smoothness(inst, taxes, profile, rho).to_json(),
+                   coarse_correlated_check(inst, taxes, profile, rho,
+                                           trace).to_json())
+        assert got == want
+
+
+def parallel_links(players, links):
+    """``players`` players each choosing one of ``links`` identical links."""
+    b = BasisFunction.monomial(1)
+    return GameInstance.build([b], [[1.0]] * links,
+                              [[[r] for r in range(links)]] * players)
+
+
+class TestChunkBoundaries:
+    """9 players on 3 identical links: 19,683 profiles over many chunks, with
+    every optimum, every equilibrium and every worst margin tied with
+    profiles in later chunks."""
+
+    def setup_method(self):
+        self.inst = parallel_links(9, 3)
+        self.size = 3 ** 9
+        assert self.size > 4 * oracle.CHUNK_PROFILES
+
+    def test_min_and_worst_equilibrium_are_first_in_order(self):
+        report = empirical_poa(self.inst)
+        balanced = (0, 0, 0, 1, 1, 1, 2, 2, 2)
+        assert report.min_witness.choices == balanced
+        assert report.worst_ne_witness.choices == balanced
+        # The first balanced profile sits past the first chunk.
+        assert int("".join(map(str, balanced)), 3) >= oracle.CHUNK_PROFILES
+        assert report.to_json() == reference.empirical_poa(self.inst).to_json()
+        assert report.num_pure_ne == math.factorial(9) // math.factorial(3) ** 3
+        assert brute_force_min_sc(self.inst) == reference.brute_force_min_sc(self.inst)
+
+    def test_worst_margin_is_first_in_order(self):
+        profile = FractionalProfile(weights=((1 / 3,) * 3,) * 9, loads=(3.0,) * 3,
+                                    objective=0.0, gap=0.0, iters=0)
+        taxes = build_tax_profile(self.inst, profile.loads)
+        result = check_smoothness(self.inst, taxes, profile, rho=1.0)
+        want = reference.check_smoothness(self.inst, taxes, profile, rho=1.0)
+        assert result.to_json() == want.to_json()
+        # Relabelling the links gives the same margin to a profile in a
+        # later chunk; the first one must win.
+        lhs = reference.smoothness_lhs(self.inst, taxes, profile)
+        _, min_cost = brute_force_min_sc(self.inst)
+
+        def margin_and_chunk(choices):
+            loads = [choices.count(r) for r in range(3)]
+            sc = float(sum(x * x for x in loads))
+            index = int("".join(map(str, choices)), 3)
+            return lhs(choices, loads) - (sc - min_cost), index // oracle.CHUNK_PROFILES
+
+        first = result.witness.choices
+        later = tuple((k + 1) % 3 for k in first)
+        assert later > first
+        (m_first, c_first), (m_later, c_later) = map(margin_and_chunk, (first, later))
+        assert m_first == m_later == result.worst_margin
+        assert c_later > c_first
+
+    def test_equilibria_span_chunks_in_order(self):
+        got = [ne.choices for ne in enumerate_pure_nash(self.inst)]
+        assert got == [ne.choices for ne in reference.enumerate_pure_nash(self.inst)]
+        assert got == sorted(got)
+        assert got[-1] == (2, 2, 2, 1, 1, 1, 0, 0, 0)
