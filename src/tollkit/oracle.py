@@ -70,21 +70,21 @@ def _allocation(game: CompiledGame, rows: np.ndarray, column: int) -> Allocation
 
 
 def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
-    best_choices = None
+    min_witness = None
     best_cost = math.inf
     for rows in _profile_chunks(game, size):
         costs = game.social_costs(game.loads(rows))
         j = int(costs.argmin())
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_choices = _allocation(game, rows, j)
-    return best_choices, best_cost
+            min_witness = _allocation(game, rows, j)
+    return min_witness, best_cost
 
 
 def brute_force_min_sc(instance: GameInstance,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Allocation, float]:
-    """Exact social-cost minimiser; ties go to the first profile in
-    lexicographic choice order."""
+    """Exact social-cost minimiser from one sweep of social costs; ties go
+    to the first profile in lexicographic choice order."""
     size = _enumeration_size(instance, cap)
     return _min_social_cost(CompiledGame(instance), size)
 
@@ -103,9 +103,9 @@ def _nash(game: CompiledGame, rows: np.ndarray, costs: np.ndarray) -> np.ndarray
 def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = None,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> list[Allocation]:
     """All profiles with no strictly improving unilateral deviation under
-    the perceived costs, in lexicographic choice order. Nonempty for every
-    valid instance: the dynamics descend a potential, so a minimiser of it
-    is always an equilibrium."""
+    the perceived costs, from one sweep, in lexicographic choice order.
+    Nonempty for every valid instance: the dynamics descend a potential, so
+    a minimiser of it is always an equilibrium."""
     size = _enumeration_size(instance, cap)
     game = CompiledGame(instance, taxes)
     out = []
@@ -162,7 +162,7 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
     """
     size = _enumeration_size(instance, cap)
     game = CompiledGame(instance, taxes)
-    best_choices = None
+    min_witness = None
     best_cost = math.inf
     worst_ne = None
     worst_ne_cost = -math.inf
@@ -173,7 +173,7 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
         j = int(costs.argmin())
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_choices = _allocation(game, rows, j)
+            min_witness = _allocation(game, rows, j)
         nash = _nash(game, rows, game.strategy_costs(rows, loads))
         count = int(np.count_nonzero(nash))
         if count:
@@ -185,7 +185,7 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
     if worst_ne is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     return PoaReport(
-        min_cost=best_cost, min_witness=best_choices,
+        min_cost=best_cost, min_witness=min_witness,
         worst_ne_cost=worst_ne_cost, worst_ne_witness=worst_ne,
         poa=worst_ne_cost / best_cost, num_pure_ne=num_ne,
         enumerated_profiles=size)
