@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -481,14 +482,39 @@ def move_cost(tables: list[list[float]], loads: Sequence[int],
     return sum([tables[r][loads[r] + d] for r, d in move])
 
 
+# Per-thread buffers behind every ProfileBatch, by role. They only grow, so
+# a sweep, and every later sweep on the thread, prices its chunks in memory
+# it has already touched. Fresh arrays per chunk made the allocator trim and
+# re-grow its heap, and whether a run paid hundreds of page faults per call
+# then depended on the heap's history (the checkout path alone moved it).
+_scratch = threading.local()
+# The thread's recent batches by (width, layout), at most _BATCHES of them,
+# dropped whenever a buffer grows so none keeps an outgrown one alive.
+_batches = threading.local()
+_BATCHES = 4
+
+
+def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` view of this thread's buffer for ``role``;
+    a role always has the same dtype."""
+    size = math.prod(shape)
+    buffers = _scratch.__dict__
+    buffer = buffers.get(role)
+    if buffer is None or buffer.size < size:
+        buffer = buffers[role] = np.empty(max(size, 1), dtype)
+        _batches.__dict__.clear()
+    return buffer[:size].reshape(shape)
+
+
 class CompiledGame:
     """A game's cost tables and strategy sets as numpy arrays, for pricing
     batches of pure profiles at once.
 
     Strategies are numbered in one sequence: player ``i``'s strategy ``k``
     is row ``offsets[i] + k``. A batch of ``B`` profiles is a
-    ``(num_players, B)`` array of such rows (``strategy_rows``), one column
-    per profile. Memory per call is ``B`` times a size of the game.
+    ``(num_players, B)`` array of such rows, one column per profile, priced
+    by a ``ProfileBatch`` (``batch``). Memory is ``B`` times a size of the
+    game.
 
     Every sum adds its terms one at a time in the order ``system_cost`` and
     ``move_cost`` use (resources in index order, resp. strategy order), so
@@ -519,6 +545,11 @@ class CompiledGame:
         owner = [i for i, strats in enumerate(instance.strategies) for _ in strats]
         self.owners = np.array(owner)
         self.offsets = np.array(list(accumulate(self.radices[:-1], initial=0)))
+        # Profile k of itertools.product order chooses (k // stride_i) % radix_i.
+        strides = accumulate(reversed(self.radices[1:]), operator.mul, initial=1)
+        self._strides = np.array(list(strides)[::-1])[:, None]
+        self._radix_col = np.array(self.radices)[:, None]
+        self._offset_col = self.offsets[:, None]
         members_t = np.zeros(num_r * len(flat), dtype=np.intp)
         members_t[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
         self._members_t = members_t.reshape(num_r, len(flat))
@@ -527,7 +558,7 @@ class CompiledGame:
         # of every strategy that has one. Longest strategies first, so the
         # strategies with a p-th resource are a prefix of that order. Each
         # entry names the (resource, player) row, resource * n + player, of
-        # the others' loads that strategy_costs builds.
+        # the others' loads that ProfileBatch.price_strategies builds.
         order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
         entries = []
         self._blocks = []
@@ -543,38 +574,122 @@ class CompiledGame:
             for position, j in enumerate(order):
                 unsort[j] = position
             self._unsort = np.array(unsort)
+        # What a ProfileBatch's views depend on besides its width.
+        self._layout = (n, num_r, len(flat), len(entries), tuple(self._blocks),
+                        self._unsort is None)
 
-    def strategy_rows(self, choices: np.ndarray) -> np.ndarray:
-        """Rows of a ``(num_players, B)`` array of strategy indices."""
-        return choices + self.offsets[:, None]
+    def batch(self, width: int) -> "ProfileBatch":
+        """Arrays for pricing ``width`` profiles at a time. A recent batch
+        of the thread comes back when it has the same width and layout, so
+        further sweeps of a game, or of one shaped like it, skip building
+        its views."""
+        key = (width, self._layout)
+        batches = _batches.__dict__
+        batch = batches.get(key)
+        if batch is None:
+            if len(batches) >= _BATCHES:
+                batches.clear()
+            batch = ProfileBatch(self, width)
+            _batches.__dict__[key] = batch
+        batch.game = self
+        return batch
 
-    def loads(self, rows: np.ndarray) -> np.ndarray:
-        """``(num_resources, B)`` users per resource (integer counts, so
-        the order of this sum does not matter)."""
-        return self._members_t.take(rows, axis=1).sum(axis=1)
 
-    def social_costs(self, loads: np.ndarray) -> np.ndarray:
-        """``(B,)`` untaxed system cost, as ``system_cost`` sums it. An
+class ProfileBatch:
+    """``width`` profiles of one compiled game and their prices.
+
+    Fill ``rows`` with ``enumerate`` or ``choose``, then call
+    ``price_loads`` before ``price_social`` and ``price_strategies``. Every
+    array here, results included, is a view of a per-thread buffer that
+    the next chunk overwrites and that all batches on the thread share: use
+    one batch at a time and copy what must outlive a chunk. Pricing a chunk
+    allocates no array that grows with ``width``.
+    """
+
+    def __init__(self, game: CompiledGame, width: int):
+        n = len(game.radices)
+        num_r, num_s = game._members_t.shape
+        self.game = game
+        self.width = width
+        self._views = {}
+        self.columns = _scratch_array("columns", (width,), np.intp)
+        self.columns[:] = range(width)
+        self._index = _scratch_array("index", (width,), np.intp)
+        self.rows = _scratch_array("rows", (n, width), np.intp)
+        # The incidence gather of the rows; price_strategies turns it into
+        # the others' loads in place.
+        self._own = _scratch_array("own", (num_r, n, width), np.intp)
+        self._others = self._own.reshape(num_r * n, width)
+        self.loads = _scratch_array("loads", (num_r, width), np.intp)
+        self._at = _scratch_array("at", (num_r, width), np.intp)
+        self._system = _scratch_array("system", (num_r, width), float)
+        self._system_terms = list(self._system)
+        self.social = _scratch_array("social", (width,), float)
+        self._picked = _scratch_array("picked", (len(game._entries), width), np.intp)
+        terms = _scratch_array("terms", (len(game._entries), width), float)
+        self._terms = terms
+        self._costs = terms[:num_s]
+        self._blocks = [(self._costs[:count], terms[start:start + count])
+                        for start, count in game._blocks]
+        self.costs = self._costs
+        if game._unsort is not None:
+            self.costs = _scratch_array("costs", (num_s, width), float)
+
+    def scratch(self, role: str, rows: int, dtype=float) -> np.ndarray:
+        """A ``(rows, width)`` array for a caller's temporaries under
+        ``role``, the same one on every call with this batch."""
+        view = self._views.get(role)
+        if view is None:
+            view = self._views[role] = _scratch_array(role, (rows, self.width), dtype)
+        return view
+
+    def enumerate(self, start: int) -> None:
+        """Rows of profiles ``start .. start + width - 1`` in
+        ``itertools.product`` order."""
+        game = self.game
+        np.add(self.columns, start, out=self._index)
+        np.floor_divide(self._index, game._strides, out=self.rows)
+        np.remainder(self.rows, game._radix_col, out=self.rows)
+        self.rows += game._offset_col
+
+    def choose(self, choices: np.ndarray) -> None:
+        """Rows of a ``(num_players, width)`` array of strategy indices."""
+        np.add(choices, self.game._offset_col, out=self.rows)
+
+    def price_loads(self) -> np.ndarray:
+        """``(num_resources, width)`` users per resource (integer counts,
+        so the order of this sum does not matter)."""
+        self.game._members_t.take(self.rows, axis=1, out=self._own, mode="clip")
+        return self._own.sum(axis=1, out=self.loads)
+
+    def price_social(self) -> np.ndarray:
+        """``(width,)`` untaxed system cost, as ``system_cost`` sums it. An
         unused resource adds the exact zero that ``system_cost`` skips."""
-        terms = self._system.take(loads + self._system_at)
-        total = terms[0].copy()
-        for term in terms[1:]:
+        game = self.game
+        np.add(self.loads, game._system_at, out=self._at)
+        game._system.take(self._at, out=self._system, mode="clip")
+        total = self.social
+        np.copyto(total, self._system_terms[0])
+        for term in self._system_terms[1:]:
             total += term
         return total
 
-    def strategy_costs(self, rows: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """``(strategies, B)`` perceived cost of every strategy to its
+    def price_strategies(self) -> np.ndarray:
+        """``(strategies, width)`` perceived cost of every strategy to its
         player against the others' play: row ``offsets[i] + a`` is what
         player ``i`` pays on moving to ``a`` (its current cost when ``a`` is
-        the strategy it plays), as ``move_cost`` sums it."""
-        own = self._members_t.take(rows, axis=1)
-        others = (loads + self._deviation_at)[:, None, :] - own
-        others = others.reshape(-1, rows.shape[1]).take(self._entries, axis=0)
-        terms = self._deviation.take(others)
-        costs = terms[:len(self.owners)]
-        for start, count in self._blocks:
-            costs[:count] += terms[start:start + count]
-        return costs if self._unsort is None else costs.take(self._unsort, axis=0)
+        the strategy it plays), as ``move_cost`` sums it. Call once per
+        ``price_loads``."""
+        game = self.game
+        np.add(self.loads, game._deviation_at, out=self._at)
+        np.subtract(self._at[:, None, :], self._own, out=self._own)
+        self._others.take(game._entries, axis=0, out=self._picked, mode="clip")
+        game._deviation.take(self._picked, out=self._terms, mode="clip")
+        for costs, terms in self._blocks:
+            costs += terms
+        if game._unsort is None:
+            return self.costs
+        return self._costs.take(game._unsort, axis=0, out=self.costs, mode="clip")
 
 
 def social_cost(instance: GameInstance, allocation: Allocation) -> float:

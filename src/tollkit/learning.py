@@ -307,12 +307,16 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     expected_sc = 0.0
     expected_lhs = 0.0
     weights = list(distribution.values())
+    batch = None
     for start in range(0, len(weights), CHUNK_PROFILES):
         stop = start + CHUNK_PROFILES
-        rows = game.strategy_rows(visited[:, start:stop])
-        loads = game.loads(rows)
-        costs = game.social_costs(loads).tolist()
-        sides = lhs(rows, game.strategy_costs(rows, loads)).tolist()
+        choices = visited[:, start:stop]
+        if batch is None or batch.width != choices.shape[1]:
+            batch = game.batch(choices.shape[1])
+        batch.choose(choices)
+        batch.price_loads()
+        costs = batch.price_social().tolist()
+        sides = lhs(batch, batch.price_strategies()).tolist()
         for weight, sc, side in zip(weights[start:stop], costs, sides):
             expected_sc += weight * sc
             expected_lhs += weight * side

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import GameValidationError, TooLarge
-from .game import Allocation, CompiledGame, GameInstance, TaxProfile
+from .game import Allocation, CompiledGame, GameInstance, ProfileBatch, TaxProfile
 from .relaxation import FractionalProfile, check_feasible
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -42,9 +42,8 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 IMPROVEMENT_THRESHOLD = 1e-12
 
 # Profiles priced per sweep step. A chunk's arrays are this many columns by
-# at most (resources x players) rows; kept this small they are reused from
-# the allocator's free memory instead of faulted in afresh, which at 1024
-# columns made a 10-player sweep about twice as slow.
+# at most (resources x players) rows, and a ProfileBatch keeps them for the
+# whole sweep.
 CHUNK_PROFILES = 256
 
 
@@ -57,27 +56,33 @@ def _enumeration_size(instance: GameInstance, cap: int) -> int:
     return size
 
 
-def _profile_chunks(game: CompiledGame, size: int) -> Iterator[np.ndarray]:
-    """Strategy rows of profiles ``0..size-1`` in ``itertools.product``
-    order, ``CHUNK_PROFILES`` columns at a time."""
+def _profile_chunks(game: CompiledGame, size: int) -> Iterator[ProfileBatch]:
+    """Profiles ``0..size-1`` in ``itertools.product`` order,
+    ``CHUNK_PROFILES`` at a time. Every chunk but a shorter last one comes
+    in the same batch, refilled: price it before taking the next."""
+    batch = None
     for start in range(0, size, CHUNK_PROFILES):
-        index = np.arange(start, min(start + CHUNK_PROFILES, size))
-        yield game.strategy_rows(np.array(np.unravel_index(index, game.radices)))
+        width = min(CHUNK_PROFILES, size - start)
+        if batch is None or batch.width != width:
+            batch = game.batch(width)
+        batch.enumerate(start)
+        yield batch
 
 
-def _allocation(game: CompiledGame, rows: np.ndarray, column: int) -> Allocation:
-    return Allocation(tuple((rows[:, column] - game.offsets).tolist()))
+def _allocation(batch: ProfileBatch, column: int) -> Allocation:
+    return Allocation(tuple((batch.rows[:, column] - batch.game.offsets).tolist()))
 
 
 def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
     min_witness = None
     best_cost = math.inf
-    for rows in _profile_chunks(game, size):
-        costs = game.social_costs(game.loads(rows))
+    for batch in _profile_chunks(game, size):
+        batch.price_loads()
+        costs = batch.price_social()
         j = int(costs.argmin())
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            min_witness = _allocation(game, rows, j)
+            min_witness = _allocation(batch, j)
     return min_witness, best_cost
 
 
@@ -89,15 +94,29 @@ def brute_force_min_sc(instance: GameInstance,
     return _min_social_cost(CompiledGame(instance), size)
 
 
-def _nash(game: CompiledGame, rows: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """``(B,)`` mask of the profiles where no strategy costs its player
+def _nash(batch: ProfileBatch, costs: np.ndarray) -> np.ndarray:
+    """``(width,)`` mask of the profiles where no strategy costs its player
     less than the improvement threshold below their current cost. The
     current strategy never lies below its own threshold, and NaN never
     counts as improving."""
-    width = rows.shape[1]
-    current = costs.take(rows * width + np.arange(width))
-    threshold = current - IMPROVEMENT_THRESHOLD * np.maximum(1.0, np.abs(current))
-    return ~(costs < threshold.take(game.owners, axis=0)).any(axis=0)
+    n, width = batch.rows.shape
+    strategies = len(costs)
+    at = batch.scratch("nash.at", n, np.intp)
+    np.multiply(batch.rows, width, out=at)
+    at += batch.columns
+    current = costs.take(at, out=batch.scratch("nash.current", n), mode="clip")
+    # current - IMPROVEMENT_THRESHOLD * max(1, |current|)
+    threshold = batch.scratch("nash.threshold", n)
+    np.abs(current, out=threshold)
+    np.maximum(threshold, 1.0, out=threshold)
+    threshold *= IMPROVEMENT_THRESHOLD
+    np.subtract(current, threshold, out=threshold)
+    bar = threshold.take(batch.game.owners, axis=0, mode="clip",
+                         out=batch.scratch("nash.bar", strategies))
+    improving = np.less(costs, bar, out=batch.scratch("nash.improving", strategies, bool))
+    nash = batch.scratch("nash.mask", 1, bool)[0]
+    np.logical_or.reduce(improving, axis=0, out=nash)
+    return np.logical_not(nash, out=nash)
 
 
 def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = None,
@@ -109,9 +128,10 @@ def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = No
     size = _enumeration_size(instance, cap)
     game = CompiledGame(instance, taxes)
     out = []
-    for rows in _profile_chunks(game, size):
-        nash = _nash(game, rows, game.strategy_costs(rows, game.loads(rows)))
-        choices = (rows[:, nash] - game.offsets[:, None]).T.tolist()
+    for batch in _profile_chunks(game, size):
+        batch.price_loads()
+        nash = _nash(batch, batch.price_strategies())
+        choices = (batch.rows[:, nash] - game.offsets[:, None]).T.tolist()
         out.extend(Allocation(tuple(c)) for c in choices)
     return out
 
@@ -167,21 +187,24 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
     worst_ne = None
     worst_ne_cost = -math.inf
     num_ne = 0
-    for rows in _profile_chunks(game, size):
-        loads = game.loads(rows)
-        costs = game.social_costs(loads)
+    for batch in _profile_chunks(game, size):
+        batch.price_loads()
+        costs = batch.price_social()
         j = int(costs.argmin())
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            min_witness = _allocation(game, rows, j)
-        nash = _nash(game, rows, game.strategy_costs(rows, loads))
+            min_witness = _allocation(batch, j)
+        nash = _nash(batch, batch.price_strategies())
         count = int(np.count_nonzero(nash))
         if count:
             num_ne += count
-            j = int(np.where(nash, costs, -math.inf).argmax())
+            ne_costs = batch.scratch("poa.ne_costs", 1)[0]
+            ne_costs.fill(-math.inf)
+            np.copyto(ne_costs, costs, where=nash)
+            j = int(ne_costs.argmax())
             if costs[j] > worst_ne_cost:
                 worst_ne_cost = float(costs[j])
-                worst_ne = _allocation(game, rows, j)
+                worst_ne = _allocation(batch, j)
     if worst_ne is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     return PoaReport(
@@ -209,9 +232,9 @@ class SmoothnessResult:
 
 
 def certificate_lhs(game: CompiledGame, profile: FractionalProfile
-                    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The certificate's left side on a batch, given its strategy rows and
-    ``game.strategy_costs``:
+                    ) -> Callable[[ProfileBatch, np.ndarray], np.ndarray]:
+    """The certificate's left side on a batch, given the batch and its
+    ``price_strategies``:
 
         lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(a'_{i,k}, a_{-i})].
 
@@ -233,15 +256,24 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile
     position = [order.index(i) for i in range(n)]
     order = np.array(order)
 
-    def lhs(rows: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        width = rows.shape[1]
-        net = costs.take(rows[order] * width + np.arange(width))
-        _, first, weight = steps[0]
-        mixed = costs[first] * weight
+    def lhs(batch: ProfileBatch, costs: np.ndarray) -> np.ndarray:
+        at = batch.rows.take(order, axis=0, mode="clip",
+                             out=batch.scratch("lhs.at", n, np.intp))
+        at *= batch.width
+        at += batch.columns
+        net = costs.take(at, out=batch.scratch("lhs.net", n), mode="clip")
+        count, first, weight = steps[0]
+        mixed = costs.take(first, axis=0, mode="clip",
+                           out=batch.scratch("lhs.mixed", n)[:count])
+        mixed *= weight
+        product = batch.scratch("lhs.product", n)
         for count, alts, weight in steps[1:]:
-            mixed[:count] += costs[alts] * weight
+            step = costs.take(alts, axis=0, out=product[:count], mode="clip")
+            step *= weight
+            mixed[:count] += step
         net -= mixed
-        total = net[position[0]].copy()
+        total = batch.scratch("lhs.total", 1)[0]
+        np.copyto(total, net[position[0]])
         for p in position[1:]:
             total += net[p]
         return total
@@ -271,15 +303,24 @@ def check_smoothness(instance: GameInstance, taxes: TaxProfile,
     worst_margin = math.inf
     witness = None
     passed = True
-    for rows in _profile_chunks(game, size):
-        loads = game.loads(rows)
-        costs = game.social_costs(loads)
-        margin = lhs(rows, game.strategy_costs(rows, loads)) - (costs - bound)
+    for batch in _profile_chunks(game, size):
+        batch.price_loads()
+        costs = batch.price_social()
+        margin = lhs(batch, batch.price_strategies())
+        excess = batch.scratch("smooth.excess", 1)[0]
+        np.subtract(costs, bound, out=excess)
+        margin -= excess
         j = int(margin.argmin())
         if margin[j] < worst_margin:
             worst_margin = float(margin[j])
-            witness = _allocation(game, rows, j)
-        if passed and (margin < -tol * np.maximum(1.0, costs)).any():
-            passed = False
+            witness = _allocation(batch, j)
+        if passed:
+            # -tol * max(1, SC(a))
+            floor = batch.scratch("smooth.floor", 1)[0]
+            np.maximum(costs, 1.0, out=floor)
+            floor *= -tol
+            below = batch.scratch("smooth.below", 1, bool)[0]
+            if np.less(margin, floor, out=below).any():
+                passed = False
     return SmoothnessResult(passed=passed, worst_margin=worst_margin,
                             witness=witness)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from tollkit import (Allocation, BasisFunction, FractionalProfile,
                      enumerate_pure_nash, learning, multiplicative_weights_run,
                      oracle, player_cost, random_instance, social_cost,
                      solve_relaxation)
+from tollkit.game import CompiledGame
 
 
 def two_by_two_symmetric():
@@ -305,3 +307,47 @@ class TestChunkBoundaries:
         assert got == [ne.choices for ne in reference.enumerate_pure_nash(self.inst)]
         assert got == sorted(got)
         assert got[-1] == (2, 2, 2, 1, 1, 1, 0, 0, 0)
+
+
+def oracle_outputs(inst):
+    """Every exhaustive oracle output of ``inst`` under its designed taxes."""
+    prof = solve_relaxation(inst, tol_gap=1e-8, max_iters=20000)
+    taxes = build_tax_profile(inst, prof.loads)
+    return (brute_force_min_sc(inst),
+            enumerate_pure_nash(inst, taxes),
+            empirical_poa(inst, taxes).to_json(),
+            check_smoothness(inst, taxes, prof, rho=1.5).to_json())
+
+
+class TestReusedBuffers:
+    """Sweeps price their chunks in per-thread buffers that outlive them:
+    the memory is reused, and no sweep reads what an earlier one left."""
+
+    def test_batches_and_sweeps_share_memory(self):
+        def addresses(batch):
+            return [a.__array_interface__["data"][0]
+                    for a in (batch.rows, batch.loads, batch.social)]
+
+        width = oracle.CHUNK_PROFILES
+        wide = addresses(CompiledGame(parallel_links(8, 3)).batch(width))
+        # Another layout, and a batch after whole sweeps of other games.
+        narrow = parallel_links(7, 2)
+        assert addresses(CompiledGame(narrow).batch(width)) == wide
+        empirical_poa(narrow)
+        empirical_poa(parallel_links(6, 3))
+        assert addresses(CompiledGame(narrow).batch(width)) == wide
+
+    def test_outputs_do_not_depend_on_earlier_sweeps(self):
+        small = [inst for inst, _ in seeded_instances(6)]
+        before = [oracle_outputs(inst) for inst in small]
+        # A larger game grows every buffer; the small games then run in
+        # memory that held its chunks.
+        empirical_poa(parallel_links(9, 3))
+        assert [oracle_outputs(inst) for inst in reversed(small)] == before[::-1]
+
+    def test_threads_sweep_independently(self):
+        games = [parallel_links(8, 3)] + [inst for inst, _ in seeded_instances(5)]
+        want = [oracle_outputs(inst) for inst in games]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(oracle_outputs, games + games))
+        assert got == want + want
