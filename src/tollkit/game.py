@@ -488,10 +488,6 @@ def move_cost(tables: list[list[float]], loads: Sequence[int],
 # re-grow its heap, and whether a run paid hundreds of page faults per call
 # then depended on the heap's history (the checkout path alone moved it).
 _scratch = threading.local()
-# The thread's recent batches by (width, layout), at most _BATCHES of them,
-# dropped whenever a buffer grows so none keeps an outgrown one alive.
-_batches = threading.local()
-_BATCHES = 4
 
 
 def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
@@ -502,7 +498,6 @@ def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     buffer = buffers.get(role)
     if buffer is None or buffer.size < size:
         buffer = buffers[role] = np.empty(max(size, 1), dtype)
-        _batches.__dict__.clear()
     return buffer[:size].reshape(shape)
 
 
@@ -574,24 +569,16 @@ class CompiledGame:
             for position, j in enumerate(order):
                 unsort[j] = position
             self._unsort = np.array(unsort)
-        # What a ProfileBatch's views depend on besides its width.
-        self._layout = (n, num_r, len(flat), len(entries), tuple(self._blocks),
-                        self._unsort is None)
+        self._batches = {}
 
     def batch(self, width: int) -> "ProfileBatch":
-        """Arrays for pricing ``width`` profiles at a time. A recent batch
-        of the thread comes back when it has the same width and layout, so
-        further sweeps of a game, or of one shaped like it, skip building
-        its views."""
-        key = (width, self._layout)
-        batches = _batches.__dict__
-        batch = batches.get(key)
+        """Arrays for pricing ``width`` profiles at a time; built once per
+        width and thread, so further sweeps of this game skip building its
+        views, and threads sharing the game never share a batch."""
+        key = (width, threading.get_ident())
+        batch = self._batches.get(key)
         if batch is None:
-            if len(batches) >= _BATCHES:
-                batches.clear()
-            batch = ProfileBatch(self, width)
-            _batches.__dict__[key] = batch
-        batch.game = self
+            batch = self._batches[key] = ProfileBatch(self, width)
         return batch
 
 

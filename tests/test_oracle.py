@@ -3,6 +3,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,3 +352,11 @@ class TestReusedBuffers:
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = list(pool.map(oracle_outputs, games + games))
         assert got == want + want
+
+    def test_threads_sharing_a_compiled_game_get_their_own_batches(self):
+        game = CompiledGame(parallel_links(8, 3))
+        width = oracle.CHUNK_PROFILES
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(game.batch, width).result()
+        assert game.batch(width) is game.batch(width)
+        assert not np.shares_memory(game.batch(width).rows, other.rows)
