@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -129,11 +131,23 @@ class RunTrace:
         return {profile: c / self.rounds for profile, c in counts.items()}
 
     def save_jsonl(self, path) -> None:
-        """One round per line plus a summary footer."""
+        """One round per line plus a summary footer.
+
+        A round's line differs from another's with the same profile and
+        social cost only in ``"t"``, so each distinct pair is serialised
+        once and the rounds go out in one write.
+        """
+        tails = {}
+        lines = []
+        for t, key in enumerate(zip(self.profiles, self.social_costs)):
+            tail = tails.get(key)
+            if tail is None:
+                profile, sc = key
+                tail = tails[key] = (f', "profile": {json.dumps(list(profile))}'
+                                     f', "sc": {json.dumps(sc)}}}\n')
+            lines.append('{"t": %d' % t + tail)
         with open(path, "w") as fh:
-            for t, (profile, sc) in enumerate(zip(self.profiles, self.social_costs)):
-                fh.write(json.dumps({"t": t, "profile": list(profile), "sc": sc}))
-                fh.write("\n")
+            fh.write("".join(lines))
             fh.write(json.dumps({
                 "seed": self.seed, "rounds": self.rounds, "eta": list(self.eta),
                 "regrets": list(self.regrets),
@@ -142,6 +156,40 @@ class RunTrace:
                 "best_sc": self.best_sc,
             }))
             fh.write("\n")
+
+
+# Rounds whose uniforms are drawn at once, and whose cost rows are summed at
+# once after the run.
+ROUND_BLOCK = 1024
+
+
+def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[float]:
+    """Column totals of ``rows[j]`` over ``j`` in ``order``.
+
+    Each column is summed from 0.0 one round at a time, exactly as a
+    running ``total += cost`` in the round loop would sum it:
+    ``np.add.accumulate`` adds sequentially, where ``np.sum`` would pair
+    terms and round differently.
+    """
+    rows = np.array(rows)
+    order = np.array(order, dtype=np.intp)
+    totals = np.zeros(rows.shape[1])
+    for start in range(0, len(order), ROUND_BLOCK):
+        block = rows[order[start:start + ROUND_BLOCK]]
+        block[0] += totals
+        totals = np.add.accumulate(block)[-1]
+    return totals.tolist()
+
+
+def _renormalised(row: list[float]) -> list[float]:
+    """``row`` divided by its largest weight once that falls below 1e-150,
+    so later products stay representable."""
+    top = max(row)
+    if top == 0.0:
+        raise InvalidParams("weights underflowed to zero; eta too aggressive")
+    if top < 1e-150:
+        return [w / top for w in row]
+    return row
 
 
 def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
@@ -155,6 +203,13 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     realised play and updates ``w_{i,k} *= exp(-eta_i * cost / K_i)``, where
     ``K_i`` bounds any perceived cost player ``i`` can face. ``eta="auto"``
     sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player.
+
+    A profile's costs and update factors depend on the profile alone, so
+    each distinct profile is priced once per run, on its first visit, and
+    later visits reuse the result. The memo holds, per distinct profile,
+    its social cost and every player's own-strategy costs and factors: it
+    grows with the distinct profiles visited (at most ``rounds``, typically
+    a few dozen), not with the game's profile count.
     """
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
@@ -176,60 +231,77 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         etas = [float(eta)] * n
     if any(not math.isfinite(e) or e < 0 for e in etas):
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
+    rates = [e / s for e, s in zip(etas, scale)]
 
     sc_tables = system_cost_tables(instance)
     rng = seeded_rng(seed)
     weights = [[1.0] * instance.num_strategies(i) for i in range(n)]
-    profiles = []
-    social_costs = []
-    incurred = [0.0] * n
-    alt_totals = [[0.0] * instance.num_strategies(i) for i in range(n)]
-    best_profile, best_sc = None, math.inf
+    mul = operator.mul
+    # Per distinct profile, in order of first visit: the profile, its social
+    # cost, every player's own-strategy costs followed by the played costs
+    # (one flat row), and every player's update factors.
+    seen = {}
+    visited = []
+    social = []
+    cost_rows = []
+    factors = []
+    order = []  # per round, the position of its profile in the lists above
 
-    for _ in range(rounds):
-        choices = []
-        for i in range(n):
-            row = weights[i]
-            total = sum(row)
-            u = rng.random() * total
-            acc = 0.0
-            pick = len(row) - 1
-            for k, w in enumerate(row):
-                acc += w
-                if u < acc:
-                    pick = k
+    for start in range(0, rounds, ROUND_BLOCK):
+        block = rng.random((min(ROUND_BLOCK, rounds - start), n)).tolist()
+        for draws in block:
+            choices = []
+            for row, u in zip(weights, draws):
+                u *= sum(row)
+                acc = 0.0
+                pick = len(row) - 1
+                for k, w in enumerate(row):
+                    acc += w
+                    if u < acc:
+                        pick = k
+                        break
+                choices.append(pick)
+            choices = tuple(choices)
+            j = seen.get(choices)
+            if j is None:
+                j = seen[choices] = len(visited)
+                loads = loads_of(instance, choices)
+                own = [[move_cost(tables, loads, move) for move in moves[i][k]]
+                       for i, k in enumerate(choices)]
+                visited.append(choices)
+                social.append(system_cost(sc_tables, loads))
+                cost_rows.append([c for row in own for c in row]
+                                 + [row[k] for row, k in zip(own, choices)])
+                factors.append([[math.exp(-rate * c) for c in row]
+                                for rate, row in zip(rates, own)])
+            order.append(j)
+
+            weights = [list(map(mul, row, factor))
+                       for row, factor in zip(weights, factors[j])]
+            for top in map(max, weights):
+                if top < 1e-150:
+                    weights = [_renormalised(row) for row in weights]
                     break
-            choices.append(pick)
-        choices = tuple(choices)
-        loads = loads_of(instance, choices)
-        sc = system_cost(sc_tables, loads)
-        profiles.append(choices)
-        social_costs.append(sc)
+
+    # A repeat visit cannot undercut the running minimum its first visit
+    # set, so the first strict minimum over distinct profiles in visit order
+    # is the first over rounds.
+    best_profile, best_sc = None, math.inf
+    for choices, sc in zip(visited, social):
         if sc < best_sc:
             best_sc = sc
             best_profile = choices
 
-        for i, played in enumerate(choices):
-            row = weights[i]
-            rate = etas[i] / scale[i]
-            for k, move in enumerate(moves[i][played]):
-                cost = move_cost(tables, loads, move)
-                alt_totals[i][k] += cost
-                if k == played:
-                    incurred[i] += cost
-                row[k] *= math.exp(-rate * cost)
-            top = max(row)
-            if top == 0.0:
-                raise InvalidParams("weights underflowed to zero; eta too aggressive")
-            if top < 1e-150:
-                for k in range(len(row)):
-                    row[k] /= top
+    totals = iter(_totals_in_round_order(cost_rows, order))
+    alt_totals = tuple(tuple(islice(totals, instance.num_strategies(i)))
+                       for i in range(n))
 
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
-        profiles=tuple(profiles), social_costs=tuple(social_costs),
-        incurred_total=tuple(incurred),
-        strategy_costs_total=tuple(tuple(row) for row in alt_totals),
+        profiles=tuple([visited[j] for j in order]),
+        social_costs=tuple([social[j] for j in order]),
+        incurred_total=tuple(totals),
+        strategy_costs_total=alt_totals,
         best_profile=Allocation(best_profile), best_sc=best_sc)
 
 
