@@ -168,8 +168,8 @@ def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[fl
 
     Each column is summed from 0.0 one round at a time, exactly as a
     running ``total += cost`` in the round loop would sum it:
-    ``np.add.accumulate`` adds sequentially, where ``np.sum`` would pair
-    terms and round differently.
+    ``np.add.accumulate`` is defined to add one row after another, where a
+    reduction such as ``np.sum`` may pair terms and round differently.
     """
     rows = np.array(rows)
     order = np.array(order, dtype=np.intp)

@@ -1,10 +1,18 @@
 """Hypothesis strategies for small valid games and the objects built on
-them, shared by the oracle and persistence tests."""
+them, and fixed games, shared by the oracle, learning and persistence
+tests."""
 
 from hypothesis import strategies as st
 
 from tollkit import BasisFunction, FractionalProfile, GameInstance
 from tollkit.relaxation import fractional_loads
+
+
+def parallel_links(players, links):
+    """``players`` players each choosing one of ``links`` identical links."""
+    b = BasisFunction.monomial(1)
+    return GameInstance.build([b], [[1.0]] * links,
+                              [[[r] for r in range(links)]] * players)
 
 
 @st.composite

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from tollkit import BasisFunction, GameInstance, build_tax_profile, cli
+from tollkit import (BasisFunction, GameInstance, best_profile_approximation,
+                     build_tax_profile, cli, multiplicative_weights_run)
 from tollkit.cli import main
 
 
@@ -182,6 +183,67 @@ class TestLearn:
             assert code == 0
         for name in ("trace-0.jsonl", "trace-1.jsonl", "learn_summary.csv"):
             assert (out_a / name).read_text() == (out_b / name).read_text()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--eta", "abc"), ("--eta", "nan"), ("--eta", "inf"), ("--eta", "-1"),
+        ("--seeds", "a"), ("--seeds", "0,x"), ("--seeds", ","), ("--seeds", ""),
+    ])
+    def test_malformed_rate_or_seeds_exit_two(self, capsys, tmp_path, flag, value):
+        inst, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        build_tax_profile(inst, [1.0, 1.0]).save(taxes_path)
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(capsys, "learn", str(path), "--taxes",
+                                 str(taxes_path), "--rounds", "5", flag, value,
+                                 "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and flag in err
+        assert out == ""
+        assert not (out_dir / "learn_summary.csv").exists()
+
+    def test_one_exact_minimum_for_all_seeds(self, capsys, tmp_path, monkeypatch):
+        from tollkit import learning
+        inst, path = write_two_by_two(tmp_path)
+        taxes = build_tax_profile(inst, [1.0, 1.0])
+        taxes_path = tmp_path / "taxes.json"
+        taxes.save(taxes_path)
+        calls = []
+        real = learning.brute_force_min_sc
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "brute_force_min_sc", counting)
+        code, out, _ = run_cli(capsys, "learn", str(path), "--taxes",
+                               str(taxes_path), "--rounds", "200",
+                               "--seeds", "0,1,2", "--seed", "3",
+                               "--out", str(tmp_path / "runs"))
+        assert code == 0
+        assert len(calls) == 1
+        runs = json.loads(out)["runs"]
+        monkeypatch.undo()
+        # Each row is what best_profile_approximation gives for its seed.
+        for run, seed in zip(runs, (3, 4, 5)):
+            trace = multiplicative_weights_run(inst, taxes, rounds=200, seed=seed)
+            best, ratio = best_profile_approximation(inst, taxes, trace)
+            assert run["seed"] == seed
+            assert run["best_profile"] == list(best.choices)
+            assert run["ratio"] == ratio
+
+    def test_ratio_null_when_not_enumerable(self, capsys, tmp_path):
+        inst, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        build_tax_profile(inst, [1.0, 1.0]).save(taxes_path)
+        out_dir = tmp_path / "runs"
+        code, out, _ = run_cli(capsys, "learn", str(path), "--taxes",
+                               str(taxes_path), "--rounds", "20",
+                               "--seeds", "0,1", "--enum-cap", "1",
+                               "--out", str(out_dir))
+        assert code == 0
+        assert [run["ratio"] for run in json.loads(out)["runs"]] == [None, None]
+        rows = (out_dir / "learn_summary.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["", ""]
 
 
 class TestForge:

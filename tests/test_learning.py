@@ -1,7 +1,13 @@
 import math
 import statistics
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_learning as reference
+from game_strategies import fractional_profiles, parallel_links, small_games
 
 from tollkit import (Allocation, BasisFunction, GameInstance, InvalidParams,
                      NotConverged, bell_fractional, best_profile_approximation,
@@ -10,6 +16,7 @@ from tollkit import (Allocation, BasisFunction, GameInstance, InvalidParams,
                      enumerate_pure_nash, multiplicative_weights_run,
                      random_instance, rosenthal_potential, social_cost,
                      solve_relaxation)
+from tollkit import learning
 
 
 def two_by_two_symmetric():
@@ -207,6 +214,85 @@ class TestMultiplicativeWeights:
         footer = json.loads(lines[-1])
         assert footer["best_sc"] == trace.best_sc
         assert footer["regrets"] == list(trace.regrets)
+
+
+def run_or_error(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except InvalidParams as exc:
+        return f"InvalidParams: {exc}"
+
+
+class TestAgainstRoundByRoundReference:
+    """The memoised run equals the loop that prices every round, field by
+    field and in the bytes of its trace file, or both raise the same
+    error."""
+
+    @staticmethod
+    def assert_matches(inst, taxes, rounds, eta, seed, block, out_dir):
+        want = run_or_error(reference.multiplicative_weights_run, inst, taxes,
+                            rounds, eta=eta, seed=seed)
+        with mock.patch.object(learning, "ROUND_BLOCK", block):
+            got = run_or_error(multiplicative_weights_run, inst, taxes,
+                               rounds, eta=eta, seed=seed)
+        assert got == want
+        if not isinstance(want, str):
+            reference.save_jsonl(want, out_dir / "want.jsonl")
+            got.save_jsonl(out_dir / "got.jsonl")
+            assert ((out_dir / "got.jsonl").read_bytes()
+                    == (out_dir / "want.jsonl").read_bytes())
+        return want
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_games(self, data, tmp_path_factory):
+        inst = data.draw(small_games())
+        taxes = (build_tax_profile(inst, data.draw(fractional_profiles(inst)).loads)
+                 if data.draw(st.booleans()) else None)
+        self.assert_matches(
+            inst, taxes, rounds=data.draw(st.integers(1, 120)),
+            eta=data.draw(st.sampled_from(["auto", 0.0, 0.3, 700.0, 1e4])),
+            seed=data.draw(st.integers(0, 2 ** 32)),
+            block=data.draw(st.sampled_from([learning.ROUND_BLOCK, 1, 7])),
+            out_dir=tmp_path_factory.mktemp("trace"))
+
+    # Two players on two identical untaxed links: every perceived cost is 1
+    # or 2 and the cost bound is 2, so the update factors are
+    # exp(-eta / 2) and exp(-eta).
+    @pytest.mark.parametrize("eta", ["auto", 0.0, 700.0, 1e4],
+                             ids=["auto", "zero", "renormalising", "underflowing"])
+    def test_rate_regimes(self, eta, tmp_path):
+        inst = parallel_links(2, 2)
+        result = self.assert_matches(inst, None, 3000, eta, seed=4,
+                                     block=learning.ROUND_BLOCK, out_dir=tmp_path)
+        if eta == 700.0:
+            # Every factor is positive and below 1e-150: every round
+            # renormalises every player.
+            assert 0.0 < math.exp(-eta) < math.exp(-eta / 2) < 1e-150
+        if eta == 1e4:
+            assert math.exp(-eta / 2) == 0.0
+            assert result == ("InvalidParams: weights underflowed to zero; "
+                              "eta too aggressive")
+        else:
+            assert len(result.profiles) == 3000
+
+    def test_each_distinct_profile_priced_once(self, monkeypatch):
+        inst, _ = seeded_instances(8)[-1]
+        taxes = build_tax_profile(inst, [0.6] * inst.num_resources)
+        calls = []
+        real = learning.move_cost
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learning, "move_cost", counting)
+        trace = multiplicative_weights_run(inst, taxes, rounds=2000, seed=5)
+        distinct = len(set(trace.profiles))
+        own_strategies = sum(inst.num_strategies(i)
+                             for i in range(inst.num_players))
+        assert 1 < distinct < 100
+        assert len(calls) == distinct * own_strategies
 
 
 class TestBestProfileApproximation:

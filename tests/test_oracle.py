@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_oracle as reference
-from game_strategies import fractional_profiles, small_games
+from game_strategies import fractional_profiles, parallel_links, small_games
 from tollkit import (Allocation, BasisFunction, FractionalProfile,
                      GameInstance, PoaReport, TooLarge, bell_fractional,
                      brute_force_min_sc, build_tax_profile, check_smoothness,
@@ -248,13 +248,6 @@ class TestAgainstScalarReference:
                    coarse_correlated_check(inst, taxes, profile, rho,
                                            trace).to_json())
         assert got == want
-
-
-def parallel_links(players, links):
-    """``players`` players each choosing one of ``links`` identical links."""
-    b = BasisFunction.monomial(1)
-    return GameInstance.build([b], [[1.0]] * links,
-                              [[[r] for r in range(links)]] * players)
 
 
 class TestChunkBoundaries:

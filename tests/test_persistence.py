@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from game_strategies import small_games
 from tollkit import (Allocation, CoarseCorrelatedReport, FractionalProfile,
-                     PoaReport, SmoothnessResult, TaxProfile)
+                     LabelCoverInstance, PartitioningSystem, PoaReport,
+                     RhoReport, SmoothnessResult, TaxAudit, TaxProfile)
+from tollkit.taxes import ResourceAudit
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 allocations = st.lists(st.integers(0, 50), min_size=1, max_size=6).map(Allocation.of)
@@ -56,11 +58,61 @@ def fractional_profile_records(draw):
         iters=draw(st.integers(0, 10 ** 6)))
 
 
+@st.composite
+def rho_reports(draw):
+    """A finite factor, or the diverged report whose value is ``inf``."""
+    infinite = draw(st.booleans())
+    return RhoReport(value=float("inf") if infinite else draw(finite),
+                     argmax=draw(st.none() | st.integers(1, 10 ** 6)),
+                     x_max=draw(st.integers(1, 10 ** 6)),
+                     samples=tuple(draw(st.lists(finite, max_size=6))),
+                     infinite=infinite)
+
+
+resource_audits = st.builds(ResourceAudit, resource=st.integers(0, 100),
+                            max_residual=finite, min_monotonicity_gap=finite,
+                            min_tax=finite, max_split_error=finite)
+tax_audits = st.builds(TaxAudit,
+                       resources=st.lists(resource_audits, max_size=4).map(tuple),
+                       passed=st.booleans(), tol=finite)
+partitioning_systems = st.builds(
+    PartitioningSystem, n=st.integers(1, 500), beta=st.integers(1, 10),
+    h=st.integers(1, 10), k=st.integers(1, 10), eta=finite,
+    blocks=st.lists(st.lists(st.lists(st.integers(0, 500), max_size=5).map(tuple),
+                             max_size=4).map(tuple), max_size=4).map(tuple),
+    p1_passed=st.booleans(), p2_margin=finite,
+    p2_mode=st.sampled_from(["exhaustive", "sampled"]),
+    p2_choices_checked=st.integers(0, 10 ** 9), n_required=finite)
+
+
+@st.composite
+def label_cover_instances(draw):
+    """Bi-regular instances: every right vertex gets ``h`` distinct left
+    neighbours, and every edge a full constraint map."""
+    h = draw(st.integers(1, 3))
+    num_left = draw(st.integers(h, 5))
+    num_right = draw(st.integers(1, 3))
+    alpha = draw(st.integers(1, 3))
+    beta = draw(st.integers(1, 3))
+    edges = [(v, u) for u in range(num_right)
+             for v in draw(st.lists(st.integers(0, num_left - 1), min_size=h,
+                                    max_size=h, unique=True))]
+    edges = draw(st.permutations(edges))
+    label = st.integers(0, beta - 1)
+    pi = {e: tuple(draw(st.lists(label, min_size=alpha, max_size=alpha)))
+          for e in edges}
+    return LabelCoverInstance(num_left=num_left, num_right=num_right,
+                              edges=tuple(edges), h=h, alpha=alpha, beta=beta,
+                              pi=pi)
+
+
 @pytest.mark.parametrize("objects", [
     poa_reports, smoothness_results, coarse_correlated_reports,
     small_games(), tax_profiles(), fractional_profile_records(),
+    rho_reports(), tax_audits, partitioning_systems, label_cover_instances(),
 ], ids=["PoaReport", "SmoothnessResult", "CoarseCorrelatedReport",
-        "GameInstance", "TaxProfile", "FractionalProfile"])
+        "GameInstance", "TaxProfile", "FractionalProfile", "RhoReport",
+        "TaxAudit", "PartitioningSystem", "LabelCoverInstance"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_round_trip(objects, data):
