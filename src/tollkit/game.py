@@ -29,10 +29,6 @@ from .errors import GameValidationError, KernelOverflow, TollkitError
 # Slack for float tables in monotonicity / convexity validation.
 _VALIDATION_SLACK = 1e-12
 
-# A unilateral deviation as (resource, extra_load) pairs; see deviation_moves.
-Move = list[tuple[int, int]]
-
-
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
@@ -432,56 +428,6 @@ def loads_of(instance: GameInstance, choices: Sequence[int]) -> list[int]:
     return loads
 
 
-def perceived_tables(instance: GameInstance,
-                     taxes: Optional[TaxProfile]) -> list[list[float]]:
-    """``tables[r][x] = ell_r(x) + tau_r(x)`` for loads ``0..N``; the
-    untaxed costs when ``taxes`` is None."""
-    tables = instance.ell_tables(instance.num_players)
-    if taxes is not None:
-        check_tax_cover(instance, taxes)
-        tables = [[cost + taxes.tau[r][x] for x, cost in enumerate(row)]
-                  for r, row in enumerate(tables)]
-    return tables
-
-
-def system_cost_tables(instance: GameInstance) -> list[list[float]]:
-    """``tables[r][x] = x * ell_r(x)`` for loads ``0..N``: what resource
-    ``r`` costs the system under load ``x``. Taxes never enter it."""
-    return [[x * cost for x, cost in enumerate(row)]
-            for row in instance.ell_tables(instance.num_players)]
-
-
-def system_cost(tables: list[list[float]], loads: Sequence[int]) -> float:
-    """Social cost of ``loads`` priced on ``system_cost_tables``."""
-    return sum([tables[r][x] for r, x in enumerate(loads) if x])
-
-
-def deviation_moves(instance: GameInstance) -> list[list[list[Move]]]:
-    """``moves[i][k][a]``: player ``i``'s move from strategy ``k`` to ``a``.
-
-    A move lists ``(resource, extra_load)`` pairs over the resources of
-    ``a``: ``extra_load`` is 0 on resources ``k`` already uses (the player's
-    own unit is already in the load) and 1 on the others. Priced with
-    ``move_cost``, ``moves[i][k][k]`` is the player's current cost.
-    """
-    moves = []
-    for strats in instance.strategies:
-        by_current = []
-        for current in strats:
-            members = set(current)
-            by_current.append([[(r, 0 if r in members else 1) for r in alt]
-                               for alt in strats])
-        moves.append(by_current)
-    return moves
-
-
-def move_cost(tables: list[list[float]], loads: Sequence[int],
-              move: Move) -> float:
-    """Cost of ``move`` (from ``deviation_moves``) against ``loads``, priced
-    on ``tables``: what the mover pays after a unilateral deviation."""
-    return sum([tables[r][loads[r] + d] for r, d in move])
-
-
 # Per-thread buffers behind every ProfileBatch, by role. They only grow, so
 # a sweep, and every later sweep on the thread, prices its chunks in memory
 # it has already touched. Fresh arrays per chunk made the allocator trim and
@@ -511,8 +457,13 @@ class CompiledGame:
     by a ``ProfileBatch`` (``batch``). Memory is ``B`` times a size of the
     game.
 
-    Every sum adds its terms one at a time in the order ``system_cost`` and
-    ``move_cost`` use (resources in index order, resp. strategy order), so
+    ``price`` prices one profile the same way. Every pure profile the
+    library prices goes through here: the oracle's sweeps, the learning
+    dynamics and the public cost helpers.
+
+    Every sum adds its terms one at a time, resources in index order for
+    the social cost and in strategy order for a strategy's cost, as the
+    profile-by-profile reference in ``tests/reference_oracle.py`` does, so
     each value is bit-identical to the scalar one; numpy's reductions over
     a short axis add pairwise and would move the last bits.
     """
@@ -526,8 +477,9 @@ class CompiledGame:
         if taxes is not None:
             check_tax_cover(instance, taxes)
             perceived = ell + np.array([t[:n + 1] for t in taxes.tau], dtype=float)
+        # perceived[r][x] = ell_r(x) + tau_r(x) for loads 0..n.
+        self.perceived = perceived
         resource = np.arange(num_r)[:, None]
-        # Same IEEE products and sums as system_cost_tables/perceived_tables.
         self._system = (np.arange(n + 1) * ell).ravel()
         self._system_at = resource * (n + 1)
         # A mover pays perceived[r][others + 1], others being the load
@@ -539,7 +491,9 @@ class CompiledGame:
         flat = [strat for strats in instance.strategies for strat in strats]
         owner = [i for i, strats in enumerate(instance.strategies) for _ in strats]
         self.owners = np.array(owner)
-        self.offsets = np.array(list(accumulate(self.radices[:-1], initial=0)))
+        bounds = list(accumulate(self.radices, initial=0))
+        self.offsets = np.array(bounds[:-1])
+        self._spans = list(zip(bounds, bounds[1:]))
         # Profile k of itertools.product order chooses (k // stride_i) % radix_i.
         strides = accumulate(reversed(self.radices[1:]), operator.mul, initial=1)
         self._strides = np.array(list(strides)[::-1])[:, None]
@@ -570,6 +524,21 @@ class CompiledGame:
                 unsort[j] = position
             self._unsort = np.array(unsort)
         self._batches = {}
+
+    def price(self, choices: Sequence[int]) -> tuple[float, list[list[float]]]:
+        """One profile's untaxed social cost and, per player, the perceived
+        cost of each own strategy against the others' play (the profile's
+        column of ``ProfileBatch.price_strategies``), as plain floats:
+        ``costs[i][a]`` is what player ``i`` pays on moving to ``a``, their
+        current cost when ``a == choices[i]``. The indices are not
+        validated. It fills this thread's batch buffers, so call it between
+        sweeps, not inside one."""
+        batch = self.batch(1)
+        batch.choose(np.reshape(choices, (-1, 1)))
+        batch.price_loads()
+        social = float(batch.price_social()[0])
+        flat = batch.price_strategies()[:, 0].tolist()
+        return social, [flat[start:stop] for start, stop in self._spans]
 
     def batch(self, width: int) -> "ProfileBatch":
         """Arrays for pricing ``width`` profiles at a time; built once per
@@ -650,8 +619,9 @@ class ProfileBatch:
         return self._own.sum(axis=1, out=self.loads)
 
     def price_social(self) -> np.ndarray:
-        """``(width,)`` untaxed system cost, as ``system_cost`` sums it. An
-        unused resource adds the exact zero that ``system_cost`` skips."""
+        """``(width,)`` untaxed system cost ``sum_r load_r * ell_r(load_r)``,
+        summed over resources in index order. An unused resource adds an
+        exact zero."""
         game = self.game
         np.add(self.loads, game._system_at, out=self._at)
         game._system.take(self._at, out=self._system, mode="clip")
@@ -665,7 +635,7 @@ class ProfileBatch:
         """``(strategies, width)`` perceived cost of every strategy to its
         player against the others' play: row ``offsets[i] + a`` is what
         player ``i`` pays on moving to ``a`` (its current cost when ``a`` is
-        the strategy it plays), as ``move_cost`` sums it. Call once per
+        the strategy it plays), summed in strategy order. Call once per
         ``price_loads``."""
         game = self.game
         np.add(self.loads, game._deviation_at, out=self._at)
@@ -685,8 +655,8 @@ def social_cost(instance: GameInstance, allocation: Allocation) -> float:
     Taxes never enter this value: they reshape incentives, not the cost the
     system actually pays.
     """
-    loads = instance.loads(allocation)
-    return system_cost(system_cost_tables(instance), loads)
+    instance.validate_allocation(allocation)
+    return CompiledGame(instance).price(allocation.choices)[0]
 
 
 def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
@@ -694,10 +664,10 @@ def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
     """Perceived cost of ``player``: selected resources' cost plus tax."""
     if player < 0 or player >= instance.num_players:
         raise GameValidationError(f"player index {player} out of range")
-    tables = perceived_tables(instance, taxes)
-    loads = instance.loads(allocation)
-    return sum(tables[r][loads[r]]
-               for r in instance.strategies[player][allocation.choices[player]])
+    game = CompiledGame(instance, taxes)
+    instance.validate_allocation(allocation)
+    _, costs = game.price(allocation.choices)
+    return costs[player][allocation.choices[player]]
 
 
 def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
@@ -708,10 +678,9 @@ def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
     perceived-cost change, which is what makes best-response dynamics
     terminate.
     """
-    tables = perceived_tables(instance, taxes)
-    loads = instance.loads(allocation)
+    tables = CompiledGame(instance, taxes).perceived.tolist()
     total = 0.0
-    for r, x in enumerate(loads):
+    for r, x in enumerate(instance.loads(allocation)):
         for u in range(1, x + 1):
             total += tables[r][u]
     return total

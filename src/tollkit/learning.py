@@ -26,11 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams, NotConverged, TooLarge
-from .game import (Allocation, CompiledGame, GameInstance, TaxProfile,
-                   deviation_moves, loads_of, move_cost, perceived_tables,
-                   seeded_rng, system_cost, system_cost_tables)
-from .oracle import (CHUNK_PROFILES, IMPROVEMENT_THRESHOLD, brute_force_min_sc,
-                     certificate_lhs)
+from .game import Allocation, CompiledGame, GameInstance, TaxProfile, seeded_rng
+from .oracle import (CHUNK_PROFILES, IMPROVEMENT_THRESHOLD, _enumeration_size,
+                     _min_social_cost, brute_force_min_sc, certificate_lhs)
 from .relaxation import FractionalProfile, check_feasible
 
 
@@ -49,8 +47,7 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
     """
     if max_steps < 1:
         raise InvalidParams(f"max_steps must be >= 1, got {max_steps}")
-    tables = perceived_tables(instance, taxes)
-    moves = deviation_moves(instance)
+    game = CompiledGame(instance, taxes)
     n = instance.num_players
     if start is None:
         rng = seeded_rng(seed)
@@ -58,24 +55,22 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
     else:
         instance.validate_allocation(start)
         choices = list(start.choices)
-    loads = loads_of(instance, choices)
 
-    strategies = instance.strategies
+    # The profile is priced once at the start and once per accepted move;
+    # an inspection that moves nobody reads the current profile's costs.
+    _, costs = game.price(choices)
     steps = 0
     trace = []
     quiet = 0  # players inspected since the last accepted move
     player = 0
     while quiet < n:
         k = choices[player]
-        own_moves = moves[player][k]
-        current = move_cost(tables, loads, own_moves[k])
+        own = costs[player]
+        current = own[k]
         threshold = current - IMPROVEMENT_THRESHOLD * max(1.0, abs(current))
         best_alt, best_cost = None, threshold
-        for alt, move in enumerate(own_moves):
-            if alt == k:
-                continue
-            cost = move_cost(tables, loads, move)
-            if cost < best_cost:
+        for alt, cost in enumerate(own):
+            if alt != k and cost < best_cost:
                 best_alt, best_cost = alt, cost
         if best_alt is None:
             quiet += 1
@@ -83,14 +78,11 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
             if steps >= max_steps:
                 raise NotConverged(
                     f"no equilibrium within {max_steps} moves", trace=trace)
-            for r in strategies[player][k]:
-                loads[r] -= 1
-            for r in strategies[player][best_alt]:
-                loads[r] += 1
             trace.append((player, k, best_alt))
             choices[player] = best_alt
             steps += 1
             quiet = 0
+            _, costs = game.price(choices)
         player = (player + 1) % n
     return Allocation(tuple(choices)), steps
 
@@ -202,7 +194,9 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     observes the perceived cost of each own strategy against the others'
     realised play and updates ``w_{i,k} *= exp(-eta_i * cost / K_i)``, where
     ``K_i`` bounds any perceived cost player ``i`` can face. ``eta="auto"``
-    sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player.
+    sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player. The
+    losses must lie in ``[0, K_i]`` with ``K_i > 0``: a negative perceived
+    cost, or a player whose ``K_i`` is 0, raises ``InvalidParams``.
 
     A profile's costs and update factors depend on the profile alone, so
     each distinct profile is priced once per run, on its first visit, and
@@ -213,17 +207,22 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     """
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
-    tables = perceived_tables(instance, taxes)
-    moves = deviation_moves(instance)
+    game = CompiledGame(instance, taxes)
     n = instance.num_players
-    strategies = instance.strategies
 
-    # Largest perceived cost a strategy can carry: every resource at the
-    # all-player load. Bounds the losses fed to the exponential update.
-    scale = []
-    for i in range(n):
-        scale.append(max(sum(tables[r][instance.num_players] for r in strat)
-                         for strat in strategies[i]))
+    # A player faces perceived costs at loads 1..N only. K_i is the largest
+    # a strategy can carry: every resource at the all-player load.
+    reachable = game.perceived[:, 1:]
+    if (reachable < 0).any():
+        raise InvalidParams(
+            f"perceived costs at loads 1..{n} must be >= 0, "
+            f"got {reachable.min()}")
+    full = game.perceived[:, n].tolist()
+    scale = [max(sum(full[r] for r in strat) for strat in strats)
+             for strats in instance.strategies]
+    if 0.0 in scale:
+        raise InvalidParams(f"player {scale.index(0.0)}: every strategy "
+                            "costs 0 at the all-player load")
     if eta == "auto":
         etas = [math.sqrt(8.0 * math.log(instance.num_strategies(i)) / rounds)
                 for i in range(n)]
@@ -233,7 +232,6 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
     rates = [e / s for e, s in zip(etas, scale)]
 
-    sc_tables = system_cost_tables(instance)
     rng = seeded_rng(seed)
     weights = [[1.0] * instance.num_strategies(i) for i in range(n)]
     mul = operator.mul
@@ -265,11 +263,9 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
             j = seen.get(choices)
             if j is None:
                 j = seen[choices] = len(visited)
-                loads = loads_of(instance, choices)
-                own = [[move_cost(tables, loads, move) for move in moves[i][k]]
-                       for i, k in enumerate(choices)]
+                sc, own = game.price(choices)
                 visited.append(choices)
-                social.append(system_cost(sc_tables, loads))
+                social.append(sc)
                 cost_rows.append([c for row in own for c in row]
                                  + [row[k] for row, k in zip(own, choices)])
                 factors.append([[math.exp(-rate * c) for c in row]
@@ -371,7 +367,7 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     check_feasible(instance, profile)
     game = CompiledGame(instance, taxes)
     lhs = certificate_lhs(game, profile)
-    _, min_cost = brute_force_min_sc(instance, cap)
+    _, min_cost = _min_social_cost(game, _enumeration_size(instance, cap))
 
     distribution = trace.empirical_distribution
     visited = np.array(list(distribution), dtype=np.intp).reshape(

@@ -4,7 +4,7 @@ tests."""
 
 from hypothesis import strategies as st
 
-from tollkit import BasisFunction, FractionalProfile, GameInstance
+from tollkit import BasisFunction, FractionalProfile, GameInstance, TaxProfile
 from tollkit.relaxation import fractional_loads
 
 
@@ -13,6 +13,16 @@ def parallel_links(players, links):
     b = BasisFunction.monomial(1)
     return GameInstance.build([b], [[1.0]] * links,
                               [[[r] for r in range(links)]] * players)
+
+
+def negated_taxes(instance, factor):
+    """Taxes ``tau = -factor * ell`` on loads ``0..N``: every perceived cost
+    is 0 at ``factor = 1`` and negative above it."""
+    ell = instance.ell_tables(instance.num_players)
+    return TaxProfile(v=(0.0,) * instance.num_resources,
+                      tau=tuple(tuple(-factor * c for c in row) for row in ell),
+                      ell_bar=tuple(tuple(c - factor * c for c in row) for row in ell),
+                      n_cap=instance.num_players)
 
 
 @st.composite

@@ -1,22 +1,79 @@
-"""Round-by-round reference for the memoised multiplicative-weights run.
+"""Scalar references for the learning dynamics.
 
-``multiplicative_weights_run`` is the loop ``tollkit.learning`` ran before
-it priced each distinct profile once per run: it draws one uniform at a
-time and prices every own strategy of every player in every round with
-``loads_of``/``system_cost``/``move_cost``. ``save_jsonl`` writes each round
-with its own ``json.dumps``. The memoised run adds the same terms in the
-same order and writes the same bytes, so the tests require exact equality.
+``best_response_dynamics`` is the descent ``tollkit.learning`` ran before it
+priced through ``CompiledGame``: it keeps the loads by hand and prices every
+deviation with ``move_cost``. ``multiplicative_weights_run`` is the loop it
+ran before it priced each distinct profile once per run: it draws one
+uniform at a time and prices every own strategy of every player in every
+round with ``loads_of``/``system_cost``/``move_cost``. ``save_jsonl``
+writes each round with its own ``json.dumps``. The library adds the same
+terms in the same order and writes the same bytes, so the tests require
+exact equality.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Optional
 
-from tollkit import Allocation, GameInstance, InvalidParams, RunTrace, TaxProfile
-from tollkit.game import (deviation_moves, loads_of, move_cost,
-                          perceived_tables, seeded_rng, system_cost,
-                          system_cost_tables)
+from reference_oracle import (deviation_moves, move_cost, perceived_tables,
+                              system_cost, system_cost_tables)
+from tollkit import (Allocation, GameInstance, InvalidParams, NotConverged,
+                     RunTrace, TaxProfile)
+from tollkit.game import loads_of, seeded_rng
+from tollkit.oracle import IMPROVEMENT_THRESHOLD
+
+
+def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] = None,
+                           seed: int = 0, max_steps: int = 100_000,
+                           start: Optional[Allocation] = None) -> tuple[Allocation, int]:
+    if max_steps < 1:
+        raise InvalidParams(f"max_steps must be >= 1, got {max_steps}")
+    tables = perceived_tables(instance, taxes)
+    moves = deviation_moves(instance)
+    n = instance.num_players
+    if start is None:
+        rng = seeded_rng(seed)
+        choices = [int(rng.integers(instance.num_strategies(i))) for i in range(n)]
+    else:
+        instance.validate_allocation(start)
+        choices = list(start.choices)
+    loads = loads_of(instance, choices)
+
+    strategies = instance.strategies
+    steps = 0
+    trace = []
+    quiet = 0  # players inspected since the last accepted move
+    player = 0
+    while quiet < n:
+        k = choices[player]
+        own_moves = moves[player][k]
+        current = move_cost(tables, loads, own_moves[k])
+        threshold = current - IMPROVEMENT_THRESHOLD * max(1.0, abs(current))
+        best_alt, best_cost = None, threshold
+        for alt, move in enumerate(own_moves):
+            if alt == k:
+                continue
+            cost = move_cost(tables, loads, move)
+            if cost < best_cost:
+                best_alt, best_cost = alt, cost
+        if best_alt is None:
+            quiet += 1
+        else:
+            if steps >= max_steps:
+                raise NotConverged(
+                    f"no equilibrium within {max_steps} moves", trace=trace)
+            for r in strategies[player][k]:
+                loads[r] -= 1
+            for r in strategies[player][best_alt]:
+                loads[r] += 1
+            trace.append((player, k, best_alt))
+            choices[player] = best_alt
+            steps += 1
+            quiet = 0
+        player = (player + 1) % n
+    return Allocation(tuple(choices)), steps
 
 
 def save_jsonl(trace: RunTrace, path) -> None:

@@ -1,12 +1,16 @@
-"""Profile-by-profile reference for the vectorised oracle.
+"""Profile-by-profile reference for the compiled pricing engine.
 
-These are the scalar loops ``tollkit.oracle`` and
+The scalar game core below (``perceived_tables``, ``system_cost_tables``,
+``system_cost``, ``deviation_moves``, ``move_cost``) and the scalar
+``social_cost``, ``player_cost`` and ``rosenthal_potential`` are the code
+``tollkit.game`` priced with before ``CompiledGame`` became its only
+pricing engine. The loops after them are the ones ``tollkit.oracle`` and
 ``tollkit.learning.coarse_correlated_check`` ran before they became numpy
 sweeps over a ``CompiledGame``. They walk ``itertools.product`` and price
 every profile with ``loads_of``/``system_cost``/``move_cost``, so they
-share no code with the sweeps beyond the game's cost tables. The sweeps
-add the same terms in the same order, so the tests require exact
-equality.
+share no code with ``CompiledGame`` beyond ``GameInstance.ell_tables``.
+The engine adds the same terms in the same order, so the tests require
+exact equality.
 """
 
 from __future__ import annotations
@@ -16,12 +20,103 @@ import math
 from typing import Callable, Iterator, Optional, Sequence
 
 from tollkit import (Allocation, CoarseCorrelatedReport, GameInstance,
-                     PoaReport, SmoothnessResult, TaxProfile)
-from tollkit.game import (deviation_moves, loads_of, move_cost,
-                          perceived_tables, system_cost, system_cost_tables)
+                     GameValidationError, PoaReport, SmoothnessResult,
+                     TaxProfile)
+from tollkit.game import check_tax_cover, loads_of
 from tollkit.oracle import (DEFAULT_ENUMERATION_CAP, IMPROVEMENT_THRESHOLD,
                             _enumeration_size)
 from tollkit.relaxation import FractionalProfile, check_feasible
+
+# A unilateral deviation as (resource, extra_load) pairs; see deviation_moves.
+Move = list[tuple[int, int]]
+
+
+def perceived_tables(instance: GameInstance,
+                     taxes: Optional[TaxProfile]) -> list[list[float]]:
+    """``tables[r][x] = ell_r(x) + tau_r(x)`` for loads ``0..N``; the
+    untaxed costs when ``taxes`` is None."""
+    tables = instance.ell_tables(instance.num_players)
+    if taxes is not None:
+        check_tax_cover(instance, taxes)
+        tables = [[cost + taxes.tau[r][x] for x, cost in enumerate(row)]
+                  for r, row in enumerate(tables)]
+    return tables
+
+
+def system_cost_tables(instance: GameInstance) -> list[list[float]]:
+    """``tables[r][x] = x * ell_r(x)`` for loads ``0..N``: what resource
+    ``r`` costs the system under load ``x``. Taxes never enter it."""
+    return [[x * cost for x, cost in enumerate(row)]
+            for row in instance.ell_tables(instance.num_players)]
+
+
+def system_cost(tables: list[list[float]], loads: Sequence[int]) -> float:
+    """Social cost of ``loads`` priced on ``system_cost_tables``."""
+    return sum([tables[r][x] for r, x in enumerate(loads) if x])
+
+
+def deviation_moves(instance: GameInstance) -> list[list[list[Move]]]:
+    """``moves[i][k][a]``: player ``i``'s move from strategy ``k`` to ``a``.
+
+    A move lists ``(resource, extra_load)`` pairs over the resources of
+    ``a``: ``extra_load`` is 0 on resources ``k`` already uses (the player's
+    own unit is already in the load) and 1 on the others. Priced with
+    ``move_cost``, ``moves[i][k][k]`` is the player's current cost.
+    """
+    moves = []
+    for strats in instance.strategies:
+        by_current = []
+        for current in strats:
+            members = set(current)
+            by_current.append([[(r, 0 if r in members else 1) for r in alt]
+                               for alt in strats])
+        moves.append(by_current)
+    return moves
+
+
+def move_cost(tables: list[list[float]], loads: Sequence[int],
+              move: Move) -> float:
+    """Cost of ``move`` (from ``deviation_moves``) against ``loads``, priced
+    on ``tables``: what the mover pays after a unilateral deviation."""
+    return sum([tables[r][loads[r] + d] for r, d in move])
+
+
+def social_cost(instance: GameInstance, allocation: Allocation) -> float:
+    """System cost ``sum_r load_r * ell_r(load_r)``.
+
+    Taxes never enter this value: they reshape incentives, not the cost the
+    system actually pays.
+    """
+    loads = instance.loads(allocation)
+    return system_cost(system_cost_tables(instance), loads)
+
+
+def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
+                allocation: Allocation, player: int) -> float:
+    """Perceived cost of ``player``: selected resources' cost plus tax."""
+    if player < 0 or player >= instance.num_players:
+        raise GameValidationError(f"player index {player} out of range")
+    tables = perceived_tables(instance, taxes)
+    loads = instance.loads(allocation)
+    return sum(tables[r][loads[r]]
+               for r in instance.strategies[player][allocation.choices[player]])
+
+
+def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
+                        allocation: Allocation) -> float:
+    """Potential ``sum_r sum_{u=1}^{load_r} ell_bar_r(u)``.
+
+    Any unilateral deviation changes this by exactly the deviator's
+    perceived-cost change, which is what makes best-response dynamics
+    terminate.
+    """
+    tables = perceived_tables(instance, taxes)
+    loads = instance.loads(allocation)
+    total = 0.0
+    for r, x in enumerate(loads):
+        for u in range(1, x + 1):
+            total += tables[r][u]
+    return total
 
 
 def iter_profiles(instance: GameInstance) -> Iterator[tuple[int, ...]]:

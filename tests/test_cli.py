@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from game_strategies import negated_taxes
 from tollkit import (BasisFunction, GameInstance, best_profile_approximation,
                      build_tax_profile, cli, multiplicative_weights_run)
 from tollkit.cli import main
@@ -200,6 +201,21 @@ class TestLearn:
         assert err.startswith("error: ") and flag in err
         assert out == ""
         assert not (out_dir / "learn_summary.csv").exists()
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["minus-ell", "minus-2ell"])
+    def test_taxes_zeroing_or_negating_costs_exit_two(self, capsys, tmp_path, factor):
+        inst, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        negated_taxes(inst, factor).save(taxes_path)
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(capsys, "learn", str(path), "--taxes",
+                                 str(taxes_path), "--rounds", "20",
+                                 "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+        assert not (out_dir / "learn_summary.csv").exists()
+        assert not list(out_dir.glob("trace-*.jsonl"))
 
     def test_one_exact_minimum_for_all_seeds(self, capsys, tmp_path, monkeypatch):
         from tollkit import learning

@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_oracle as reference
+from game_strategies import fractional_profiles, small_games
 from tollkit import (Allocation, BasisFunction, GameInstance,
                      GameValidationError, build_tax_profile, player_cost,
                      rosenthal_potential, social_cost)
+from tollkit.game import CompiledGame, loads_of
 
 
 def two_by_two_symmetric():
@@ -197,6 +202,36 @@ class TestRosenthalPotential:
                         rhs = (player_cost(instance, taxes, a2, i)
                                - player_cost(instance, taxes, a, i))
                         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestAgainstScalarReference:
+    """``CompiledGame.price`` and the public cost helpers built on it equal
+    the scalar reference pricing exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_profile(self, data):
+        inst = data.draw(small_games())
+        taxes = (build_tax_profile(inst, data.draw(fractional_profiles(inst)).loads)
+                 if data.draw(st.booleans()) else None)
+        choices = tuple(data.draw(st.integers(0, inst.num_strategies(i) - 1))
+                        for i in range(inst.num_players))
+        a = Allocation(choices)
+        loads = loads_of(inst, choices)
+        tables = reference.perceived_tables(inst, taxes)
+        moves = reference.deviation_moves(inst)
+
+        sc, costs = CompiledGame(inst, taxes).price(choices)
+        assert sc == reference.system_cost(reference.system_cost_tables(inst), loads)
+        assert costs == [[reference.move_cost(tables, loads, move)
+                          for move in moves[i][k]]
+                         for i, k in enumerate(choices)]
+        assert social_cost(inst, a) == reference.social_cost(inst, a)
+        assert (rosenthal_potential(inst, taxes, a)
+                == reference.rosenthal_potential(inst, taxes, a))
+        for i in range(inst.num_players):
+            assert (player_cost(inst, taxes, a, i)
+                    == reference.player_cost(inst, taxes, a, i))
 
 
 class TestJson:

@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_learning as reference
-from game_strategies import fractional_profiles, parallel_links, small_games
+import reference_oracle as scalar
+from game_strategies import (fractional_profiles, negated_taxes, parallel_links,
+                             small_games)
 
 from tollkit import (Allocation, BasisFunction, GameInstance, InvalidParams,
-                     NotConverged, bell_fractional, best_profile_approximation,
-                     best_response_dynamics, brute_force_min_sc,
-                     build_tax_profile, coarse_correlated_check,
-                     enumerate_pure_nash, multiplicative_weights_run,
-                     random_instance, rosenthal_potential, social_cost,
+                     NotConverged, TaxProfile, bell_fractional,
+                     best_profile_approximation, best_response_dynamics,
+                     brute_force_min_sc, build_tax_profile,
+                     coarse_correlated_check, enumerate_pure_nash,
+                     multiplicative_weights_run, random_instance,
                      solve_relaxation)
 from tollkit import learning
+from tollkit.game import CompiledGame
 
 
 def two_by_two_symmetric():
@@ -64,10 +67,9 @@ class TestBestResponseDynamics:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_potential_strictly_decreases_along_moves(self, seed):
-        # Independent replay: better-response moves in round-robin order
-        # must each strictly lower the potential and land where the
-        # implementation lands.
-        from tollkit import player_cost
+        # Independent replay on the scalar reference pricing: better-response
+        # moves in round-robin order must each strictly lower the potential
+        # and land where the implementation lands.
         inst, _ = seeded_instances(seed + 1)[-1]
         import numpy as np
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -77,22 +79,23 @@ class TestBestResponseDynamics:
         player, quiet, moves = 0, 0, 0
         while quiet < inst.num_players:
             a = Allocation.of(choices)
-            cur = player_cost(inst, None, a, player)
+            cur = scalar.player_cost(inst, None, a, player)
             best_alt, best_cost = None, cur - 1e-12 * max(1.0, abs(cur))
             for alt in range(inst.num_strategies(player)):
                 if alt == choices[player]:
                     continue
                 moved = list(choices)
                 moved[player] = alt
-                cost = player_cost(inst, None, Allocation.of(moved), player)
+                cost = scalar.player_cost(inst, None, Allocation.of(moved), player)
                 if cost < best_cost:
                     best_alt, best_cost = alt, cost
             if best_alt is None:
                 quiet += 1
             else:
-                phi_before = rosenthal_potential(inst, None, a)
+                phi_before = scalar.rosenthal_potential(inst, None, a)
                 choices[player] = best_alt
-                phi_after = rosenthal_potential(inst, None, Allocation.of(choices))
+                phi_after = scalar.rosenthal_potential(inst, None,
+                                                       Allocation.of(choices))
                 assert phi_after < phi_before - 1e-12
                 quiet = 0
                 moves += 1
@@ -110,11 +113,69 @@ class TestBestResponseDynamics:
         with pytest.raises(NotConverged) as excinfo:
             best_response_dynamics(inst, start=Allocation.of([0, 0]), max_steps=1)
         assert excinfo.value.trace
+        with pytest.raises(NotConverged) as want:
+            reference.best_response_dynamics(inst, start=Allocation.of([0, 0]),
+                                             max_steps=1)
+        assert excinfo.value.trace == want.value.trace
 
     def test_deterministic_in_seed(self):
         inst, _ = seeded_instances(5)[-1]
         assert (best_response_dynamics(inst, seed=11)
                 == best_response_dynamics(inst, seed=11))
+
+    def test_prices_once_per_accepted_move(self, monkeypatch):
+        calls = count_prices(monkeypatch)
+        for seed in range(10):
+            inst, _ = seeded_instances(seed + 1)[-1]
+            taxes = build_tax_profile(inst, [0.6] * inst.num_resources)
+            del calls[:]
+            _, steps = best_response_dynamics(inst, taxes, seed=seed)
+            assert len(calls) == steps + 1
+
+
+def count_prices(monkeypatch) -> list:
+    """Record every ``CompiledGame.price`` call from now on."""
+    calls = []
+    real = CompiledGame.price
+
+    def counting(game, choices):
+        calls.append(tuple(choices))
+        return real(game, choices)
+
+    monkeypatch.setattr(CompiledGame, "price", counting)
+    return calls
+
+
+def descent_or_trace(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except NotConverged as exc:
+        return f"NotConverged: {exc}", exc.trace
+
+
+class TestBestResponseAgainstReference:
+    """The compiled descent equals the scalar one that keeps loads by hand
+    and prices every deviation with ``move_cost``: the same equilibrium and
+    step count, or the same ``NotConverged`` message and move trace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_games(self, data):
+        inst = data.draw(small_games())
+        taxes = (build_tax_profile(inst, data.draw(fractional_profiles(inst)).loads)
+                 if data.draw(st.booleans()) else None)
+        start = None
+        if data.draw(st.booleans()):
+            start = Allocation.of(
+                data.draw(st.integers(0, inst.num_strategies(i) - 1))
+                for i in range(inst.num_players))
+        kwargs = dict(seed=data.draw(st.integers(0, 2 ** 32)),
+                      max_steps=data.draw(st.sampled_from([1, 2, 3, 100_000])),
+                      start=start)
+        want = descent_or_trace(reference.best_response_dynamics, inst, taxes,
+                                **kwargs)
+        assert descent_or_trace(best_response_dynamics, inst, taxes,
+                                **kwargs) == want
 
 
 class TestMultiplicativeWeights:
@@ -200,6 +261,28 @@ class TestMultiplicativeWeights:
         with pytest.raises(InvalidParams):
             multiplicative_weights_run(inst, taxes, rounds=0)
 
+    # tau = -ell makes every perceived cost, so every cost bound, 0;
+    # tau = -2 ell makes them negative, which would push factors above 1.
+    @pytest.mark.parametrize("factor,message", [
+        (1.0, "player 0: every strategy costs 0"),
+        (2.0, "perceived costs at loads 1..2 must be >= 0, got -2.0"),
+    ])
+    @pytest.mark.parametrize("eta", ["auto", 0.0])
+    def test_rejects_zero_or_negative_costs(self, factor, message, eta):
+        inst = two_by_two_symmetric()
+        with pytest.raises(InvalidParams, match=message):
+            multiplicative_weights_run(inst, negated_taxes(inst, factor),
+                                       rounds=10, eta=eta)
+
+    def test_accepts_a_zero_cost_strategy_under_a_positive_bound(self):
+        inst = two_by_two_symmetric()
+        # Resource 0 costs nothing; resource 1 keeps each player's bound at 2.
+        taxes = TaxProfile(v=(0.0, 0.0), tau=((0.0, -1.0, -2.0), (0.0,) * 3),
+                           ell_bar=((0.0,) * 3, (0.0, 1.0, 2.0)), n_cap=2)
+        trace = multiplicative_weights_run(inst, taxes, rounds=50, seed=1)
+        assert trace == reference.multiplicative_weights_run(inst, taxes, 50,
+                                                             seed=1)
+
     def test_trace_jsonl_round_trippable(self, tmp_path):
         import json
         inst, taxes = taxed_two_by_two()
@@ -279,20 +362,12 @@ class TestAgainstRoundByRoundReference:
     def test_each_distinct_profile_priced_once(self, monkeypatch):
         inst, _ = seeded_instances(8)[-1]
         taxes = build_tax_profile(inst, [0.6] * inst.num_resources)
-        calls = []
-        real = learning.move_cost
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(learning, "move_cost", counting)
+        calls = count_prices(monkeypatch)
         trace = multiplicative_weights_run(inst, taxes, rounds=2000, seed=5)
-        distinct = len(set(trace.profiles))
-        own_strategies = sum(inst.num_strategies(i)
-                             for i in range(inst.num_players))
-        assert 1 < distinct < 100
-        assert len(calls) == distinct * own_strategies
+        distinct = set(trace.profiles)
+        assert 1 < len(distinct) < 100
+        assert len(calls) == len(distinct)
+        assert set(calls) == distinct
 
 
 class TestBestProfileApproximation:
@@ -308,7 +383,7 @@ class TestBestProfileApproximation:
         trace = multiplicative_weights_run(inst, taxes, rounds=5000, seed=1)
         best, ratio = best_profile_approximation(inst, taxes, trace)
         _, min_cost = brute_force_min_sc(inst)
-        assert ratio == pytest.approx(social_cost(inst, best) / min_cost)
+        assert ratio == pytest.approx(scalar.social_cost(inst, best) / min_cost)
         assert ratio <= 2.0 + 0.05
 
     def test_ratio_none_when_not_enumerable(self):

@@ -15,8 +15,7 @@ from tollkit import (Allocation, BasisFunction, FractionalProfile,
                      brute_force_min_sc, build_tax_profile, check_smoothness,
                      coarse_correlated_check, empirical_poa,
                      enumerate_pure_nash, learning, multiplicative_weights_run,
-                     oracle, player_cost, random_instance, social_cost,
-                     solve_relaxation)
+                     oracle, random_instance, solve_relaxation)
 from tollkit.game import CompiledGame
 
 
@@ -54,13 +53,13 @@ class TestBruteForceMinSc:
     def test_witness_cost_matches_social_cost(self):
         for inst, _ in seeded_instances(20):
             witness, cost = brute_force_min_sc(inst)
-            assert cost == social_cost(inst, witness)
+            assert cost == reference.social_cost(inst, witness)
 
     def test_exhaustive_oracle_agreement(self):
         for inst, _ in seeded_instances(10):
             _, cost = brute_force_min_sc(inst)
             best = min(
-                social_cost(inst, Allocation.of(choices))
+                reference.social_cost(inst, Allocation.of(choices))
                 for choices in itertools.product(
                     *(range(inst.num_strategies(i))
                       for i in range(inst.num_players))))
@@ -111,13 +110,14 @@ class TestEnumeratePureNash:
                 a = Allocation.of(choices)
                 is_ne = True
                 for i in range(inst.num_players):
-                    cur = player_cost(inst, taxes, a, i)
+                    cur = reference.player_cost(inst, taxes, a, i)
                     for alt in range(inst.num_strategies(i)):
                         if alt == choices[i]:
                             continue
                         moved = list(choices)
                         moved[i] = alt
-                        dev = player_cost(inst, taxes, Allocation.of(moved), i)
+                        dev = reference.player_cost(inst, taxes,
+                                                    Allocation.of(moved), i)
                         if dev < cur - 1e-12 * max(1.0, abs(cur)):
                             is_ne = False
                 assert (choices in nes) == is_ne
@@ -154,7 +154,8 @@ class TestEmpiricalPoa:
         report = empirical_poa(inst)
         assert report.min_cost == pytest.approx(3.1)
         assert report.poa == pytest.approx(4.0 / 3.1)
-        assert report.worst_ne_cost == social_cost(inst, report.worst_ne_witness)
+        assert report.worst_ne_cost == reference.social_cost(
+            inst, report.worst_ne_witness)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_designed_taxes_meet_factor_bound(self, seed):
@@ -206,7 +207,7 @@ class TestCheckSmoothness:
         assert result.passed
         _, min_cost = brute_force_min_sc(inst)
         for ne in enumerate_pure_nash(inst, taxes):
-            assert social_cost(inst, ne) <= rho * min_cost + 1e-6
+            assert reference.social_cost(inst, ne) <= rho * min_cost + 1e-6
 
     def test_fails_with_rho_below_one_on_congested_instance(self):
         b = BasisFunction.monomial(1)
