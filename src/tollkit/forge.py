@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator
@@ -35,6 +36,7 @@ from .kernel import binomial_expectation
 
 P2_EXHAUSTIVE_LIMIT = 1_000_000
 P2_DEFAULT_SAMPLES = 100_000
+P2_BATCH = 256
 _CONSTRUCTION_RETRIES = 100
 
 
@@ -100,17 +102,18 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     Samples a random balanced assignment: shuffle ``k*n/h`` copies of each
     block id, chunk them ``k`` per element, then repair duplicate blocks
     within a chunk by conflict-reducing swaps (swaps preserve the exact
-    block counts).
+    block counts). A swap changes only its two chunks, so only those two
+    are re-checked; ``bad`` keeps its order, which the draws index into.
     """
     if k == h:
         return [list(range(n)) for _ in range(h)]
     per_block = k * n // h
     slots = np.repeat(np.arange(h), per_block)
     rng.shuffle(slots)
-    chunks = slots.reshape(n, k)
+    chunks = slots.reshape(n, k).tolist()
 
     def conflicts(chunk) -> int:
-        return k - len(set(chunk.tolist()))
+        return k - len(set(chunk))
 
     bad = [e for e in range(n) if conflicts(chunks[e])]
     attempts = 0
@@ -126,20 +129,24 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
             continue
         j1 = int(rng.integers(k))
         j2 = int(rng.integers(k))
-        before = conflicts(chunks[e]) + conflicts(chunks[e2])
-        chunks[e, j1], chunks[e2, j2] = chunks[e2, j2], chunks[e, j1]
-        after = conflicts(chunks[e]) + conflicts(chunks[e2])
-        if after > before:
-            chunks[e, j1], chunks[e2, j2] = chunks[e2, j2], chunks[e, j1]
+        a, b = chunks[e], chunks[e2]
+        before = conflicts(a) + conflicts(b)
+        a[j1], b[j2] = b[j2], a[j1]
+        if conflicts(a) + conflicts(b) > before:
+            a[j1], b[j2] = b[j2], a[j1]
             continue
-        bad = [x for x in bad if conflicts(chunks[x])]
-        if conflicts(chunks[e2]) and e2 not in bad:
-            bad.append(e2)
+        if not conflicts(a):
+            bad.remove(e)
+        if conflicts(b):
+            if e2 not in bad:
+                bad.append(e2)
+        elif e2 in bad:
+            bad.remove(e2)
 
     blocks: list[list[int]] = [[] for _ in range(h)]
     for e in range(n):
         for block in chunks[e]:
-            blocks[int(block)].append(e)
+            blocks[block].append(e)
     return blocks
 
 
@@ -169,8 +176,65 @@ def transversal_cost(system: PartitioningSystem, rows, picks,
     return sum(c_table[cnt] for cnt in counts)
 
 
+def _all_transversals(beta: int, h: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every transversal as ``(rows, picks)`` batches of ``P2_BATCH`` rows,
+    in the order of ``combinations(range(beta), h)`` (outer) times
+    ``product(range(h), repeat=h)`` (inner).
+
+    Transversal ``t`` takes row combination ``t // h**h`` and the picks
+    written by ``t % h**h`` in base ``h``, last pick fastest. Combinations
+    are drawn from ``itertools`` as the batches reach them, so memory is a
+    batch, never the number of transversals.
+    """
+    per_rows = h ** h
+    total = math.comb(beta, h) * per_rows
+    combos = itertools.combinations(range(beta), h)
+    held: list[tuple[int, ...]] = []   # combinations first, first + 1, ...
+    first = 0
+    for start in range(0, total, P2_BATCH):
+        t = np.arange(start, min(start + P2_BATCH, total))
+        q = t // per_rows
+        lo, hi = int(q[0]), int(q[-1])
+        del held[:lo - first]
+        first = lo
+        held.extend(itertools.islice(combos, hi + 1 - first - len(held)))
+        rows = np.array(held)[q - first]
+        code = t % per_rows
+        picks = np.empty((len(t), h), dtype=np.intp)
+        for j in range(h - 1, -1, -1):
+            picks[:, j] = code % h
+            code //= h
+        yield rows, picks
+
+
+def _drawn_transversals(beta: int, h: int, samples: int, rng: Generator
+                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``samples`` uniform transversals as batches of ``P2_BATCH`` rows.
+
+    A row's selection is the first ``h`` columns of a uniform random
+    permutation of ``range(beta)`` (the argsort of uniforms): ``h`` ordered
+    distinct rows, as ``rng.choice(beta, h, replace=False)`` draws them.
+    """
+    for start in range(0, samples, P2_BATCH):
+        m = min(P2_BATCH, samples - start)
+        rows = np.argsort(rng.random((m, beta)), axis=1)[:, :h]
+        yield rows, rng.integers(h, size=(m, h))
+
+
+def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
+                       rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Cost of transversal ``t``, which takes block ``picks[t, j]`` of row
+    ``rows[t, j]`` for each ``j``. Each cost is a sum over the elements in
+    element order, as ``c_arr[counts].sum()`` of one transversal adds it."""
+    counts = membership[rows, picks, :].sum(axis=1)
+    return c_arr[counts].sum(axis=1)
+
+
 def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
-               c_table, mode: str, samples: int, seed: int) -> tuple[float, str, int]:
+               c_table, mode: str, samples: int, seed: int) -> tuple[float, int]:
+    """``(worst margin, transversals checked)`` of P2 in ``mode``
+    (``"exhaustive"`` or ``"sampled"``), priced ``P2_BATCH`` transversals
+    per numpy sweep. The margin is the minimum of cost minus threshold."""
     threshold = (binomial_expectation(c_table, h, k) - eta) * n
     membership = np.zeros((beta, h, n), dtype=np.int8)
     for j in range(beta):
@@ -178,30 +242,17 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
             membership[j, i, list(blocks[j][i])] = 1
     c_arr = np.asarray(c_table[:h + 1], dtype=float)
 
-    total_choices = math.comb(beta, h) * h ** h
-    if mode == "auto":
-        mode = "exhaustive" if total_choices <= P2_EXHAUSTIVE_LIMIT else "sampled"
+    if mode == "exhaustive":
+        batches = _all_transversals(beta, h)
+    else:
+        batches = _drawn_transversals(beta, h, samples, seeded_rng(seed))
     worst = math.inf
     checked = 0
-    if mode == "exhaustive":
-        for rows in itertools.combinations(range(beta), h):
-            for picks in itertools.product(range(h), repeat=h):
-                counts = membership[rows, picks, :].sum(axis=0)
-                cost = float(c_arr[counts].sum())
-                worst = min(worst, cost - threshold)
-                checked += 1
-    elif mode == "sampled":
-        rng = seeded_rng(seed)
-        for _ in range(samples):
-            rows = rng.choice(beta, size=h, replace=False)
-            picks = rng.integers(h, size=h)
-            counts = membership[rows, picks, :].sum(axis=0)
-            cost = float(c_arr[counts].sum())
-            worst = min(worst, cost - threshold)
-            checked += 1
-    else:
-        raise InvalidParams(f"unknown verification mode {mode!r}")
-    return worst, mode, checked
+    for rows, picks in batches:
+        costs = _transversal_costs(membership, c_arr, rows, picks)
+        worst = min(worst, float((costs - threshold).min()))
+        checked += len(costs)
+    return worst, checked
 
 
 def required_ground_set(c_k: float, beta: int, h: int, eta: float) -> float:
@@ -217,12 +268,15 @@ def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
 
     P1 holds exactly by construction and is re-checked in integer
     arithmetic. P2 is checked over all transversals when there are at most
-    ``10**6`` of them (or ``mode="exhaustive"`` forces it), else over
-    ``samples`` seeded draws. The cost is ``c(x) = x * basis.b(x)``. The
-    probabilistically sufficient ground-set size is reported alongside, but
-    any ``n`` with ``k*n/h`` integral is attempted: at desk scale a failure
-    after all retries is informative, and raised as ``ConstructionFailed``
-    with the worst margin seen.
+    ``P2_EXHAUSTIVE_LIMIT`` (``10**6``) of them (or ``mode="exhaustive"``
+    forces it), else over ``samples`` seeded draws, which must be at least
+    one. Either way the transversals are priced ``P2_BATCH`` at a time in
+    one numpy sweep each. A sampled margin is a bound over the drawn
+    transversals only, never a claim about all of them. The cost is
+    ``c(x) = x * basis.b(x)``. The probabilistically sufficient ground-set
+    size is reported alongside, but any ``n`` with ``k*n/h`` integral is
+    attempted: at desk scale a failure after all retries is informative,
+    and raised as ``ConstructionFailed`` with the worst margin seen.
     """
     if not (beta >= h >= k >= 1):
         raise InvalidParams(f"need beta >= h >= k >= 1, got ({beta}, {h}, {k})")
@@ -230,6 +284,14 @@ def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
         raise InvalidParams(f"k*n/h must be a positive integer, got k={k}, n={n}, h={h}")
     if not (0.0 < eta < 1.0):
         raise InvalidParams(f"eta must be in (0, 1), got {eta}")
+    if mode == "auto":
+        total_choices = math.comb(beta, h) * h ** h
+        mode = "exhaustive" if total_choices <= P2_EXHAUSTIVE_LIMIT else "sampled"
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidParams(f"unknown verification mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise InvalidParams(
+            f"sampled P2 verification needs at least one sample, got {samples}")
     c_table = basis.cost_table(h)
     n_required = required_ground_set(basis.c(k), beta, h, eta)
 
@@ -253,13 +315,13 @@ def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
         if not p1:
             continue
 
-        margin, used_mode, checked = _verify_p2(
+        margin, checked = _verify_p2(
             blocks, n, beta, h, k, eta, c_table, mode, samples, seed + attempt)
         worst_overall = max(worst_overall, margin)
         if margin >= 0.0:
             return PartitioningSystem(
                 n=n, beta=beta, h=h, k=k, eta=eta, blocks=blocks,
-                p1_passed=True, p2_margin=margin, p2_mode=used_mode,
+                p1_passed=True, p2_margin=margin, p2_mode=mode,
                 p2_choices_checked=checked, n_required=n_required)
     raise ConstructionFailed(
         f"no verified system in {_CONSTRUCTION_RETRIES} attempts "

@@ -290,6 +290,23 @@ class TestForge:
         assert code == 4
         assert "construction-failed" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("shape", [
+        ["--beta", "6", "--h", "3", "--k", "2", "--n", "120", "--mode", "sampled"],
+        # more than 10**6 transversals, so auto mode samples
+        ["--beta", "20", "--h", "5", "--k", "1", "--n", "10"],
+    ], ids=["sampled", "auto"])
+    def test_partition_without_samples_exits_two(self, capsys, tmp_path,
+                                                shape, samples):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "forge", "partition", *shape,
+                                 "--eta", "0.9", "--monomial", "1",
+                                 "--samples", samples, "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+        assert not (out_dir / "partitioning_system.json").exists()
+
     def test_reduce_size_contract(self, capsys, tmp_path):
         from tollkit import LabelCoverInstance
         lc = LabelCoverInstance(num_left=2, num_right=1, edges=((0, 0), (1, 0)),

@@ -1,16 +1,41 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_forge as reference
+from game_strategies import basis_functions
 from tollkit import (Allocation, BasisFunction, ConstructionFailed,
                      InfeasibleParams, InvalidParams,
                      LabelCoverInstance, PartitioningSystem,
                      binomial_expectation, build_partitioning_system,
                      random_instance, reduce_label_cover, social_cost,
                      transversal_cost)
+from tollkit import forge
+from tollkit.game import seeded_rng
 
 LINEAR = BasisFunction.monomial(1)  # cost c(x) = x^2
+
+
+@st.composite
+def shapes(draw, max_h=4):
+    """``(n, beta, h, k)`` with ``beta >= h >= k >= 1`` and ``k*n/h``
+    integral."""
+    h = draw(st.integers(1, max_h))
+    k = draw(st.integers(1, h))
+    beta = draw(st.integers(h, h + 2))
+    n = h // math.gcd(k, h) * draw(st.integers(1, 12))
+    return n, beta, h, k
+
+
+def draw_blocks(n, beta, h, k, seed):
+    """``beta`` rows drawn as ``build_partitioning_system`` draws them."""
+    rng = seeded_rng(seed)
+    return tuple(tuple(tuple(sorted(b)) for b in forge._balanced_row(n, h, k, rng))
+                 for _ in range(beta))
 
 
 def yes_label_cover():
@@ -116,6 +141,110 @@ class TestTransversalProperty:
         ps = build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
                                        basis=LINEAR, seed=0)
         assert PartitioningSystem.from_json(ps.to_json()) == ps
+
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_mode_rejects_empty_samples(self, samples):
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
+                                      basis=LINEAR, mode="sampled",
+                                      samples=samples)
+        # auto mode samples once there are more than 10**6 transversals.
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            build_partitioning_system(n=10, beta=20, h=5, k=1, eta=0.5,
+                                      basis=LINEAR, samples=samples)
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            reduce_label_cover(yes_label_cover(),
+                               {"n": 8, "k": 1, "eta": 0.5, "beta": 2,
+                                "mode": "sampled", "samples": samples},
+                               LINEAR, seed=0)
+        ps = build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
+                                       basis=LINEAR, mode="exhaustive",
+                                       samples=samples)
+        assert ps.p2_choices_checked == 108
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(InvalidParams, match="unknown verification mode"):
+            build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
+                                      basis=LINEAR, mode="partial")
+
+
+class TestSweepAgainstReference:
+    """The batched P2 sweep and the incremental row repair against the
+    one-at-a-time loops in ``reference_forge``."""
+
+    @pytest.mark.parametrize("n", [7, 120, 129, 1000, 5000])
+    def test_row_sums_add_like_one_dimensional_sums(self, n):
+        # The sweep's margins equal the reference's only if summing each row
+        # of a C-contiguous (m, n) array adds in the order a 1-D sum does.
+        rng = np.random.default_rng(n)
+        values = rng.random((40, n)) * 10.0 ** rng.integers(-3, 4, size=(40, 1))
+        sums = values.sum(axis=1)
+        assert all(sums[t] == values[t].sum() for t in range(40))
+
+    @pytest.mark.parametrize("beta,h", [(1, 1), (4, 2), (5, 3), (6, 3),
+                                        (4, 4), (5, 5)])
+    def test_all_transversals_in_reference_order(self, beta, h):
+        rows, picks = (np.concatenate(parts) for parts in
+                       zip(*forge._all_transversals(beta, h)))
+        expected = list(itertools.product(itertools.combinations(range(beta), h),
+                                          itertools.product(range(h), repeat=h)))
+        assert len(rows) == len(expected) == math.comb(beta, h) * h ** h
+        assert [(tuple(r), tuple(p)) for r, p in zip(rows.tolist(),
+                                                     picks.tolist())] == expected
+
+    def test_drawn_transversals_are_valid(self):
+        batches = list(forge._drawn_transversals(6, 3, 600, seeded_rng(0)))
+        assert [len(rows) for rows, _ in batches] == [256, 256, 88]
+        for rows, picks in batches:
+            assert all(len(set(r)) == 3 for r in rows.tolist())
+            assert rows.min() >= 0 and rows.max() < 6
+            assert picks.min() >= 0 and picks.max() < 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes(), basis=basis_functions(), seed=st.integers(0, 10**6),
+           eta=st.floats(0.01, 0.99))
+    def test_exhaustive_margin_equals_reference(self, shape, basis, seed, eta):
+        n, beta, h, k = shape
+        blocks = draw_blocks(n, beta, h, k, seed)
+        c = basis.cost_table(h)
+        worst, checked = forge._verify_p2(blocks, n, beta, h, k, eta, c,
+                                          "exhaustive", 0, seed)
+        assert (worst, "exhaustive", checked) == reference.verify_p2(
+            blocks, n, beta, h, k, eta, c, "exhaustive", 0, seed)
+        sampled, drawn = forge._verify_p2(blocks, n, beta, h, k, eta, c,
+                                          "sampled", 300, seed)
+        assert drawn == 300
+        assert sampled >= worst
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes(), basis=basis_functions(), data=st.data())
+    def test_batch_costs_equal_reference(self, shape, basis, data):
+        n, beta, h, k = shape
+        blocks = draw_blocks(n, beta, h, k, data.draw(st.integers(0, 10**6)))
+        membership = reference.membership_of(blocks, n, beta, h)
+        c_arr = np.asarray(basis.cost_table(h)[:h + 1], dtype=float)
+        transversal = st.tuples(st.permutations(range(beta)),
+                                st.lists(st.integers(0, h - 1), min_size=h,
+                                         max_size=h))
+        batch = data.draw(st.lists(transversal, min_size=1, max_size=40))
+        rows = np.array([r[:h] for r, _ in batch])
+        picks = np.array([p for _, p in batch])
+        costs = forge._transversal_costs(membership, c_arr, rows, picks)
+        assert costs.tolist() == reference.transversal_costs(
+            membership, c_arr, zip(rows, picks))
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 6), data=st.data())
+    def test_balanced_rows_equal_reference(self, h, data):
+        k = data.draw(st.sampled_from(sorted({1, h, data.draw(st.integers(1, h))})))
+        n = h // math.gcd(k, h) * data.draw(st.integers(1, 20))
+        seed = data.draw(st.integers(0, 10**6))
+        ours, theirs = seeded_rng(seed), seeded_rng(seed)
+        # Three rows from one stream: the draws after a row match as well.
+        for _ in range(3):
+            assert (forge._balanced_row(n, h, k, ours)
+                    == reference.balanced_row(n, h, k, theirs))
 
 
 class TestLabelCover:
