@@ -8,7 +8,10 @@ of each row. Selecting a whole row therefore costs exactly ``c(k) * n``
 under any cost ``c`` with ``c(0) = 0`` (property P1), while a transversal
 that picks one block from each of ``h`` distinct rows should cost at least
 ``(E_{Bin(h, k/h)}[c] - eta) * n`` (property P2). Systems are built by
-balanced random assignment and re-drawn until P2 verifies.
+balanced random assignment and re-drawn until P2 verifies. P2 is checked
+``P2_BATCH`` transversals at a time: one gather of the batch's blocks, one
+count per element, one cost-table lookup and one row sum, as the oracle
+prices profiles in chunks.
 
 The reduction turns a bi-regular label-cover instance into a congestion
 game: one player per left vertex, a fresh copy of one partitioning system
@@ -402,14 +405,15 @@ def reduce_label_cover(lc: LabelCoverInstance, ps_params: dict,
     """Build the congestion game of a label-cover instance.
 
     ``ps_params`` carries ``n``, ``k``, ``eta`` and optionally ``beta`` (at
-    least the label-cover right alphabet; defaults to it) and ``mode`` for
-    the verification; the number of blocks per row is pinned to the
-    label-cover degree ``h``. One system is constructed and copied onto
-    every right vertex with disjoint resources ``u * n + e``. Player ``v``'s
-    strategy for left label ``l`` takes, for each neighbouring right vertex
-    ``u``, the block in row ``pi[(v,u)][l]`` and column ``rank of v among
-    u's neighbours``. The mapping from label profiles to allocations is the
-    identity on indices: strategy ``l`` of player ``v`` is label ``l``.
+    least the label-cover right alphabet; defaults to it), ``mode`` and
+    ``samples`` for the verification; the number of blocks per row is
+    pinned to the label-cover degree ``h``. One system is constructed and
+    copied onto every right vertex with disjoint resources ``u * n + e``.
+    Player ``v``'s strategy for left label ``l`` takes, for each
+    neighbouring right vertex ``u``, the block in row ``pi[(v,u)][l]`` and
+    column ``rank of v among u's neighbours``. The mapping from label
+    profiles to allocations is the identity on indices: strategy ``l`` of
+    player ``v`` is label ``l``.
     """
     beta_ps = int(ps_params.get("beta", lc.beta))
     if beta_ps < lc.beta:

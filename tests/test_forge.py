@@ -21,10 +21,10 @@ LINEAR = BasisFunction.monomial(1)  # cost c(x) = x^2
 
 
 @st.composite
-def shapes(draw, max_h=4):
+def shapes(draw):
     """``(n, beta, h, k)`` with ``beta >= h >= k >= 1`` and ``k*n/h``
     integral."""
-    h = draw(st.integers(1, max_h))
+    h = draw(st.integers(1, 4))
     k = draw(st.integers(1, h))
     beta = draw(st.integers(h, h + 2))
     n = h // math.gcd(k, h) * draw(st.integers(1, 12))
@@ -141,7 +141,6 @@ class TestTransversalProperty:
         ps = build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
                                        basis=LINEAR, seed=0)
         assert PartitioningSystem.from_json(ps.to_json()) == ps
-
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sampled_mode_rejects_empty_samples(self, samples):
