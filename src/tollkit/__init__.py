@@ -1,7 +1,8 @@
 """Design and verification of congestion-dependent taxes for atomic
 congestion games: load kernels and efficiency factors, the parameterised
 tax family and its audit, a Frank-Wolfe load relaxation, exhaustive
-equilibrium oracles, learning dynamics, and instance generators.
+equilibrium oracles, learning dynamics, instance generators, and the design
+pipeline that runs the stages in order.
 """
 
 from .errors import (ConstructionFailed, GameValidationError, InfeasibleParams,
@@ -25,25 +26,26 @@ from .learning import (CoarseCorrelatedReport, RunTrace,
 from .forge import (LabelCoverInstance, PartitioningSystem,
                     build_partitioning_system, random_instance,
                     reduce_label_cover, transversal_cost)
+from .pipeline import DesignReport, design
 
 __all__ = [
     "Allocation", "BasisFunction", "CoarseCorrelatedReport",
-    "ConstructionFailed", "DEFAULT_KERNEL_CONFIG", "FractionalProfile",
-    "GameInstance", "GameValidationError", "InfeasibleParams", "InvalidParams",
-    "KernelConfig", "KernelNonConvergent", "KernelOverflow",
-    "LabelCoverInstance", "MaxItersExceeded", "NotConverged",
+    "ConstructionFailed", "DEFAULT_KERNEL_CONFIG", "DesignReport",
+    "FractionalProfile", "GameInstance", "GameValidationError",
+    "InfeasibleParams", "InvalidParams", "KernelConfig", "KernelNonConvergent",
+    "KernelOverflow", "LabelCoverInstance", "MaxItersExceeded", "NotConverged",
     "PartitioningSystem", "PoaReport", "RhoReport", "RunTrace",
     "SmoothnessResult", "TaxAudit", "TaxProfile", "TollkitError", "TooLarge",
     "UnsupportedBasis", "audit_taxes", "bell_fractional",
     "best_profile_approximation", "best_response_dynamics",
     "binomial_expectation", "brute_force_min_sc", "build_partitioning_system",
     "build_tax_profile", "check_smoothness", "coarse_correlated_check",
-    "duality_gap", "empirical_poa", "enumerate_pure_nash", "fractional_loads",
-    "gradient", "modified_cost", "modified_cost_table", "mu_factor",
-    "multiplicative_weights_run", "player_cost", "poisson_kernel",
+    "design", "duality_gap", "empirical_poa", "enumerate_pure_nash",
+    "fractional_loads", "gradient", "modified_cost", "modified_cost_table",
+    "mu_factor", "multiplicative_weights_run", "player_cost", "poisson_kernel",
     "poisson_kernel_derivative", "random_instance", "reduce_label_cover",
-    "relaxation_objective", "rho_factor", "rosenthal_potential",
-    "social_cost", "solve_relaxation", "transversal_cost",
+    "relaxation_objective", "rho_factor", "rosenthal_potential", "social_cost",
+    "solve_relaxation", "transversal_cost",
 ]
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -22,17 +23,18 @@ from dataclasses import dataclass
 
 from .errors import (ConstructionFailed, GameValidationError,
                      InfeasibleParams, InvalidParams, KernelNonConvergent,
-                     KernelOverflow, MaxItersExceeded, TollkitError, TooLarge,
-                     UnsupportedBasis)
+                     KernelOverflow, TollkitError, TooLarge, UnsupportedBasis)
 from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
                    save_json)
-from .kernel import KernelConfig, bell_fractional, mu_factor, rho_factor
+from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, bell_fractional,
+                     mu_factor, rho_factor)
 # ``best_profile_approximation`` stays importable here: perfbench's tracer
 # wraps the learning entry points at the names ``cli`` holds.
 from .learning import best_profile_approximation, multiplicative_weights_run  # noqa: F401
-from .oracle import check_smoothness, empirical_poa
-from .relaxation import solve_relaxation
-from .taxes import audit_taxes, build_tax_profile
+# The tracer also wraps the design stages at these names, which ``design``
+# does not call through.
+from .oracle import DEFAULT_ENUMERATION_CAP, check_smoothness, empirical_poa  # noqa: F401
+from .pipeline import audit_taxes, build_tax_profile, design, solve_relaxation  # noqa: F401
 from . import forge, learning
 
 EXIT_OK = 0
@@ -136,82 +138,17 @@ def cmd_analyze_basis(args) -> int:
     return EXIT_OK
 
 
-def _instance_rho(instance: GameInstance, x_max: int, cfg: KernelConfig) -> float:
-    """Worst efficiency factor over the bases actually used."""
-    used = [j for j in range(instance.num_basis)
-            if any(c[j] > 0 for c in instance.coefficients)]
-    value = 1.0
-    for j in used:
-        report = rho_factor(instance.basis[j], x_max=x_max, cfg=cfg)
-        if report.infinite:
-            raise KernelNonConvergent("efficiency factor is unbounded", v=None)
-        value = max(value, report.value)
-    return value
-
-
 def cmd_design(args) -> int:
-    instance = GameInstance.load(args.instance)
-    cfg = _kernel_config(args)
-    bundle: dict = {"instance": args.instance, "stages": {}}
-    stages = bundle["stages"]
-
-    profile = None
-    try:
-        profile = solve_relaxation(instance, tol_gap=args.tol_gap,
-                                   max_iters=args.max_iters, cfg=cfg)
-        stages["relaxation"] = {"status": "ok", **profile.to_json()}
-    except MaxItersExceeded as exc:
-        profile = exc.profile
-        stages["relaxation"] = {"status": "max-iters", **profile.to_json()}
-    except KernelNonConvergent:
-        stages["relaxation"] = {"status": "infinite-rho"}
-
-    taxes = None
-    if profile is not None:
-        try:
-            taxes = build_tax_profile(instance, profile.loads, cfg)
-            stages["taxes"] = {"status": "ok", **taxes.to_json()}
-            audit = audit_taxes(instance, taxes, tol=args.audit_tol, cfg=cfg)
-            stages["audit"] = {"status": "ok", **audit.to_json()}
-        except KernelNonConvergent:
-            stages["taxes"] = {"status": "infinite-rho"}
-        except KernelOverflow as exc:
-            stages["taxes"] = {"status": "overflow", "detail": str(exc)}
-    else:
-        stages["taxes"] = {"status": "skipped"}
-        stages["audit"] = {"status": "skipped"}
-
-    rho = None
-    try:
-        rho = _instance_rho(instance, args.x_max, cfg)
-        stages["rho"] = {"status": "ok", "rho": rho}
-    except KernelNonConvergent:
-        stages["rho"] = {"status": "infinite-rho"}
-
-    if taxes is not None:
-        try:
-            poa = empirical_poa(instance, taxes, cap=args.enum_cap)
-            stages["poa"] = {"status": "ok", **poa.to_json()}
-        except TooLarge as exc:
-            stages["poa"] = {"status": "too-large", "detail": str(exc)}
-        if rho is not None:
-            try:
-                smooth = check_smoothness(instance, taxes, profile, rho,
-                                          cap=args.enum_cap)
-                stages["smoothness"] = {"status": "ok", **smooth.to_json()}
-            except TooLarge as exc:
-                stages["smoothness"] = {"status": "too-large", "detail": str(exc)}
-        else:
-            stages["smoothness"] = {"status": "skipped"}
-    else:
-        stages["poa"] = {"status": "skipped"}
-        stages["smoothness"] = {"status": "skipped"}
-
-    _emit(args, bundle, "design_bundle.json")
-    if args.out and taxes is not None:
-        taxes.save(os.path.join(args.out, "taxes.json"))
-    if args.out and profile is not None:
-        profile.save(os.path.join(args.out, "relaxation.json"))
+    report = design(GameInstance.load(args.instance), tol_gap=args.tol_gap,
+                    max_iters=args.max_iters, audit_tol=args.audit_tol,
+                    x_max=args.x_max, enum_cap=args.enum_cap,
+                    cfg=_kernel_config(args))
+    _emit(args, {"instance": args.instance, "stages": report.to_json()},
+          "design_bundle.json")
+    if args.out and report.taxes is not None:
+        report.taxes.save(os.path.join(args.out, "taxes.json"))
+    if args.out and report.relaxation is not None:
+        report.relaxation.save(os.path.join(args.out, "relaxation.json"))
     return EXIT_OK
 
 
@@ -336,8 +273,8 @@ def _add_basis_flags(parser) -> None:
 
 
 def _add_kernel_flags(parser) -> None:
-    parser.add_argument("--tol-tail", type=float, default=1e-14)
-    parser.add_argument("--i-max", type=int, default=10_000)
+    parser.add_argument("--tol-tail", type=float, default=DEFAULT_KERNEL_CONFIG.tol_tail)
+    parser.add_argument("--i-max", type=int, default=DEFAULT_KERNEL_CONFIG.i_max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,14 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="solve relaxation, build and audit taxes")
     p.add_argument("instance")
     _add_kernel_flags(p)
-    p.add_argument("--tol-gap", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--audit-tol", type=float, default=1e-7)
-    p.add_argument("--x-max", type=int, default=1000)
-    p.add_argument("--enum-cap", type=int, default=10_000_000)
+    p.add_argument("--tol-gap", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--audit-tol", type=float)
+    p.add_argument("--x-max", type=int)
+    p.add_argument("--enum-cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(func=cmd_design, **{
+        name: param.default for name, param in inspect.signature(design).parameters.items()
+        if name not in ("instance", "cfg")})
 
     p = sub.add_parser("learn", help="multiplicative-weights runs over seeds")
     p.add_argument("instance")
@@ -378,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=str, default="0,1,2")
     p.add_argument("--seed", type=int, default=0,
                    help="offset added to every entry of --seeds")
-    p.add_argument("--enum-cap", type=int, default=10_000_000)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_learn)
 
@@ -430,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force equilibrium report")
     p.add_argument("instance")
     p.add_argument("--taxes", type=str, default=None)
-    p.add_argument("--enum-cap", type=int, default=10_000_000)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_oracle)

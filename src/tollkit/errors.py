@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class TollkitError(Exception):
     """Base class for all package-specific errors."""
@@ -83,3 +85,9 @@ class InvalidParams(TollkitError, ValueError):
 
 class InfeasibleParams(TollkitError, ValueError):
     """Parameters are structurally valid but cannot be satisfied."""
+
+
+def require_finite_nonnegative(name: str, value: float) -> None:
+    """Raise ``InvalidParams`` unless ``value`` is a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidParams(f"{name} must be finite and >= 0, got {value}")

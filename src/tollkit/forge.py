@@ -33,8 +33,8 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import ConstructionFailed, InfeasibleParams, InvalidParams
-from .game import (BasisFunction, GameInstance, load_json, save_json,
-                   seeded_rng)
+from .game import (BasisFunction, GameInstance, _scratch_array, load_json,
+                   save_json, seeded_rng)
 from .kernel import binomial_expectation
 
 P2_EXHAUSTIVE_LIMIT = 1_000_000
@@ -228,9 +228,19 @@ def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
                        rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Cost of transversal ``t``, which takes block ``picks[t, j]`` of row
     ``rows[t, j]`` for each ``j``. Each cost is a sum over the elements in
-    element order, as ``c_arr[counts].sum()`` of one transversal adds it."""
-    counts = membership[rows, picks, :].sum(axis=1)
-    return c_arr[counts].sum(axis=1)
+    element order, as ``c_arr[counts].sum()`` of one transversal adds it.
+    The gather, the counts and the terms go to this thread's reused
+    buffers: fresh ones per batch made the allocator hand pages back and
+    fault them in again, as often as the heap's history decided."""
+    (m, h), (_, blocks, n) = rows.shape, membership.shape
+    gathered = membership.reshape(-1, n).take(
+        rows * blocks + picks, axis=0, mode="clip",
+        out=_scratch_array("p2.gathered", (m, h, n), np.int8))
+    counts = gathered.sum(axis=1, dtype=np.intp,
+                          out=_scratch_array("p2.counts", (m, n), np.intp))
+    terms = c_arr.take(counts, mode="clip",
+                       out=_scratch_array("p2.terms", (m, n), float))
+    return terms.sum(axis=1)
 
 
 def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,

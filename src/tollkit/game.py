@@ -13,6 +13,7 @@ they can be evaluated from concurrent workers without coordination.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -435,6 +436,10 @@ def loads_of(instance: GameInstance, choices: Sequence[int]) -> list[int]:
 # then depended on the heap's history (the checkout path alone moved it).
 _scratch = threading.local()
 
+# Largest table, in entries, that ProfileBatch.enumerate slices its rows
+# from; a batch whose table would be larger divides instead.
+_ENUMERATION_TABLE_LIMIT = 1 << 16
+
 
 def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     """A C-contiguous ``shape`` view of this thread's buffer for ``role``;
@@ -572,6 +577,20 @@ class ProfileBatch:
         self.columns[:] = range(width)
         self._index = _scratch_array("index", (width,), np.intp)
         self.rows = _scratch_array("rows", (n, width), np.intp)
+        # Profile k chooses (k // stride_i) % radix_i. The first players,
+        # whose stride is at least the width, change choice at most once in
+        # a chunk. The others together repeat every ``period`` profiles, so
+        # their rows for any chunk are a slice of one table of rows.
+        strides = game._strides[:, 0].tolist()
+        slow = sum(stride >= width for stride in strides)
+        period = strides[slow - 1] if slow else math.prod(game.radices)
+        self._table = None
+        if (n - slow) * (period + width) <= _ENUMERATION_TABLE_LIMIT:
+            index = np.arange(period + width - 1)
+            self._table = (index // game._strides[slow:] % game._radix_col[slow:]
+                           + game._offset_col[slow:])
+            self._period = period
+            self._slow = list(zip(strides, game.radices, game.offsets.tolist()))[:slow]
         # The incidence gather of the rows; price_strategies turns it into
         # the others' loads in place.
         self._own = _scratch_array("own", (num_r, n, width), np.intp)
@@ -602,11 +621,22 @@ class ProfileBatch:
     def enumerate(self, start: int) -> None:
         """Rows of profiles ``start .. start + width - 1`` in
         ``itertools.product`` order."""
-        game = self.game
-        np.add(self.columns, start, out=self._index)
-        np.floor_divide(self._index, game._strides, out=self.rows)
-        np.remainder(self.rows, game._radix_col, out=self.rows)
-        self.rows += game._offset_col
+        if self._table is None:
+            game = self.game
+            np.add(self.columns, start, out=self._index)
+            np.floor_divide(self._index, game._strides, out=self.rows)
+            np.remainder(self.rows, game._radix_col, out=self.rows)
+            self.rows += game._offset_col
+            return
+        shift = start % self._period
+        np.copyto(self.rows[len(self._slow):],
+                  self._table[:, shift:shift + self.width])
+        for row, (stride, radix, offset) in zip(self.rows, self._slow):
+            choice = start // stride % radix
+            row.fill(offset + choice)
+            change = stride - start % stride
+            if change < self.width:
+                row[change:] = offset + (choice + 1) % radix
 
     def choose(self, choices: np.ndarray) -> None:
         """Rows of a ``(num_players, width)`` array of strategy indices."""
@@ -649,6 +679,13 @@ class ProfileBatch:
         return self._costs.take(game._unsort, axis=0, out=self.costs, mode="clip")
 
 
+@functools.lru_cache(maxsize=16)
+def _compiled(instance: GameInstance, taxes: Optional[TaxProfile]) -> CompiledGame:
+    """The cost helpers' compiled games, kept for the games they priced
+    last: a caller pricing many profiles of one game compiles it once."""
+    return CompiledGame(instance, taxes)
+
+
 def social_cost(instance: GameInstance, allocation: Allocation) -> float:
     """System cost ``sum_r load_r * ell_r(load_r)``.
 
@@ -656,7 +693,7 @@ def social_cost(instance: GameInstance, allocation: Allocation) -> float:
     system actually pays.
     """
     instance.validate_allocation(allocation)
-    return CompiledGame(instance).price(allocation.choices)[0]
+    return _compiled(instance, None).price(allocation.choices)[0]
 
 
 def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
@@ -664,7 +701,7 @@ def player_cost(instance: GameInstance, taxes: Optional[TaxProfile],
     """Perceived cost of ``player``: selected resources' cost plus tax."""
     if player < 0 or player >= instance.num_players:
         raise GameValidationError(f"player index {player} out of range")
-    game = CompiledGame(instance, taxes)
+    game = _compiled(instance, taxes)
     instance.validate_allocation(allocation)
     _, costs = game.price(allocation.choices)
     return costs[player][allocation.choices[player]]
@@ -678,7 +715,7 @@ def rosenthal_potential(instance: GameInstance, taxes: Optional[TaxProfile],
     perceived-cost change, which is what makes best-response dynamics
     terminate.
     """
-    tables = CompiledGame(instance, taxes).perceived.tolist()
+    tables = _compiled(instance, taxes).perceived.tolist()
     total = 0.0
     for r, x in enumerate(instance.loads(allocation)):
         for u in range(1, x + 1):

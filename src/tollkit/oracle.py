@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import GameValidationError, TooLarge
+from .errors import GameValidationError, TooLarge, require_finite_nonnegative
 from .game import Allocation, CompiledGame, GameInstance, ProfileBatch, TaxProfile
 from .relaxation import FractionalProfile, check_feasible
 
@@ -73,17 +73,28 @@ def _allocation(batch: ProfileBatch, column: int) -> Allocation:
     return Allocation(tuple((batch.rows[:, column] - batch.game.offsets).tolist()))
 
 
+@dataclass
+class _Least:
+    """The least value offered so far and the first profile, in sweep
+    order, that has it: ``argmin`` takes a chunk's first minimum, and a
+    later chunk must be strictly lower."""
+
+    value: float = math.inf
+    witness: Optional[Allocation] = None
+
+    def offer(self, batch: ProfileBatch, values: np.ndarray) -> None:
+        j = int(values.argmin())
+        if values[j] < self.value:
+            self.value = float(values[j])
+            self.witness = _allocation(batch, j)
+
+
 def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
-    min_witness = None
-    best_cost = math.inf
+    least = _Least()
     for batch in _profile_chunks(game, size):
         batch.price_loads()
-        costs = batch.price_social()
-        j = int(costs.argmin())
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            min_witness = _allocation(batch, j)
-    return min_witness, best_cost
+        least.offer(batch, batch.price_social())
+    return least.witness, least.value
 
 
 def brute_force_min_sc(instance: GameInstance,
@@ -181,37 +192,7 @@ def empirical_poa(instance: GameInstance, taxes: Optional[TaxProfile] = None,
     first profile in lexicographic choice order that attains the value.
     """
     size = _enumeration_size(instance, cap)
-    game = CompiledGame(instance, taxes)
-    min_witness = None
-    best_cost = math.inf
-    worst_ne = None
-    worst_ne_cost = -math.inf
-    num_ne = 0
-    for batch in _profile_chunks(game, size):
-        batch.price_loads()
-        costs = batch.price_social()
-        j = int(costs.argmin())
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            min_witness = _allocation(batch, j)
-        nash = _nash(batch, batch.price_strategies())
-        count = int(np.count_nonzero(nash))
-        if count:
-            num_ne += count
-            ne_costs = batch.scratch("poa.ne_costs", 1)[0]
-            ne_costs.fill(-math.inf)
-            np.copyto(ne_costs, costs, where=nash)
-            j = int(ne_costs.argmax())
-            if costs[j] > worst_ne_cost:
-                worst_ne_cost = float(costs[j])
-                worst_ne = _allocation(batch, j)
-    if worst_ne is None:
-        raise GameValidationError("no pure equilibrium found; instance invalid")
-    return PoaReport(
-        min_cost=best_cost, min_witness=min_witness,
-        worst_ne_cost=worst_ne_cost, worst_ne_witness=worst_ne,
-        poa=worst_ne_cost / best_cost, num_pure_ne=num_ne,
-        enumerated_profiles=size)
+    return _sweep(CompiledGame(instance, taxes), size)[0]
 
 
 @dataclass(frozen=True)
@@ -281,6 +262,56 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile
     return lhs
 
 
+def _sweep(game: CompiledGame, size: int, lhs=None, bound: float = 0.0,
+           tol: float = 0.0) -> tuple[PoaReport, Optional[SmoothnessResult]]:
+    """One pass over every profile for the price of anarchy and, given
+    ``lhs`` (a ``certificate_lhs``), the smoothness certificate, whose
+    margin ``lhs(a) - (SC(a) - bound)`` must stay above
+    ``-tol * max(1, SC(a))``. Both read one ``price_strategies`` a chunk."""
+    least, worst_ne, worst_margin = _Least(), _Least(), _Least()
+    num_ne = 0
+    passed = True
+    for batch in _profile_chunks(game, size):
+        batch.price_loads()
+        costs = batch.price_social()
+        least.offer(batch, costs)
+        strategies = batch.price_strategies()
+        nash = _nash(batch, strategies)
+        count = int(np.count_nonzero(nash))
+        if count:
+            num_ne += count
+            # The worst equilibrium has the least negated cost.
+            negated = batch.scratch("poa.ne_costs", 1)[0]
+            negated.fill(math.inf)
+            np.negative(costs, out=negated, where=nash)
+            worst_ne.offer(batch, negated)
+        if lhs is not None:
+            margin = lhs(batch, strategies)
+            excess = batch.scratch("smooth.excess", 1)[0]
+            np.subtract(costs, bound, out=excess)
+            margin -= excess
+            worst_margin.offer(batch, margin)
+            if passed:
+                # -tol * max(1, SC(a))
+                floor = batch.scratch("smooth.floor", 1)[0]
+                np.maximum(costs, 1.0, out=floor)
+                floor *= -tol
+                below = batch.scratch("smooth.below", 1, bool)[0]
+                passed = not np.less(margin, floor, out=below).any()
+    if worst_ne.witness is None:
+        raise GameValidationError("no pure equilibrium found; instance invalid")
+    poa = PoaReport(
+        min_cost=least.value, min_witness=least.witness,
+        worst_ne_cost=-worst_ne.value, worst_ne_witness=worst_ne.witness,
+        poa=-worst_ne.value / least.value, num_pure_ne=num_ne,
+        enumerated_profiles=size)
+    smoothness = None
+    if lhs is not None:
+        smoothness = SmoothnessResult(passed=passed, worst_margin=worst_margin.value,
+                                      witness=worst_margin.witness)
+    return poa, smoothness
+
+
 def check_smoothness(instance: GameInstance, taxes: TaxProfile,
                      profile: FractionalProfile, rho: float,
                      cap: int = DEFAULT_ENUMERATION_CAP,
@@ -290,37 +321,23 @@ def check_smoothness(instance: GameInstance, taxes: TaxProfile,
     The margin of a profile is the left side minus the right side of the
     certificate inequality; the check passes when every margin stays above
     ``-tol * max(1, SC(a))``. Returns the smallest margin and its witness,
-    the first such profile in lexicographic choice order. One compiled game
-    serves two sweeps: social costs alone for ``SC(a_opt)``, then margins.
+    the first such profile in lexicographic choice order.
     """
+    return poa_and_smoothness(instance, taxes, profile, rho, cap, tol)[1]
+
+
+def poa_and_smoothness(instance: GameInstance, taxes: TaxProfile,
+                       profile: FractionalProfile, rho: float,
+                       cap: int = DEFAULT_ENUMERATION_CAP, tol: float = 1e-7
+                       ) -> tuple[PoaReport, SmoothnessResult]:
+    """``empirical_poa`` and ``check_smoothness`` from one compiled game and
+    two sweeps: social costs alone for ``SC(a_opt)``, then equilibria and
+    margins from the same priced strategies."""
+    require_finite_nonnegative("rho", rho)
+    require_finite_nonnegative("smoothness tol", tol)
     size = _enumeration_size(instance, cap)
     check_feasible(instance, profile)
     game = CompiledGame(instance, taxes)
     lhs = certificate_lhs(game, profile)
-    _, min_cost = _min_social_cost(game, size)
-    bound = rho * min_cost
-
-    worst_margin = math.inf
-    witness = None
-    passed = True
-    for batch in _profile_chunks(game, size):
-        batch.price_loads()
-        costs = batch.price_social()
-        margin = lhs(batch, batch.price_strategies())
-        excess = batch.scratch("smooth.excess", 1)[0]
-        np.subtract(costs, bound, out=excess)
-        margin -= excess
-        j = int(margin.argmin())
-        if margin[j] < worst_margin:
-            worst_margin = float(margin[j])
-            witness = _allocation(batch, j)
-        if passed:
-            # -tol * max(1, SC(a))
-            floor = batch.scratch("smooth.floor", 1)[0]
-            np.maximum(costs, 1.0, out=floor)
-            floor *= -tol
-            below = batch.scratch("smooth.below", 1, bool)[0]
-            if np.less(margin, floor, out=below).any():
-                passed = False
-    return SmoothnessResult(passed=passed, worst_margin=worst_margin,
-                            witness=witness)
+    bound = rho * _min_social_cost(game, size)[1]
+    return _sweep(game, size, lhs, bound, tol)

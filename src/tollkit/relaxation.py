@@ -221,8 +221,8 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     removing the zigzag that keeps plain Frank-Wolfe at an O(1/t) gap on
     face-constrained optima.
     """
-    if tol_gap <= 0:
-        raise InvalidParams(f"tol_gap must be > 0, got {tol_gap}")
+    if not (math.isfinite(tol_gap) and tol_gap > 0):
+        raise InvalidParams(f"tol_gap must be finite and > 0, got {tol_gap}")
     if max_iters < 1:
         raise InvalidParams(f"max_iters must be >= 1, got {max_iters}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams, KernelOverflow
+from .errors import InvalidParams, KernelOverflow, require_finite_nonnegative
 from .game import BasisFunction, GameInstance, TaxProfile, check_tax_cover
 from .kernel import DEFAULT_KERNEL_CONFIG, KernelConfig, poisson_kernel
 
@@ -190,6 +190,7 @@ def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7,
     Only the kernel values ``P(v_r)`` are computed; the tables are read as
     handed in. Failures are reported in the audit record, never raised.
     """
+    require_finite_nonnegative("audit tol", tol)
     check_tax_cover(instance, taxes)
     n = taxes.n_cap
     ell_tables = instance.ell_tables(n)

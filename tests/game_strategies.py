@@ -15,6 +15,15 @@ def parallel_links(players, links):
                               [[[r] for r in range(links)]] * players)
 
 
+def table_twin(instance):
+    """The same game with every basis written as the table ``b(1..N)``."""
+    n = instance.num_players
+    basis = tuple(BasisFunction.table([b.b(x) for x in range(1, n + 1)])
+                  for b in instance.basis)
+    return GameInstance(basis=basis, coefficients=instance.coefficients,
+                        strategies=instance.strategies)
+
+
 def negated_taxes(instance, factor):
     """Taxes ``tau = -factor * ell`` on loads ``0..N``: every perceived cost
     is 0 at ``factor = 1`` and negative above it."""

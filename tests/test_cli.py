@@ -139,6 +139,29 @@ class TestDesign:
         code, _, _ = run_cli(capsys, "design", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--audit-tol", "--tol-gap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-7"])
+    def test_non_finite_or_negative_tolerance_exits_two(self, capsys, tmp_path,
+                                                         flag, value):
+        _, path = write_two_by_two(tmp_path)
+        code, out, err = run_cli(capsys, "design", str(path), f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+    def test_bad_audit_tolerance_exits_two_when_no_audit_runs(self, capsys, tmp_path):
+        # The relaxation stops on its kernel, so no stage reads the
+        # tolerance; the flag is still rejected.
+        b = BasisFunction.monomial(150)
+        inst = GameInstance.build([b], [[1.0], [1.0]], [[[0], [1]]] * 3)
+        path = tmp_path / "steep.json"
+        inst.save(path)
+        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
+        assert code == 0
+        assert json.loads(out)["stages"]["audit"]["status"] == "skipped"
+        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64",
+                               "--audit-tol", "nan")
+        assert code == 2 and out == ""
+
 
 class TestLearn:
     def test_smoke_single_round(self, capsys, tmp_path):

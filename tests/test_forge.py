@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,27 @@ class TestSweepAgainstReference:
         costs = forge._transversal_costs(membership, c_arr, rows, picks)
         assert costs.tolist() == reference.transversal_costs(
             membership, c_arr, zip(rows, picks))
+
+    def test_batches_reuse_their_buffers(self):
+        # A fresh gather, count and term array per batch made whether a
+        # check paid page faults depend on the heap's history.
+        n, beta, h = 120, 6, 3
+        membership = reference.membership_of(draw_blocks(n, beta, h, 2, 0),
+                                             n, beta, h)
+        c_arr = np.asarray(BasisFunction.monomial(1).cost_table(h), dtype=float)
+        rng = seeded_rng(0)
+        rows = np.argsort(rng.random((forge.P2_BATCH, beta)), axis=1)[:, :h]
+        picks = rng.integers(h, size=(forge.P2_BATCH, h))
+        want = forge._transversal_costs(membership, c_arr, rows, picks)
+        tracemalloc.start()
+        try:
+            costs = forge._transversal_costs(membership, c_arr, rows, picks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert costs.tolist() == want.tolist()
+        # One (P2_BATCH, n) array of counts would take 8 * P2_BATCH * n bytes.
+        assert peak < forge.P2_BATCH * n
 
     @settings(max_examples=150, deadline=None)
     @given(h=st.integers(1, 6), data=st.data())

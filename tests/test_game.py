@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from game_strategies import fractional_profiles, small_games
 from tollkit import (Allocation, BasisFunction, GameInstance,
                      GameValidationError, build_tax_profile, player_cost,
                      rosenthal_potential, social_cost)
+from tollkit import game as game_module
 from tollkit.game import CompiledGame, loads_of
 
 
@@ -232,6 +234,31 @@ class TestAgainstScalarReference:
         for i in range(inst.num_players):
             assert (player_cost(inst, taxes, a, i)
                     == reference.player_cost(inst, taxes, a, i))
+
+
+class TestCompileOnce:
+    def test_helpers_compile_each_game_once(self):
+        inst = GameInstance.build([BasisFunction.monomial(2)], [[1.0], [0.5]],
+                                  [[[0], [1]], [[0, 1], [1]], [[0]]])
+        taxes = build_tax_profile(inst, [1.5, 1.5])
+        compiled = []
+        init = CompiledGame.__init__
+
+        def counting(game, *args):
+            compiled.append(args)
+            init(game, *args)
+
+        game_module._compiled.cache_clear()
+        with mock.patch.object(CompiledGame, "__init__", counting):
+            for choices in itertools.product(range(2), range(2), range(1)):
+                a = Allocation(choices)
+                assert social_cost(inst, a) == reference.social_cost(inst, a)
+                for t in (None, taxes):
+                    assert (rosenthal_potential(inst, t, a)
+                            == reference.rosenthal_potential(inst, t, a))
+                    assert (player_cost(inst, t, a, 1)
+                            == reference.player_cost(inst, t, a, 1))
+        assert compiled == [(inst, None), (inst, taxes)]
 
 
 class TestJson:

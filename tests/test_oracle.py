@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import reference_oracle as reference
 from game_strategies import fractional_profiles, parallel_links, small_games
 from tollkit import (Allocation, BasisFunction, FractionalProfile,
-                     GameInstance, PoaReport, TooLarge, bell_fractional,
+                     GameInstance, InvalidParams, PoaReport, TooLarge, bell_fractional,
                      brute_force_min_sc, build_tax_profile, check_smoothness,
                      coarse_correlated_check, empirical_poa,
                      enumerate_pure_nash, learning, multiplicative_weights_run,
                      oracle, random_instance, solve_relaxation)
+from tollkit import game as game_module
 from tollkit.game import CompiledGame
 
 
@@ -217,6 +218,19 @@ class TestCheckSmoothness:
         result = check_smoothness(inst, taxes, prof, rho=0.1)
         assert not result.passed
 
+    @pytest.mark.parametrize("rho,tol", [
+        (math.nan, 1e-7), (math.inf, 1e-7), (-1.0, 1e-7),
+        (0.1, math.nan), (0.1, math.inf), (0.1, -1e-7),
+    ])
+    def test_rejects_non_finite_or_negative_rho_and_tol(self, rho, tol):
+        # The certificate fails at rho = 0.1; a NaN rho or tol passed it.
+        b = BasisFunction.monomial(1)
+        inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
+        prof = solve_relaxation(inst)
+        taxes = build_tax_profile(inst, prof.loads)
+        with pytest.raises(InvalidParams):
+            check_smoothness(inst, taxes, prof, rho, tol=tol)
+
 
 class TestAgainstScalarReference:
     """The sweeps equal the profile-by-profile loops exactly, at the
@@ -354,3 +368,50 @@ class TestReusedBuffers:
             other = pool.submit(game.batch, width).result()
         assert game.batch(width) is game.batch(width)
         assert not np.shares_memory(game.batch(width).rows, other.rows)
+
+
+def strategy_counts(radices):
+    """One player per entry of ``radices``, choosing one of that many
+    identical links."""
+    b = BasisFunction.monomial(1)
+    return GameInstance.build([b], [[1.0]] * max(radices),
+                              [[[r] for r in range(k)] for k in radices])
+
+
+class TestEnumerate:
+    """``ProfileBatch.enumerate`` slices and fills the rows that dividing
+    each profile index gives, at every chunk start, with its table and
+    without it."""
+
+    @pytest.mark.parametrize("table_limit", [1 << 16, -1])
+    @settings(max_examples=60, deadline=None)
+    @given(radices=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           width=st.sampled_from([1, 2, 3, 7, 64, 256]))
+    def test_rows_follow_product_order(self, table_limit, radices, width):
+        with mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", table_limit):
+            game = CompiledGame(strategy_counts(radices))
+            batch = game.batch(width)
+        profiles = list(itertools.product(*map(range, radices)))
+        for start in range(0, len(profiles) - width + 1, max(1, width // 2)):
+            batch.enumerate(start)
+            rows = (batch.rows - game.offsets[:, None]).T.tolist()
+            assert rows == [list(p) for p in profiles[start:start + width]]
+
+    def test_many_strategies_past_the_chunk(self):
+        radices = [2, 300, 3]
+        game = CompiledGame(strategy_counts(radices))
+        batch = game.batch(oracle.CHUNK_PROFILES)
+        profiles = list(itertools.product(*map(range, radices)))
+        for start in range(0, len(profiles) - batch.width + 1, 97):
+            batch.enumerate(start)
+            assert ((batch.rows - game.offsets[:, None]).T.tolist()
+                    == [list(p) for p in profiles[start:start + batch.width]])
+
+    def test_oracle_outputs_without_a_table(self):
+        inst = parallel_links(6, 3)
+        with mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", -1):
+            got = (brute_force_min_sc(inst), empirical_poa(inst).to_json(),
+                   enumerate_pure_nash(inst))
+        assert got == (reference.brute_force_min_sc(inst),
+                       reference.empirical_poa(inst).to_json(),
+                       reference.enumerate_pure_nash(inst))

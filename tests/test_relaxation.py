@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tollkit import (BasisFunction, FractionalProfile, GameInstance,
@@ -162,6 +164,11 @@ class TestSolveRelaxation:
             solve_relaxation(inst, tol_gap=0.0)
         with pytest.raises(InvalidParams):
             solve_relaxation(inst, max_iters=0)
+
+    @pytest.mark.parametrize("tol_gap", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_gap_tolerance(self, tol_gap):
+        with pytest.raises(InvalidParams):
+            solve_relaxation(two_by_two_symmetric(), tol_gap=tol_gap)
 
 
 class TestInvariants:

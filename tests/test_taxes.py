@@ -257,6 +257,19 @@ class TestAuditTaxes:
         else:
             assert audit.resources[0].max_split_error > audit.tol
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        # At such a tolerance a table with tau + 5 would pass the audit.
+        from tollkit import TaxProfile
+        inst, taxes = self.designed(BasisFunction.monomial(2))
+        first = list(taxes.tau[0])
+        first[1] += 5.0
+        broken = TaxProfile(v=taxes.v, tau=(tuple(first),) + taxes.tau[1:],
+                            ell_bar=taxes.ell_bar, n_cap=taxes.n_cap)
+        assert not audit_taxes(inst, broken).passed
+        with pytest.raises(InvalidParams):
+            audit_taxes(inst, broken, tol=tol)
+
     def test_designed_table_basis_passes(self):
         inst, taxes = self.designed(BasisFunction.table([1.0, 1.5, 2.5]))
         audit = audit_taxes(inst, taxes)
