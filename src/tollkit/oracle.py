@@ -262,8 +262,10 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile
     return lhs
 
 
-def _sweep(game: CompiledGame, size: int, lhs=None, bound: float = 0.0,
-           tol: float = 0.0) -> tuple[PoaReport, Optional[SmoothnessResult]]:
+def _sweep(game: CompiledGame, size: int,
+           lhs: Optional[Callable[[ProfileBatch, np.ndarray], np.ndarray]] = None,
+           bound: float = 0.0, tol: float = 0.0
+           ) -> tuple[PoaReport, Optional[SmoothnessResult]]:
     """One pass over every profile for the price of anarchy and, given
     ``lhs`` (a ``certificate_lhs``), the smoothness certificate, whose
     margin ``lhs(a) - (SC(a) - bound)`` must stay above
