@@ -18,11 +18,12 @@ from .taxes import (TaxAudit, audit_taxes, build_tax_profile, modified_cost,
                     modified_cost_table)
 from .relaxation import (FractionalProfile, duality_gap, fractional_loads,
                          gradient, relaxation_objective, solve_relaxation)
-from .oracle import (PoaReport, SmoothnessResult, brute_force_min_sc,
-                     check_smoothness, empirical_poa, enumerate_pure_nash)
-from .learning import (CoarseCorrelatedReport, RunTrace,
-                       best_profile_approximation, best_response_dynamics,
-                       coarse_correlated_check, multiplicative_weights_run)
+from .oracle import (CoarseCorrelatedReport, PoaReport, SmoothnessResult,
+                     brute_force_min_sc, check_smoothness,
+                     coarse_correlated_check, empirical_poa,
+                     enumerate_pure_nash)
+from .learning import (RunTrace, best_profile_approximation,
+                       best_response_dynamics, multiplicative_weights_run)
 from .forge import (LabelCoverInstance, PartitioningSystem,
                     build_partitioning_system, random_instance,
                     reduce_label_cover, transversal_cost)

@@ -48,7 +48,10 @@ class TooLarge(TollkitError):
     """Exhaustive enumeration would exceed the configured cap."""
 
     def __init__(self, size: int, cap: int):
-        super().__init__(f"enumeration of {size} profiles exceeds cap {cap}")
+        # Python prints no int of more than 4300 digits: past 10**18, three figures.
+        count = str(size) if size <= 10 ** 18 else (
+            f"{10 ** (math.log10(size) % 1):.2f}e+{int(math.log10(size))}")
+        super().__init__(f"enumeration of {count} profiles exceeds cap {cap}")
         self.size = size
         self.cap = cap
 

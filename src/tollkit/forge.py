@@ -33,8 +33,8 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import ConstructionFailed, InfeasibleParams, InvalidParams
-from .game import (BasisFunction, GameInstance, _scratch_array, load_json,
-                   save_json, seeded_rng)
+from .game import (BasisFunction, GameInstance, load_json, save_json,
+                   scratch_array, seeded_rng)
 from .kernel import binomial_expectation
 
 P2_EXHAUSTIVE_LIMIT = 1_000_000
@@ -235,11 +235,11 @@ def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
     (m, h), (_, blocks, n) = rows.shape, membership.shape
     gathered = membership.reshape(-1, n).take(
         rows * blocks + picks, axis=0, mode="clip",
-        out=_scratch_array("p2.gathered", (m, h, n), np.int8))
+        out=scratch_array("p2.gathered", (m, h, n), np.int8))
     counts = gathered.sum(axis=1, dtype=np.intp,
-                          out=_scratch_array("p2.counts", (m, n), np.intp))
+                          out=scratch_array("p2.counts", (m, n), np.intp))
     terms = c_arr.take(counts, mode="clip",
-                       out=_scratch_array("p2.terms", (m, n), float))
+                       out=scratch_array("p2.terms", (m, n), float))
     return terms.sum(axis=1)
 
 

@@ -132,7 +132,9 @@ class BasisFunction:
             raise GameValidationError(f"unknown basis kind {self.kind!r}")
 
     @property
-    def _tail_slope(self) -> float:
+    def tail_slope(self) -> float:
+        """A table's last first difference, with which ``b`` continues past
+        it (0 for a single entry)."""
         vals = self.values
         if len(vals) >= 2:
             return vals[-1] - vals[-2]
@@ -154,7 +156,7 @@ class BasisFunction:
         vals = self.values
         if x <= len(vals):
             return vals[x - 1]
-        return vals[-1] + (x - len(vals)) * self._tail_slope
+        return vals[-1] + (x - len(vals)) * self.tail_slope
 
     def c(self, x: int) -> float:
         """Per-resource total cost ``x * b(x)`` produced by ``x`` users."""
@@ -177,7 +179,7 @@ class BasisFunction:
         if t <= 1.0:
             return t * vals[0]
         if t >= len(vals):
-            return vals[-1] + (t - len(vals)) * self._tail_slope
+            return vals[-1] + (t - len(vals)) * self.tail_slope
         lo = int(math.floor(t))
         frac = t - lo
         return vals[lo - 1] + frac * (vals[lo] - vals[lo - 1])
@@ -441,7 +443,7 @@ _scratch = threading.local()
 _ENUMERATION_TABLE_LIMIT = 1 << 16
 
 
-def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
+def scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     """A C-contiguous ``shape`` view of this thread's buffer for ``role``;
     a role always has the same dtype."""
     size = math.prod(shape)
@@ -450,6 +452,16 @@ def _scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     if buffer is None or buffer.size < size:
         buffer = buffers[role] = np.empty(max(size, 1), dtype)
     return buffer[:size].reshape(shape)
+
+
+def ordered_sums(rows: Sequence[Sequence]) -> tuple[list[int], list[list]]:
+    """How to sum nonempty ragged ``rows`` position by position: the rows
+    longest first (a stable sort), so those with a p-th entry are a prefix,
+    and per position those entries in that order. Row ``j``'s sum is then
+    at ``np.argsort(order)[j]``."""
+    order = sorted(range(len(rows)), key=lambda j: -len(rows[j]))
+    return order, [[rows[j][p] for j in order if len(rows[j]) > p]
+                   for p in range(len(rows[order[0]]))]
 
 
 class CompiledGame:
@@ -479,13 +491,24 @@ class CompiledGame:
         num_r = instance.num_resources
         ell = np.array(instance.ell_tables(n), dtype=float)
         perceived = ell
-        if taxes is not None:
-            check_tax_cover(instance, taxes)
-            perceived = ell + np.array([t[:n + 1] for t in taxes.tau], dtype=float)
+        with np.errstate(over="ignore"):  # raised below as KernelOverflow
+            if taxes is not None:
+                check_tax_cover(instance, taxes)
+                perceived = ell + np.array([t[:n + 1] for t in taxes.tau], dtype=float)
+            system = np.arange(n + 1) * ell
+            # A social or strategy cost sums at most num_r table entries, and
+            # a certificate margin 2n + 1 such costs.
+            reach = (2 * n + 1) * num_r * np.maximum(np.abs(perceived), system).max()
+        if not reach < math.inf:
+            raise KernelOverflow("the costs of this game can sum past the double range")
+        # Exactly, a positive load costs more than 0: a 0 there underflowed,
+        # and only such a 0 can make a profile, or the optimum, cost 0.
+        if not system[:, 1:].min() > 0:
+            raise KernelOverflow("a cost of this game underflows to 0")
         # perceived[r][x] = ell_r(x) + tau_r(x) for loads 0..n.
         self.perceived = perceived
         resource = np.arange(num_r)[:, None]
-        self._system = (np.arange(n + 1) * ell).ravel()
+        self._system = system.ravel()
         self._system_at = resource * (n + 1)
         # A mover pays perceived[r][others + 1], others being the load
         # without them: 0..n-1.
@@ -508,26 +531,15 @@ class CompiledGame:
         members_t[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
         self._members_t = members_t.reshape(num_r, len(flat))
 
-        # Strategy costs are summed position by position: the p-th resource
-        # of every strategy that has one. Longest strategies first, so the
-        # strategies with a p-th resource are a prefix of that order. Each
-        # entry names the (resource, player) row, resource * n + player, of
-        # the others' loads that ProfileBatch.price_strategies builds.
-        order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
-        entries = []
-        self._blocks = []
-        for p in range(len(flat[order[0]])):
-            rows = [j for j in order if len(flat[j]) > p]
-            if p:
-                self._blocks.append((len(entries), len(rows)))
-            entries += [flat[j][p] * n + owner[j] for j in rows]
-        self._entries = np.array(entries)
-        self._unsort = None
-        if order != sorted(order):
-            unsort = [0] * len(order)
-            for position, j in enumerate(order):
-                unsort[j] = position
-            self._unsort = np.array(unsort)
+        # Strategy costs are summed position by position (ordered_sums).
+        # Each entry names the (resource, player) row, resource * n + player,
+        # of the others' loads that ProfileBatch.price_strategies builds.
+        order, positions = ordered_sums(flat)
+        starts = list(accumulate(map(len, positions), initial=0))
+        self._entries = np.array([r * n + owner[j] for resources in positions
+                                  for r, j in zip(resources, order)])
+        self._blocks = list(zip(starts[1:], map(len, positions[1:])))
+        self._unsort = None if order == sorted(order) else np.argsort(order)
         self._batches = {}
 
     def price(self, choices: Sequence[int]) -> tuple[float, list[list[float]]]:
@@ -560,11 +572,12 @@ class ProfileBatch:
     """``width`` profiles of one compiled game and their prices.
 
     Fill ``rows`` with ``enumerate`` or ``choose``, then call
-    ``price_loads`` before ``price_social`` and ``price_strategies``. Every
-    array here, results included, is a view of a per-thread buffer that
-    the next chunk overwrites and that all batches on the thread share: use
-    one batch at a time and copy what must outlive a chunk. Pricing a chunk
-    allocates no array that grows with ``width``.
+    ``price_loads`` before ``price_social`` and ``price_strategies``, and
+    that before ``price_played``. Every array here, results included, is a
+    view of a per-thread buffer that the next chunk overwrites and that all
+    batches on the thread share: use one batch at a time and copy what must
+    outlive a chunk. Pricing a chunk allocates no array that grows with
+    ``width``.
     """
 
     def __init__(self, game: CompiledGame, width: int):
@@ -573,10 +586,10 @@ class ProfileBatch:
         self.game = game
         self.width = width
         self._views = {}
-        self.columns = _scratch_array("columns", (width,), np.intp)
+        self.columns = scratch_array("columns", (width,), np.intp)
         self.columns[:] = range(width)
-        self._index = _scratch_array("index", (width,), np.intp)
-        self.rows = _scratch_array("rows", (n, width), np.intp)
+        self._index = scratch_array("index", (width,), np.intp)
+        self.rows = scratch_array("rows", (n, width), np.intp)
         # Profile k chooses (k // stride_i) % radix_i. The first players,
         # whose stride is at least the width, change choice at most once in
         # a chunk. The others together repeat every ``period`` profiles, so
@@ -593,29 +606,31 @@ class ProfileBatch:
             self._slow = list(zip(strides, game.radices, game.offsets.tolist()))[:slow]
         # The incidence gather of the rows; price_strategies turns it into
         # the others' loads in place.
-        self._own = _scratch_array("own", (num_r, n, width), np.intp)
+        self._own = scratch_array("own", (num_r, n, width), np.intp)
         self._others = self._own.reshape(num_r * n, width)
-        self.loads = _scratch_array("loads", (num_r, width), np.intp)
-        self._at = _scratch_array("at", (num_r, width), np.intp)
-        self._system = _scratch_array("system", (num_r, width), float)
+        self.loads = scratch_array("loads", (num_r, width), np.intp)
+        self._at = scratch_array("at", (num_r, width), np.intp)
+        self._system = scratch_array("system", (num_r, width), float)
         self._system_terms = list(self._system)
-        self.social = _scratch_array("social", (width,), float)
-        self._picked = _scratch_array("picked", (len(game._entries), width), np.intp)
-        terms = _scratch_array("terms", (len(game._entries), width), float)
+        self.social = scratch_array("social", (width,), float)
+        self._picked = scratch_array("picked", (len(game._entries), width), np.intp)
+        terms = scratch_array("terms", (len(game._entries), width), float)
         self._terms = terms
         self._costs = terms[:num_s]
         self._blocks = [(self._costs[:count], terms[start:start + count])
                         for start, count in game._blocks]
         self.costs = self._costs
         if game._unsort is not None:
-            self.costs = _scratch_array("costs", (num_s, width), float)
+            self.costs = scratch_array("costs", (num_s, width), float)
+        self._played_at = scratch_array("played.at", (n, width), np.intp)
+        self.played = scratch_array("played", (n, width), float)
 
     def scratch(self, role: str, rows: int, dtype=float) -> np.ndarray:
         """A ``(rows, width)`` array for a caller's temporaries under
         ``role``, the same one on every call with this batch."""
         view = self._views.get(role)
         if view is None:
-            view = self._views[role] = _scratch_array(role, (rows, self.width), dtype)
+            view = self._views[role] = scratch_array(role, (rows, self.width), dtype)
         return view
 
     def enumerate(self, start: int) -> None:
@@ -677,6 +692,13 @@ class ProfileBatch:
         if game._unsort is None:
             return self.costs
         return self._costs.take(game._unsort, axis=0, out=self.costs, mode="clip")
+
+    def price_played(self) -> np.ndarray:
+        """``(num_players, width)`` perceived cost of the strategy each
+        player plays: its row of ``price_strategies``, which comes first."""
+        np.multiply(self.rows, self.width, out=self._played_at)
+        self._played_at += self.columns
+        return self.costs.take(self._played_at, out=self.played, mode="clip")
 
 
 @functools.lru_cache(maxsize=16)

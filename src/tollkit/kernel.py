@@ -55,6 +55,9 @@ class KernelConfig:
 
 DEFAULT_KERNEL_CONFIG = KernelConfig()
 
+RHO_STALL = 50  # loads in a row without a new maximum that end rho_factor's scan
+MU_GRID = (1e-3, 1e3, 2048)  # mu_factor's first log-spaced grid: low, high, points
+
 
 def _poisson_series(coef: Callable[[int], float], v: float,
                     cfg: KernelConfig) -> float:
@@ -269,7 +272,7 @@ def kernel_evaluators(basis: BasisFunction,
         # c(x) = (L + u) * (b_L + s*u) and c(x+1) - c(x) = b_L + s*(L+1+2u).
         L = len(basis.values)
         b_last = basis.values[-1]
-        s = basis._tail_slope
+        s = basis.tail_slope
         return (_table_evaluator(tuple(c(x) for x in range(L)),
                                  s, b_last + s * L, L * b_last),
                 _table_evaluator(tuple(delta_c(x) for x in range(L)),
@@ -344,11 +347,10 @@ class RhoReport:
 
 
 def rho_factor(basis: BasisFunction, x_max: int = 1000,
-               cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
-               stall: int = 50) -> RhoReport:
+               cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> RhoReport:
     """Scan ``sup_x p(x) / (x * b(x))`` over integer loads ``1..x_max``.
 
-    The scan stops early once ``stall`` consecutive loads fail to improve
+    The scan stops early once ``RHO_STALL`` consecutive loads fail to improve
     the maximum; for semi-convex generators the ratio stabilises, so the
     finite scan is a faithful stand-in for the supremum at desk scale. A
     non-convergent kernel at any load is reported as an infinite factor,
@@ -375,13 +377,11 @@ def rho_factor(basis: BasisFunction, x_max: int = 1000,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= stall:
+            if since_best >= RHO_STALL:
                 break
-    if infinite:
-        return RhoReport(value=math.inf, argmax=None, x_max=x_max,
-                         samples=tuple(samples), infinite=True)
-    return RhoReport(value=best, argmax=argmax, x_max=x_max,
-                     samples=tuple(samples), infinite=False)
+    return RhoReport(value=math.inf if infinite else best,
+                     argmax=None if infinite else argmax, x_max=x_max,
+                     samples=tuple(samples), infinite=infinite)
 
 
 def bell_fractional(degree: float) -> float:
@@ -419,13 +419,12 @@ def _log_cost_ratios(basis: BasisFunction, x: float) -> np.ndarray:
                   np.concatenate(([0.0], vals)))
     tail = t > len(vals)
     if np.any(tail):
-        b[tail] = vals[-1] + (t[tail] - len(vals)) * basis._tail_slope
+        b[tail] = vals[-1] + (t[tail] - len(vals)) * basis.tail_slope
     return _POI1_LOG_COUNTS + np.log(b / b[0])
 
 
 def mu_factor(basis: BasisFunction, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
-              monomial_like: bool = False, grid_low: float = 1e-3,
-              grid_high: float = 1e3, grid_points: int = 2048) -> float:
+              monomial_like: bool = False) -> float:
     """Rounding factor ``mu = sup_{x>0} E_{P~Poi(1)}[(xP) b(xP)] / (x b(x))``.
 
     Needs ``b`` at non-integer arguments, so plain table bases are rejected;
@@ -447,7 +446,7 @@ def mu_factor(basis: BasisFunction, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
         log_ratio = top + math.log(float(np.sum(np.exp(terms - top))))
         return math.exp(log_ratio) if log_ratio < _LOG_DOUBLE_MAX else math.inf
 
-    low, high = grid_low, grid_high
+    low, high, grid_points = MU_GRID
     best_x, best = None, -math.inf
     while True:
         grid = np.geomspace(low, high, grid_points)

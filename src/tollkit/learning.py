@@ -7,7 +7,8 @@ against the realised play of the others (full-information feedback), and
 exponentiate. The trace keeps everything needed to compute external regret
 afterwards, the cheapest profile encountered, and the empirical distribution
 over visited profiles, which approximates a coarse correlated equilibrium
-as regret decays.
+as regret decays; ``oracle.coarse_correlated_check`` checks the smoothness
+certificate in expectation over it.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 seed, so identical inputs reproduce traces bit-exactly within one build.
@@ -27,9 +28,8 @@ import numpy as np
 
 from .errors import InvalidParams, NotConverged, TooLarge
 from .game import Allocation, CompiledGame, GameInstance, TaxProfile, seeded_rng
-from .oracle import (CHUNK_PROFILES, IMPROVEMENT_THRESHOLD, _enumeration_size,
-                     _min_social_cost, brute_force_min_sc, certificate_lhs)
-from .relaxation import FractionalProfile, check_feasible
+from .oracle import (DEFAULT_ENUMERATION_CAP, IMPROVEMENT_THRESHOLD,
+                     brute_force_min_sc)
 
 
 def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] = None,
@@ -302,8 +302,8 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
 
 
 def best_profile_approximation(instance: GameInstance, taxes: Optional[TaxProfile],
-                               trace: RunTrace,
-                               cap: int = 10_000_000) -> tuple[Allocation, Optional[float]]:
+                               trace: RunTrace, cap: int = DEFAULT_ENUMERATION_CAP
+                               ) -> tuple[Allocation, Optional[float]]:
     """Cheapest visited profile and its ratio to the exact minimum.
 
     The ratio is omitted (None) when the instance is too large to
@@ -317,82 +317,3 @@ def best_profile_approximation(instance: GameInstance, taxes: Optional[TaxProfil
     except TooLarge:
         return best, None
     return best, trace.best_sc / min_cost
-
-
-@dataclass(frozen=True)
-class CoarseCorrelatedReport:
-    """Expectation form of the smoothness certificate on an empirical
-    distribution of play."""
-
-    passed: bool
-    slack: float
-    expected_sc: float
-    expected_lhs: float
-    rho_bound: float
-    min_sc: float
-    eps_regret: float
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "slack": self.slack,
-                "expected_sc": self.expected_sc, "expected_lhs": self.expected_lhs,
-                "rho_bound": self.rho_bound, "min_sc": self.min_sc,
-                "eps_regret": self.eps_regret}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoarseCorrelatedReport":
-        return cls(passed=bool(data["passed"]), slack=float(data["slack"]),
-                   expected_sc=float(data["expected_sc"]),
-                   expected_lhs=float(data["expected_lhs"]),
-                   rho_bound=float(data["rho_bound"]),
-                   min_sc=float(data["min_sc"]),
-                   eps_regret=float(data["eps_regret"]))
-
-
-def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
-                            profile: FractionalProfile, rho: float,
-                            trace: RunTrace, slack_factor: float = 0.05,
-                            cap: int = 10_000_000) -> CoarseCorrelatedReport:
-    """Plug the empirical distribution of a run into the certificate.
-
-    Averages both sides of the smoothness inequality over the visited
-    profiles: the check passes when
-
-        E[lhs] >= E[SC] - rho * SC(a_opt) - slack_factor * SC(a_opt).
-
-    ``eps_regret`` reports the summed positive average regrets, which upper
-    bound ``E[lhs]`` for the trace's own distribution; as regret decays the
-    certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
-    vanishing term.
-    """
-    check_feasible(instance, profile)
-    game = CompiledGame(instance, taxes)
-    lhs = certificate_lhs(game, profile)
-    _, min_cost = _min_social_cost(game, _enumeration_size(instance, cap))
-
-    distribution = trace.empirical_distribution
-    visited = np.array(list(distribution), dtype=np.intp).reshape(
-        -1, instance.num_players).T
-    expected_sc = 0.0
-    expected_lhs = 0.0
-    weights = list(distribution.values())
-    batch = None
-    for start in range(0, len(weights), CHUNK_PROFILES):
-        stop = start + CHUNK_PROFILES
-        choices = visited[:, start:stop]
-        if batch is None or batch.width != choices.shape[1]:
-            batch = game.batch(choices.shape[1])
-        batch.choose(choices)
-        batch.price_loads()
-        costs = batch.price_social().tolist()
-        sides = lhs(batch, batch.price_strategies()).tolist()
-        for weight, sc, side in zip(weights[start:stop], costs, sides):
-            expected_sc += weight * sc
-            expected_lhs += weight * side
-
-    rho_bound = rho * min_cost
-    slack = expected_lhs - (expected_sc - rho_bound)
-    eps_regret = sum(max(0.0, r) for r in trace.average_regrets)
-    return CoarseCorrelatedReport(
-        passed=slack >= -slack_factor * min_cost, slack=slack,
-        expected_sc=expected_sc, expected_lhs=expected_lhs,
-        rho_bound=rho_bound, min_sc=min_cost, eps_regret=eps_regret)

@@ -11,29 +11,35 @@ solution, and an efficiency factor ``rho``:
 where ``Cbar`` is the perceived cost under the taxes. When the certificate
 holds, every pure Nash equilibrium (where the left side is non-positive)
 costs at most ``rho`` times the optimum, and the same bound extends in
-expectation to any distribution over profiles.
+expectation to any distribution over profiles: ``coarse_correlated_check``
+checks it over the play of a learning run.
 
 Every pass is one numpy sweep over a ``CompiledGame``. Profiles are
 numbered in ``itertools.product`` order (the last player's choice varies
-fastest) and priced ``CHUNK_PROFILES`` at a time, so memory is a chunk
-times a size of the game, never the number of profiles. Each chunk is
-reduced with first-occurrence ``argmin``/``argmax`` and chunks are compared
-strictly, so witnesses are the lexicographically first ones, and every sum
-adds its terms in the scalar order, so every value is bit-identical to a
-profile-by-profile loop.
+fastest), or given as an array of choices, and priced ``CHUNK_PROFILES``
+at a time, so memory is a chunk times a size of the game, never the number
+of profiles. Each chunk is reduced with first-occurrence
+``argmin``/``argmax`` and chunks are compared strictly, so witnesses are
+the lexicographically first ones, and every sum adds its terms in the
+scalar order, so every value is bit-identical to a profile-by-profile loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import GameValidationError, TooLarge, require_finite_nonnegative
-from .game import Allocation, CompiledGame, GameInstance, ProfileBatch, TaxProfile
+from .errors import (GameValidationError, KernelOverflow, TooLarge,
+                     require_finite_nonnegative)
+from .game import (Allocation, CompiledGame, GameInstance, ProfileBatch,
+                   TaxProfile, ordered_sums)
 from .relaxation import FractionalProfile, check_feasible
+
+if TYPE_CHECKING:
+    from .learning import RunTrace
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -46,31 +52,36 @@ IMPROVEMENT_THRESHOLD = 1e-12
 # whole sweep.
 CHUNK_PROFILES = 256
 
+# A certificate's left side on a batch, from its strategy and played costs.
+_Lhs = Callable[[ProfileBatch, np.ndarray, np.ndarray], np.ndarray]
+
 
 def _enumeration_size(instance: GameInstance, cap: int) -> int:
-    size = 1
-    for i in range(instance.num_players):
-        size *= instance.num_strategies(i)
-        if size > cap:
-            raise TooLarge(size, cap)
+    size = math.prod(map(len, instance.strategies))
+    if size > cap:
+        raise TooLarge(size, cap)
     return size
 
 
-def _profile_chunks(game: CompiledGame, size: int) -> Iterator[ProfileBatch]:
-    """Profiles ``0..size-1`` in ``itertools.product`` order,
-    ``CHUNK_PROFILES`` at a time. Every chunk but a shorter last one comes
-    in the same batch, refilled: price it before taking the next."""
+def _profile_chunks(game: CompiledGame, profiles: Union[int, np.ndarray]
+                    ) -> Iterator[ProfileBatch]:
+    """Profiles ``0..profiles-1`` in ``itertools.product`` order, or the
+    columns of a ``(num_players, m)`` array of choices, ``CHUNK_PROFILES``
+    at a time with their loads priced. Every chunk but a shorter last one
+    comes in the same batch, refilled: price it before taking the next."""
+    chosen = isinstance(profiles, np.ndarray)
+    size = profiles.shape[1] if chosen else profiles
     batch = None
     for start in range(0, size, CHUNK_PROFILES):
         width = min(CHUNK_PROFILES, size - start)
         if batch is None or batch.width != width:
             batch = game.batch(width)
-        batch.enumerate(start)
+        if chosen:
+            batch.choose(profiles[:, start:start + width])
+        else:
+            batch.enumerate(start)
+        batch.price_loads()
         yield batch
-
-
-def _allocation(batch: ProfileBatch, column: int) -> Allocation:
-    return Allocation(tuple((batch.rows[:, column] - batch.game.offsets).tolist()))
 
 
 @dataclass
@@ -86,13 +97,13 @@ class _Least:
         j = int(values.argmin())
         if values[j] < self.value:
             self.value = float(values[j])
-            self.witness = _allocation(batch, j)
+            self.witness = Allocation(
+                tuple((batch.rows[:, j] - batch.game.offsets).tolist()))
 
 
 def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
     least = _Least()
     for batch in _profile_chunks(game, size):
-        batch.price_loads()
         least.offer(batch, batch.price_social())
     return least.witness, least.value
 
@@ -105,23 +116,20 @@ def brute_force_min_sc(instance: GameInstance,
     return _min_social_cost(CompiledGame(instance), size)
 
 
-def _nash(batch: ProfileBatch, costs: np.ndarray) -> np.ndarray:
+def _nash(batch: ProfileBatch, costs: np.ndarray, played: np.ndarray) -> np.ndarray:
     """``(width,)`` mask of the profiles where no strategy costs its player
-    less than the improvement threshold below their current cost. The
-    current strategy never lies below its own threshold, and NaN never
-    counts as improving."""
-    n, width = batch.rows.shape
+    less than the improvement threshold below their current cost, given
+    the batch's ``price_strategies`` and ``price_played``. The current
+    strategy never lies below its own threshold, and NaN never counts as
+    improving."""
+    n = len(played)
     strategies = len(costs)
-    at = batch.scratch("nash.at", n, np.intp)
-    np.multiply(batch.rows, width, out=at)
-    at += batch.columns
-    current = costs.take(at, out=batch.scratch("nash.current", n), mode="clip")
-    # current - IMPROVEMENT_THRESHOLD * max(1, |current|)
+    # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
     threshold = batch.scratch("nash.threshold", n)
-    np.abs(current, out=threshold)
+    np.abs(played, out=threshold)
     np.maximum(threshold, 1.0, out=threshold)
     threshold *= IMPROVEMENT_THRESHOLD
-    np.subtract(current, threshold, out=threshold)
+    np.subtract(played, threshold, out=threshold)
     bar = threshold.take(batch.game.owners, axis=0, mode="clip",
                          out=batch.scratch("nash.bar", strategies))
     improving = np.less(costs, bar, out=batch.scratch("nash.improving", strategies, bool))
@@ -140,8 +148,7 @@ def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = No
     game = CompiledGame(instance, taxes)
     out = []
     for batch in _profile_chunks(game, size):
-        batch.price_loads()
-        nash = _nash(batch, batch.price_strategies())
+        nash = _nash(batch, batch.price_strategies(), batch.price_played())
         choices = (batch.rows[:, nash] - game.offsets[:, None]).T.tolist()
         out.extend(Allocation(tuple(c)) for c in choices)
     return out
@@ -160,15 +167,8 @@ class PoaReport:
     enumerated_profiles: int
 
     def to_json(self) -> dict:
-        return {
-            "min_cost": self.min_cost,
-            "min_witness": list(self.min_witness.choices),
-            "worst_ne_cost": self.worst_ne_cost,
-            "worst_ne_witness": list(self.worst_ne_witness.choices),
-            "poa": self.poa,
-            "num_pure_ne": self.num_pure_ne,
-            "enumerated_profiles": self.enumerated_profiles,
-        }
+        return {**vars(self), "min_witness": list(self.min_witness.choices),
+                "worst_ne_witness": list(self.worst_ne_witness.choices)}
 
     @classmethod
     def from_json(cls, data: dict) -> "PoaReport":
@@ -202,8 +202,7 @@ class SmoothnessResult:
     witness: Allocation
 
     def to_json(self) -> dict:
-        return {"passed": self.passed, "worst_margin": self.worst_margin,
-                "witness": list(self.witness.choices)}
+        return {**vars(self), "witness": list(self.witness.choices)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SmoothnessResult":
@@ -212,10 +211,9 @@ class SmoothnessResult:
                    witness=Allocation.of(data["witness"]))
 
 
-def certificate_lhs(game: CompiledGame, profile: FractionalProfile
-                    ) -> Callable[[ProfileBatch, np.ndarray], np.ndarray]:
-    """The certificate's left side on a batch, given the batch and its
-    ``price_strategies``:
+def certificate_lhs(game: CompiledGame, profile: FractionalProfile) -> _Lhs:
+    """The certificate's left side on a batch, given the batch, its
+    ``price_strategies`` and its ``price_played``:
 
         lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(a'_{i,k}, a_{-i})].
 
@@ -225,60 +223,51 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile
     n = len(game.radices)
     supports = [[(int(game.offsets[i]) + a, w) for a, w in enumerate(row) if w]
                 for i, row in enumerate(profile.weights)]
-    # Players with the most support entries first, so the players with a
-    # q-th entry are a prefix of this order.
-    order = sorted(range(n), key=lambda i: -len(supports[i]))
-    steps = []
-    for q in range(len(supports[order[0]])):
-        players = [i for i in order if len(supports[i]) > q]
-        steps.append((len(players),
-                      np.array([supports[i][q][0] for i in players]),
-                      np.array([[supports[i][q][1]] for i in players])))
-    position = [order.index(i) for i in range(n)]
-    order = np.array(order)
+    order, positions = ordered_sums(supports)
+    steps = [(len(entries), np.array([alt for alt, _ in entries]),
+              np.array([[w] for _, w in entries])) for entries in positions]
+    # Player i's weighted sum is row position[i] of the sums in ``order``.
+    position = np.argsort(order)
 
-    def lhs(batch: ProfileBatch, costs: np.ndarray) -> np.ndarray:
-        at = batch.rows.take(order, axis=0, mode="clip",
-                             out=batch.scratch("lhs.at", n, np.intp))
-        at *= batch.width
-        at += batch.columns
-        net = costs.take(at, out=batch.scratch("lhs.net", n), mode="clip")
-        count, first, weight = steps[0]
+    def lhs(batch: ProfileBatch, costs: np.ndarray, played: np.ndarray) -> np.ndarray:
+        _, first, weight = steps[0]
         mixed = costs.take(first, axis=0, mode="clip",
-                           out=batch.scratch("lhs.mixed", n)[:count])
+                           out=batch.scratch("lhs.mixed", n))
         mixed *= weight
         product = batch.scratch("lhs.product", n)
         for count, alts, weight in steps[1:]:
             step = costs.take(alts, axis=0, out=product[:count], mode="clip")
             step *= weight
             mixed[:count] += step
-        net -= mixed
+        net = mixed.take(position, axis=0, out=batch.scratch("lhs.net", n),
+                         mode="clip")
+        np.subtract(played, net, out=net)
         total = batch.scratch("lhs.total", 1)[0]
-        np.copyto(total, net[position[0]])
-        for p in position[1:]:
-            total += net[p]
+        np.copyto(total, net[0])
+        for row in net[1:]:
+            total += row
         return total
 
     return lhs
 
 
-def _sweep(game: CompiledGame, size: int,
-           lhs: Optional[Callable[[ProfileBatch, np.ndarray], np.ndarray]] = None,
+def _sweep(game: CompiledGame, size: int, lhs: Optional[_Lhs] = None,
            bound: float = 0.0, tol: float = 0.0
            ) -> tuple[PoaReport, Optional[SmoothnessResult]]:
     """One pass over every profile for the price of anarchy and, given
     ``lhs`` (a ``certificate_lhs``), the smoothness certificate, whose
     margin ``lhs(a) - (SC(a) - bound)`` must stay above
-    ``-tol * max(1, SC(a))``. Both read one ``price_strategies`` a chunk."""
+    ``-tol * max(1, SC(a))``. Both read one ``price_strategies`` and
+    ``price_played`` a chunk."""
     least, worst_ne, worst_margin = _Least(), _Least(), _Least()
     num_ne = 0
     passed = True
     for batch in _profile_chunks(game, size):
-        batch.price_loads()
         costs = batch.price_social()
         least.offer(batch, costs)
         strategies = batch.price_strategies()
-        nash = _nash(batch, strategies)
+        played = batch.price_played()
+        nash = _nash(batch, strategies, played)
         count = int(np.count_nonzero(nash))
         if count:
             num_ne += count
@@ -288,7 +277,7 @@ def _sweep(game: CompiledGame, size: int,
             np.negative(costs, out=negated, where=nash)
             worst_ne.offer(batch, negated)
         if lhs is not None:
-            margin = lhs(batch, strategies)
+            margin = lhs(batch, strategies, played)
             excess = batch.scratch("smooth.excess", 1)[0]
             np.subtract(costs, bound, out=excess)
             margin -= excess
@@ -311,7 +300,20 @@ def _sweep(game: CompiledGame, size: int,
     if lhs is not None:
         smoothness = SmoothnessResult(passed=passed, worst_margin=worst_margin.value,
                                       witness=worst_margin.witness)
+    # Costs are finite (CompiledGame); their ratio and rho * SC(a_opt) need not be.
+    if not math.isfinite(poa.poa) or smoothness and not math.isfinite(smoothness.worst_margin):
+        raise KernelOverflow("the PoA or the smoothness margin leaves the double range")
     return poa, smoothness
+
+
+def _certificate_setup(instance: GameInstance, taxes: Optional[TaxProfile],
+                       profile: FractionalProfile, cap: int):
+    """Both certificate checks' start: the profile count, checked before
+    feasibility, the compiled game, its ``certificate_lhs`` and ``SC(a_opt)``."""
+    size = _enumeration_size(instance, cap)
+    check_feasible(instance, profile)
+    game = CompiledGame(instance, taxes)
+    return size, game, certificate_lhs(game, profile), _min_social_cost(game, size)[1]
 
 
 def check_smoothness(instance: GameInstance, taxes: TaxProfile,
@@ -337,9 +339,67 @@ def poa_and_smoothness(instance: GameInstance, taxes: TaxProfile,
     margins from the same priced strategies."""
     require_finite_nonnegative("rho", rho)
     require_finite_nonnegative("smoothness tol", tol)
-    size = _enumeration_size(instance, cap)
-    check_feasible(instance, profile)
-    game = CompiledGame(instance, taxes)
-    lhs = certificate_lhs(game, profile)
-    bound = rho * _min_social_cost(game, size)[1]
-    return _sweep(game, size, lhs, bound, tol)
+    size, game, lhs, min_cost = _certificate_setup(instance, taxes, profile, cap)
+    return _sweep(game, size, lhs, rho * min_cost, tol)
+
+
+@dataclass(frozen=True)
+class CoarseCorrelatedReport:
+    """Expectation form of the smoothness certificate on an empirical
+    distribution of play."""
+
+    passed: bool
+    slack: float
+    expected_sc: float
+    expected_lhs: float
+    rho_bound: float
+    min_sc: float
+    eps_regret: float
+
+    def to_json(self) -> dict:
+        return dict(vars(self))
+
+    @classmethod
+    def from_json(cls, data: dict) -> "CoarseCorrelatedReport":
+        # ``passed``, then floats.
+        return cls(bool(data["passed"]), *(float(data[f.name]) for f in fields(cls)[1:]))
+
+
+def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
+                            profile: FractionalProfile, rho: float,
+                            trace: RunTrace, slack_factor: float = 0.05,
+                            cap: int = DEFAULT_ENUMERATION_CAP) -> CoarseCorrelatedReport:
+    """Plug the empirical distribution of a run into the certificate.
+
+    Averages both sides of the smoothness inequality over the visited
+    profiles: the check passes when
+
+        E[lhs] >= E[SC] - rho * SC(a_opt) - slack_factor * SC(a_opt).
+
+    ``eps_regret`` reports the summed positive average regrets, which upper
+    bound ``E[lhs]`` for the trace's own distribution; as regret decays the
+    certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
+    vanishing term.
+    """
+    _, game, lhs, min_cost = _certificate_setup(instance, taxes, profile, cap)
+    distribution = trace.empirical_distribution
+    visited = np.array(list(distribution), dtype=np.intp).reshape(
+        -1, instance.num_players).T
+    weights = list(distribution.values())
+    expected_sc = expected_lhs = 0.0
+    start = 0
+    for batch in _profile_chunks(game, visited):
+        costs = batch.price_social().tolist()
+        sides = lhs(batch, batch.price_strategies(), batch.price_played()).tolist()
+        for weight, sc, side in zip(weights[start:start + batch.width], costs, sides):
+            expected_sc += weight * sc
+            expected_lhs += weight * side
+        start += batch.width
+
+    rho_bound = rho * min_cost
+    slack = expected_lhs - (expected_sc - rho_bound)
+    eps_regret = sum(max(0.0, r) for r in trace.average_regrets)
+    return CoarseCorrelatedReport(
+        passed=slack >= -slack_factor * min_cost, slack=slack,
+        expected_sc=expected_sc, expected_lhs=expected_lhs,
+        rho_bound=rho_bound, min_sc=min_cost, eps_regret=eps_regret)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GameValidationError, InvalidParams, MaxItersExceeded
+from .errors import (GameValidationError, InvalidParams, KernelOverflow,
+                     MaxItersExceeded)
 from .game import GameInstance, load_json, loads_of, save_json
 from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, kernel_evaluators,
                      poisson_kernel)
@@ -75,21 +76,20 @@ def fractional_loads(instance: GameInstance, weights) -> list[float]:
     return loads
 
 
-def check_feasible(instance: GameInstance, profile: FractionalProfile,
-                   tol: float = _FEASIBILITY_TOL) -> None:
+def check_feasible(instance: GameInstance, profile: FractionalProfile) -> None:
     """Raise unless weights are simplex points and loads match them."""
     if len(profile.weights) != instance.num_players:
         raise GameValidationError("profile does not match the player count")
     for i, w in enumerate(profile.weights):
         if len(w) != instance.num_strategies(i):
             raise GameValidationError(f"player {i}: wrong number of weights")
-        if any(x < -tol for x in w):
+        if any(x < -_FEASIBILITY_TOL for x in w):
             raise GameValidationError(f"player {i}: negative weight")
-        if abs(sum(w) - 1.0) > tol:
+        if abs(sum(w) - 1.0) > _FEASIBILITY_TOL:
             raise GameValidationError(f"player {i}: weights sum to {sum(w)}")
     recomputed = fractional_loads(instance, profile.weights)
     for r, (a, b) in enumerate(zip(recomputed, profile.loads)):
-        if abs(a - b) > tol * max(1.0, abs(a)):
+        if abs(a - b) > _FEASIBILITY_TOL * max(1.0, abs(a)):
             raise GameValidationError(
                 f"resource {r}: stored load {b} != recomputed {a}")
 
@@ -241,6 +241,8 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     for t in range(max_iters + 1):
         grad = _strategy_scores(instance, objective_fn.margins(loads))
         vertex, gap = _oracle_and_gap(weights, grad)
+        if not (math.isfinite(objective) and math.isfinite(gap)):
+            raise KernelOverflow(f"objective {objective} or gap {gap} is not finite")
         if gap <= tol_gap * max(1.0, abs(objective)):
             return snapshot(gap, t)
         if t == max_iters:

@@ -26,7 +26,7 @@ cross-check for well-conditioned arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParams, KernelOverflow, require_finite_nonnegative
 from .game import BasisFunction, GameInstance, TaxProfile, check_tax_cover
@@ -156,26 +156,15 @@ class TaxAudit:
     tol: float
 
     def to_json(self) -> dict:
-        return {
-            "resources": [
-                {"resource": a.resource, "max_residual": a.max_residual,
-                 "min_monotonicity_gap": a.min_monotonicity_gap,
-                 "min_tax": a.min_tax, "max_split_error": a.max_split_error}
-                for a in self.resources
-            ],
-            "passed": self.passed,
-            "tol": self.tol,
-        }
+        return {**vars(self), "resources": [dict(vars(a)) for a in self.resources]}
 
     @classmethod
     def from_json(cls, data: dict) -> "TaxAudit":
+        # An audit's ``resource`` index, then floats.
         return cls(
             resources=tuple(
-                ResourceAudit(resource=int(a["resource"]),
-                              max_residual=float(a["max_residual"]),
-                              min_monotonicity_gap=float(a["min_monotonicity_gap"]),
-                              min_tax=float(a["min_tax"]),
-                              max_split_error=float(a["max_split_error"]))
+                ResourceAudit(int(a["resource"]),
+                              *(float(a[f.name]) for f in fields(ResourceAudit)[1:]))
                 for a in data["resources"]),
             passed=bool(data["passed"]),
             tol=float(data["tol"]),

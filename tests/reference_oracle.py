@@ -4,8 +4,8 @@ The scalar game core below (``perceived_tables``, ``system_cost_tables``,
 ``system_cost``, ``deviation_moves``, ``move_cost``) and the scalar
 ``social_cost``, ``player_cost`` and ``rosenthal_potential`` are the code
 ``tollkit.game`` priced with before ``CompiledGame`` became its only
-pricing engine. The loops after them are the ones ``tollkit.oracle`` and
-``tollkit.learning.coarse_correlated_check`` ran before they became numpy
+pricing engine. The loops after them are the ones ``tollkit.oracle``
+(``coarse_correlated_check`` included) ran before they became numpy
 sweeps over a ``CompiledGame``. They walk ``itertools.product`` and price
 every profile with ``loads_of``/``system_cost``/``move_cost``, so they
 share no code with ``CompiledGame`` beyond ``GameInstance.ell_tables``.

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from game_strategies import negated_taxes
 from tollkit import (BasisFunction, GameInstance, best_profile_approximation,
@@ -481,6 +485,100 @@ class TestOracle:
         _, path = write_two_by_two(tmp_path)
         code, _, err = run_cli(capsys, "oracle", str(path), "--enum-cap", "1")
         assert code == 3
+
+    def test_too_large_reports_every_profile(self, capsys, tmp_path):
+        _, path = write_two_by_two(tmp_path)
+        code, _, err = run_cli(capsys, "oracle", str(path), "--enum-cap", "1")
+        assert code == 3
+        assert err == "numeric error: enumeration of 4 profiles exceeds cap 1\n"
+
+    def test_game_too_large_to_print_exits_three(self, capsys, tmp_path):
+        """2**15000 profiles: more digits than Python prints an int with."""
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(two_link_game(
+            [{"kind": "monomial", "degree": 1}], [[1.0], [1.0]], 15000)))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("numeric error: enumeration of 2.82e+4515 profiles "
+                       "exceeds cap 10000000\n")
+
+
+def two_link_game(basis, coefficients, players):
+    """Instance JSON: ``players`` players, each choosing resource 0 or 1."""
+    return {"basis": basis, "resources": [{"coeffs": c} for c in coefficients],
+            "players": [{"strategies": [[0], [1]]}] * players}
+
+
+def run_quietly(*argv):
+    """``main``'s exit code and standard output, without capsys, which a
+    hypothesis test cannot take."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+TABLE_1E_300 = {"kind": "table", "values": [1e-300]}
+
+# Coefficients and table values from subnormal to the top of the double range.
+doubles = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1.0, 1e300, 1e307, 1.7e308]),
+    st.floats(5e-324, 1.7e308))
+
+
+@st.composite
+def boundary_instances(draw):
+    """Instance JSON near the ends of the double range; some fail validation."""
+    basis = draw(st.lists(st.one_of(
+        st.builds(lambda d: {"kind": "monomial", "degree": d},
+                  st.one_of(st.integers(0, 700), st.floats(0, 700))),
+        st.builds(lambda v: {"kind": "table", "values": sorted(v)},
+                  st.lists(doubles, min_size=1, max_size=3))),
+        min_size=1, max_size=2))
+    resources = draw(st.integers(1, 3))
+    strategy = st.lists(st.integers(0, resources - 1), min_size=1, max_size=2,
+                        unique=True).map(sorted)
+    players = draw(st.lists(st.lists(strategy, min_size=1, max_size=2,
+                                     unique_by=tuple), min_size=1, max_size=3))
+    coefficients = draw(st.lists(st.lists(doubles, min_size=len(basis),
+                                          max_size=len(basis)),
+                                 min_size=resources, max_size=resources))
+    return {"basis": basis, "resources": [{"coeffs": c} for c in coefficients],
+            "players": [{"strategies": s} for s in players]}
+
+
+class TestNumericBoundary:
+    """Costs outside the double range exit 3 with one line, never with a
+    traceback or a report holding Infinity or NaN."""
+
+    @pytest.mark.parametrize("command,basis,coefficients,players", [
+        ("oracle", [{"kind": "monomial", "degree": 1}], [[1e308], [1e308]], 2),
+        ("oracle", [TABLE_1E_300], [[1e-320], [1.0]], 1),
+        ("design", [TABLE_1E_300], [[1e-320], [1.0]], 1),
+        ("design", [{"kind": "monomial", "degree": 2}], [[1e307], [1e-320]], 3),
+        ("oracle", [TABLE_1E_300, {"kind": "monomial", "degree": 300}],
+         [[1e-320, 1e307], [3.0, 1.0]], 3),
+    ], ids=["overflowing-costs", "zero-optimum-oracle", "zero-optimum-design",
+            "overflowing-system-table", "infinite-equilibrium-cost"])
+    def test_exits_three(self, capsys, tmp_path, command, basis, coefficients,
+                         players):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(two_link_game(basis, coefficients, players)))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=boundary_instances())
+    def test_oracle_and_design_stay_in_contract(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "boundary.json"
+        path.write_text(json.dumps(data))
+        for argv in (["oracle", str(path)],
+                     ["design", str(path), "--max-iters", "200"]):
+            code, out = run_quietly(*argv)
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert "Infinity" not in out and "NaN" not in out
 
 
 def _drop_tau(data):

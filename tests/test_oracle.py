@@ -254,8 +254,7 @@ class TestAgainstScalarReference:
                 reference.check_smoothness(inst, taxes, profile, rho).to_json(),
                 reference.coarse_correlated_check(inst, taxes, profile, rho,
                                                   trace).to_json())
-        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
-                mock.patch.object(learning, "CHUNK_PROFILES", chunk):
+        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk):
             got = (brute_force_min_sc(inst),
                    enumerate_pure_nash(inst, taxes),
                    empirical_poa(inst, taxes).to_json(),

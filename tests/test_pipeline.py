@@ -140,7 +140,7 @@ class TestAgainstComposedStages:
         stages = same_bundle(parallel_links(3, 2), enum_cap=1)
         assert stages["poa"] == stages["smoothness"] == {
             "status": "too-large",
-            "detail": "enumeration of 2 profiles exceeds cap 1"}
+            "detail": "enumeration of 8 profiles exceeds cap 1"}
         stages = same_bundle(steep(40.5, 2, 2), enum_cap=1, cfg=TINY_TERM_CAP)
         assert statuses(stages)[-3:] == [
             ("rho", "infinite-rho"), ("poa", "too-large"), ("smoothness", "skipped")]

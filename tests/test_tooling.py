@@ -1,10 +1,13 @@
 """The benchmark's tracer patches tollkit's layer boundaries from outside:
-installing and removing it must leave every patched name as it was."""
+installing and removing it must leave every patched name as it was. And no
+module of the package imports another's private names."""
 
+import ast
 import importlib.util
 import pathlib
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -27,3 +30,14 @@ def test_install_then_uninstall_restores_every_original():
         traced.uninstall()
     for owner, attr, original in originals:
         assert vars(owner)[attr] is original, attr
+
+
+def test_no_module_imports_private_names_of_another():
+    private = []
+    for path in sorted((ROOT / "src" / "tollkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                            f"import {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []
