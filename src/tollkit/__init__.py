@@ -11,9 +11,9 @@ from .errors import (ConstructionFailed, GameValidationError, InfeasibleParams,
                      UnsupportedBasis)
 from .game import (Allocation, BasisFunction, GameInstance, TaxProfile,
                    player_cost, rosenthal_potential, social_cost)
-from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, RhoReport,
-                     bell_fractional, binomial_expectation, mu_factor,
-                     poisson_kernel, poisson_kernel_derivative, rho_factor)
+from .kernel import (RhoReport, bell_fractional, binomial_expectation,
+                     mu_factor, poisson_kernel, poisson_kernel_derivative,
+                     rho_factor)
 from .taxes import (TaxAudit, audit_taxes, build_tax_profile, modified_cost,
                     modified_cost_table)
 from .relaxation import (FractionalProfile, duality_gap, fractional_loads,
@@ -31,9 +31,9 @@ from .pipeline import DesignReport, design
 
 __all__ = [
     "Allocation", "BasisFunction", "CoarseCorrelatedReport",
-    "ConstructionFailed", "DEFAULT_KERNEL_CONFIG", "DesignReport",
+    "ConstructionFailed", "DesignReport",
     "FractionalProfile", "GameInstance", "GameValidationError",
-    "InfeasibleParams", "InvalidParams", "KernelConfig", "KernelNonConvergent",
+    "InfeasibleParams", "InvalidParams", "KernelNonConvergent",
     "KernelOverflow", "LabelCoverInstance", "MaxItersExceeded", "NotConverged",
     "PartitioningSystem", "PoaReport", "RhoReport", "RunTrace",
     "SmoothnessResult", "TaxAudit", "TaxProfile", "TollkitError", "TooLarge",

@@ -26,8 +26,7 @@ from .errors import (ConstructionFailed, GameValidationError,
                      KernelOverflow, TollkitError, TooLarge, UnsupportedBasis)
 from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
                    save_json)
-from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, bell_fractional,
-                     mu_factor, rho_factor)
+from .kernel import bell_fractional, mu_factor, rho_factor
 # ``best_profile_approximation`` stays importable here: perfbench's tracer
 # wraps the learning entry points at the names ``cli`` holds.
 from .learning import best_profile_approximation, multiplicative_weights_run  # noqa: F401
@@ -89,10 +88,6 @@ def _parse_basis(args) -> BasisFunction:
     raise GameValidationError("a basis is required: --monomial D or --table v1,v2,...")
 
 
-def _kernel_config(args) -> KernelConfig:
-    return KernelConfig(tol_tail=args.tol_tail, i_max=args.i_max)
-
-
 def _emit(args, payload, name: str) -> None:
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -102,11 +97,10 @@ def _emit(args, payload, name: str) -> None:
 
 def cmd_analyze_basis(args) -> int:
     basis = _parse_basis(args)
-    cfg = _kernel_config(args)
-    report = rho_factor(basis, x_max=args.x_max, cfg=cfg)
+    report = rho_factor(basis, x_max=args.x_max)
     payload = {"basis": basis.to_json(), "rho_report": report.to_json()}
     try:
-        mu = mu_factor(basis, cfg=cfg, monomial_like=args.monomial_like)
+        mu = mu_factor(basis, monomial_like=args.monomial_like)
         if math.isfinite(mu):
             payload["mu"] = mu
         else:
@@ -141,8 +135,7 @@ def cmd_analyze_basis(args) -> int:
 def cmd_design(args) -> int:
     report = design(GameInstance.load(args.instance), tol_gap=args.tol_gap,
                     max_iters=args.max_iters, audit_tol=args.audit_tol,
-                    x_max=args.x_max, enum_cap=args.enum_cap,
-                    cfg=_kernel_config(args))
+                    x_max=args.x_max, enum_cap=args.enum_cap)
     _emit(args, {"instance": args.instance, "stages": report.to_json()},
           "design_bundle.json")
     if args.out and report.taxes is not None:
@@ -272,11 +265,6 @@ def _add_basis_flags(parser) -> None:
                         help="table basis, comma-separated values for x=1,2,...")
 
 
-def _add_kernel_flags(parser) -> None:
-    parser.add_argument("--tol-tail", type=float, default=DEFAULT_KERNEL_CONFIG.tol_tail)
-    parser.add_argument("--i-max", type=int, default=DEFAULT_KERNEL_CONFIG.i_max)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tollkit",
@@ -285,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-basis", help="efficiency factors of one basis")
     _add_basis_flags(p)
-    _add_kernel_flags(p)
     p.add_argument("--monomial-like", action="store_true",
                    help="evaluate a table basis at real arguments for mu")
     p.add_argument("--x-max", type=int, default=1000)
@@ -297,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="solve relaxation, build and audit taxes")
     p.add_argument("instance")
-    _add_kernel_flags(p)
     p.add_argument("--tol-gap", type=float)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--audit-tol", type=float)
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_design, **{
         name: param.default for name, param in inspect.signature(design).parameters.items()
-        if name not in ("instance", "cfg")})
+        if name != "instance"})
 
     p = sub.add_parser("learn", help="multiplicative-weights runs over seeds")
     p.add_argument("instance")

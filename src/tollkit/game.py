@@ -140,19 +140,17 @@ class BasisFunction:
             return vals[-1] - vals[-2]
         return 0.0
 
-    def _power(self, t: float) -> float:
-        try:
-            return t ** self.degree
-        except OverflowError:
-            raise KernelOverflow(
-                f"b({t}) = {t}**{self.degree} leaves the double range") from None
-
     def b(self, x: int) -> float:
         """Generator value at an integer load, with ``b(0) = 0``."""
         if x <= 0:
             return 0.0
         if self.kind == "monomial":
-            return self._power(float(x))
+            t = float(x)
+            try:
+                return t ** self.degree
+            except OverflowError:
+                raise KernelOverflow(
+                    f"b({t}) = {t}**{self.degree} leaves the double range") from None
         vals = self.values
         if x <= len(vals):
             return vals[x - 1]
@@ -163,26 +161,6 @@ class BasisFunction:
         if x <= 0:
             return 0.0
         return x * self.b(x)
-
-    def b_real(self, t: float) -> float:
-        """Evaluation at real arguments.
-
-        Monomials extend naturally; tables are interpolated linearly through
-        ``(0, 0)`` and the integer knots, then continue with the tail slope.
-        Used by scale-invariant factor computations that need off-grid loads.
-        """
-        if t <= 0.0:
-            return 0.0
-        if self.kind == "monomial":
-            return self._power(t)
-        vals = self.values
-        if t <= 1.0:
-            return t * vals[0]
-        if t >= len(vals):
-            return vals[-1] + (t - len(vals)) * self.tail_slope
-        lo = int(math.floor(t))
-        frac = t - lo
-        return vals[lo - 1] + frac * (vals[lo] - vals[lo - 1])
 
     def cost_table(self, n: int) -> list[float]:
         """``[c(0), c(1), ..., c(n)]``."""

@@ -12,7 +12,8 @@ the fractional Bell number ``exp(-1) * sum_i i**(d+1) / i!``.
 
 Integer-degree monomials (degree up to 120) and table bases have exact
 kernels; only non-integer degrees and higher integer degrees run the
-truncated series that ``KernelConfig`` controls (see ``kernel_evaluators``).
+truncated series, cut by ``SERIES_TOL`` and ``SERIES_TERMS`` (see
+``kernel_evaluators``).
 """
 
 from __future__ import annotations
@@ -31,42 +32,26 @@ from .game import BasisFunction
 _RENORM_LIMIT = 1e200
 _RENORM_FACTOR = 1e-200
 _LOG_RENORM = -math.log(_RENORM_FACTOR)
+# _LOG_RENORM with its low 21 bits cleared: k * _LOG_RENORM_HI is exact for
+# every rescale count k a series can reach.
+_LOG_RENORM_HI = math.ldexp(math.floor(math.ldexp(_LOG_RENORM, 23)), -23)
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Truncation control for the kernel series.
-
-    ``tol_tail`` is the relative size at which a decreasing tail is cut;
-    ``i_max`` caps the number of terms, and hitting it raises
-    ``KernelNonConvergent``. Only non-integer monomial degrees and integer
-    degrees above 120 use the series; the exact evaluators ignore both.
-    """
-
-    tol_tail: float = 1e-14
-    i_max: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.tol_tail < 1.0):
-            raise InvalidParams(f"tol_tail must be in (0, 1), got {self.tol_tail}")
-        if self.i_max < 64:
-            raise InvalidParams(f"i_max must be >= 64, got {self.i_max}")
-
-
-DEFAULT_KERNEL_CONFIG = KernelConfig()
-
+SERIES_TOL = 1e-14  # relative size at which the series' decreasing tail is cut
+SERIES_TERMS = 10_000  # terms the series may run past the Poisson peak i ~ v
 RHO_STALL = 50  # loads in a row without a new maximum that end rho_factor's scan
 MU_GRID = (1e-3, 1e3, 2048)  # mu_factor's first log-spaced grid: low, high, points
 
 
-def _poisson_series(coef: Callable[[int], float], v: float,
-                    cfg: KernelConfig) -> float:
+def _poisson_series(coef: Callable[[int], float], v: float) -> float:
     """``exp(-v) * sum_{i>=0} coef(i) * v^i / i!`` for non-negative ``coef``.
 
-    Truncates once the running term falls below ``tol_tail * (sum + 1)``
+    Truncates once the running term falls below ``SERIES_TOL * (sum + 1)``
     while the terms are decreasing and the Poisson weight peak (``i ~ v``)
-    is past. Accumulation is rescaled on the fly so weights like
-    ``v^i / i!`` never overflow before the closing ``exp(-v)``.
+    is past. The term cap counts from that peak, ``ceil(v) + SERIES_TERMS``,
+    because no series can stop before it; reaching the cap raises
+    ``KernelNonConvergent``. Accumulation is rescaled on the fly so weights
+    like ``v^i / i!`` never overflow before the closing ``exp(-v)``.
     """
     if v < 0 or not math.isfinite(v):
         raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
@@ -74,35 +59,40 @@ def _poisson_series(coef: Callable[[int], float], v: float,
         return float(coef(0))
     total = float(coef(0))
     w = 1.0
-    shift = 0.0
+    rescales = 0
     prev = math.inf
     converged = False
     i = 0
-    while i < cfg.i_max:
+    cap = math.ceil(v) + SERIES_TERMS
+    while i < cap:
         i += 1
         w *= v / i
         if w > _RENORM_LIMIT or total > _RENORM_LIMIT:
             w *= _RENORM_FACTOR
             total *= _RENORM_FACTOR
             prev *= _RENORM_FACTOR
-            shift += _LOG_RENORM
+            rescales += 1
         term = coef(i) * w
         if not math.isfinite(term):
             raise KernelOverflow(
                 f"kernel term overflowed at i={i}, v={v}", x=i, v=v)
         total += term
         if i > v and term <= prev \
-                and term <= cfg.tol_tail * (total + 1.0):
+                and term <= SERIES_TOL * (total + 1.0):
             converged = True
             break
         prev = term
     if not converged:
         raise KernelNonConvergent(
-            f"series did not settle within {cfg.i_max} terms at v={v}",
-            v=v, terms=cfg.i_max)
+            f"series did not settle within {cap} terms at v={v}",
+            v=v, terms=cap)
     if total <= 0.0:
         return 0.0
-    return math.exp(shift - v + math.log(total))
+    # The rescales' log, k * _LOG_RENORM, as hi + lo with lo the rounding
+    # error of hi (0 for k <= 2), so high rates lose no digits to it.
+    hi = rescales * _LOG_RENORM
+    lo = (rescales * _LOG_RENORM_HI - hi) + rescales * (_LOG_RENORM - _LOG_RENORM_HI)
+    return math.exp((hi - v) + (math.log(total) + lo))
 
 
 @functools.cache
@@ -227,8 +217,7 @@ def _table_evaluator(head: tuple[float, ...], e2: float, e1: float,
 
 
 @functools.lru_cache(maxsize=256)
-def kernel_evaluators(basis: BasisFunction,
-                      cfg: KernelConfig = DEFAULT_KERNEL_CONFIG):
+def kernel_evaluators(basis: BasisFunction):
     """The ``(p, p')`` evaluator pair for one basis.
 
     This is the one place that decides how the kernel is evaluated.
@@ -237,11 +226,11 @@ def kernel_evaluators(basis: BasisFunction,
     coefficients, exact up to rounding. A table basis with ``L`` entries is
     affine past ``L``, so ``c(x) = x * b(x)`` is a quadratic there and both
     kernels are exact finite sums (``_table_evaluator``). Everything else
-    runs the truncated series, which alone reads ``cfg``. The pair does not
+    runs the truncated series (``_poisson_series``). The pair does not
     validate ``v``, so inner solver loops pay neither checks nor dispatch
     per evaluation; ``poisson_kernel`` and its derivative are the checked
-    entry points. Pairs are cached per ``(basis, cfg)``, so a ``rho_factor``
-    scan builds a table's coefficients once.
+    entry points. Pairs are cached per basis, so a ``rho_factor`` scan
+    builds a table's coefficients once.
     """
     if (basis.kind == "monomial" and float(basis.degree).is_integer()
             and basis.degree <= 120):
@@ -280,8 +269,8 @@ def kernel_evaluators(basis: BasisFunction,
 
     # The forward differences of the convex ``c(x) = x * b(x)`` are
     # non-negative and non-decreasing, so p' truncates by the same rule.
-    return (lambda v: _poisson_series(c, v, cfg),
-            lambda v: _poisson_series(delta_c, v, cfg))
+    return (lambda v: _poisson_series(c, v),
+            lambda v: _poisson_series(delta_c, v))
 
 
 def _checked(evaluate: Callable[[float], float], v: float) -> float:
@@ -293,20 +282,18 @@ def _checked(evaluate: Callable[[float], float], v: float) -> float:
     return value
 
 
-def poisson_kernel(basis: BasisFunction, v: float,
-                   cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
+def poisson_kernel(basis: BasisFunction, v: float) -> float:
     """Load kernel ``p(v) = E_{P ~ Poi(v)}[P * b(P)]``; ``p(0) = 0``."""
-    return _checked(kernel_evaluators(basis, cfg)[0], v)
+    return _checked(kernel_evaluators(basis)[0], v)
 
 
-def poisson_kernel_derivative(basis: BasisFunction, v: float,
-                              cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
+def poisson_kernel_derivative(basis: BasisFunction, v: float) -> float:
     """Derivative ``p'(v) = exp(-v) * sum_i (v^i / i!) * (c(i+1) - c(i))``.
 
     Convexity of ``p`` follows from the forward differences of ``c``
     increasing.
     """
-    return _checked(kernel_evaluators(basis, cfg)[1], v)
+    return _checked(kernel_evaluators(basis)[1], v)
 
 
 @dataclass(frozen=True)
@@ -346,15 +333,14 @@ class RhoReport:
         )
 
 
-def rho_factor(basis: BasisFunction, x_max: int = 1000,
-               cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> RhoReport:
+def rho_factor(basis: BasisFunction, x_max: int = 1000) -> RhoReport:
     """Scan ``sup_x p(x) / (x * b(x))`` over integer loads ``1..x_max``.
 
     The scan stops early once ``RHO_STALL`` consecutive loads fail to improve
     the maximum; for semi-convex generators the ratio stabilises, so the
     finite scan is a faithful stand-in for the supremum at desk scale. A
     non-convergent kernel at any load is reported as an infinite factor,
-    not raised.
+    not raised; a ratio past the double range raises ``KernelOverflow``.
     """
     if x_max < 1:
         raise InvalidParams(f"x_max must be >= 1, got {x_max}")
@@ -365,11 +351,13 @@ def rho_factor(basis: BasisFunction, x_max: int = 1000,
     infinite = False
     for x in range(1, x_max + 1):
         try:
-            p = poisson_kernel(basis, float(x), cfg)
+            p = poisson_kernel(basis, float(x))
         except KernelNonConvergent:
             infinite = True
             break
         ratio = p / basis.c(x)
+        if not math.isfinite(ratio):
+            raise KernelOverflow(f"p(x)/c(x) at x={x} leaves the double range", x=x)
         samples.append(ratio)
         if ratio > best:
             best = ratio
@@ -393,8 +381,7 @@ def bell_fractional(degree: float) -> float:
     """
     if not math.isfinite(degree) or degree < 0:
         raise InvalidParams(f"degree must be a finite real >= 0, got {degree}")
-    return poisson_kernel(BasisFunction.monomial(degree), 1.0,
-                          KernelConfig(i_max=1_000_000))
+    return poisson_kernel(BasisFunction.monomial(degree), 1.0)
 
 
 # Unit-rate Poisson log-weights -1 - log(i!) for i = 1..170; 1/i! underflows
@@ -423,8 +410,7 @@ def _log_cost_ratios(basis: BasisFunction, x: float) -> np.ndarray:
     return _POI1_LOG_COUNTS + np.log(b / b[0])
 
 
-def mu_factor(basis: BasisFunction, cfg: KernelConfig = DEFAULT_KERNEL_CONFIG,
-              monomial_like: bool = False) -> float:
+def mu_factor(basis: BasisFunction, monomial_like: bool = False) -> float:
     """Rounding factor ``mu = sup_{x>0} E_{P~Poi(1)}[(xP) b(xP)] / (x b(x))``.
 
     Needs ``b`` at non-integer arguments, so plain table bases are rejected;

@@ -11,7 +11,7 @@ from typing import Optional
 from .errors import (KernelNonConvergent, KernelOverflow, MaxItersExceeded,
                      TooLarge, require_finite_nonnegative)
 from .game import GameInstance, TaxProfile
-from .kernel import DEFAULT_KERNEL_CONFIG, KernelConfig, rho_factor
+from .kernel import rho_factor
 from .oracle import (DEFAULT_ENUMERATION_CAP, PoaReport, SmoothnessResult,
                      empirical_poa, poa_and_smoothness)
 from .relaxation import FractionalProfile, solve_relaxation
@@ -49,13 +49,13 @@ class DesignReport:
         return stages
 
 
-def _instance_rho(instance: GameInstance, x_max: int, cfg: KernelConfig) -> float:
+def _instance_rho(instance: GameInstance, x_max: int) -> float:
     """Worst efficiency factor over the bases actually used."""
     used = [j for j in range(instance.num_basis)
             if any(c[j] > 0 for c in instance.coefficients)]
     value = 1.0
     for j in used:
-        report = rho_factor(instance.basis[j], x_max=x_max, cfg=cfg)
+        report = rho_factor(instance.basis[j], x_max=x_max)
         if report.infinite:
             raise KernelNonConvergent("efficiency factor is unbounded", v=None)
         value = max(value, report.value)
@@ -64,14 +64,14 @@ def _instance_rho(instance: GameInstance, x_max: int, cfg: KernelConfig) -> floa
 
 def design(instance: GameInstance, *, tol_gap: float = 1e-8,
            max_iters: int = 10_000, audit_tol: float = 1e-7, x_max: int = 1000,
-           enum_cap: int = DEFAULT_ENUMERATION_CAP,
-           cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> DesignReport:
+           enum_cap: int = DEFAULT_ENUMERATION_CAP) -> DesignReport:
     """Every stage of the design of ``instance``; ``tollkit design`` takes
     its flag defaults from this signature.
 
     The relaxation ends ``ok``, ``max-iters`` or ``infinite-rho``; the
     taxes ``ok``, ``infinite-rho`` or ``overflow``; ``rho`` ``ok`` or
-    ``infinite-rho``; the price of anarchy and smoothness ``ok`` or
+    ``infinite-rho`` (a factor past the double range raises
+    ``KernelOverflow``); the price of anarchy and smoothness ``ok`` or
     ``too-large``. A stage whose input is missing is ``skipped``. The last
     two stages share one compiled game and two sweeps of its profiles.
     """
@@ -80,8 +80,7 @@ def design(instance: GameInstance, *, tol_gap: float = 1e-8,
     detail: dict[str, str] = {}
     profile = taxes = audit = rho = poa = smoothness = None
     try:
-        profile = solve_relaxation(instance, tol_gap=tol_gap,
-                                   max_iters=max_iters, cfg=cfg)
+        profile = solve_relaxation(instance, tol_gap=tol_gap, max_iters=max_iters)
         status["relaxation"] = "ok"
     except MaxItersExceeded as exc:
         profile = exc.profile
@@ -93,8 +92,8 @@ def design(instance: GameInstance, *, tol_gap: float = 1e-8,
         status["taxes"] = status["audit"] = "skipped"
     else:
         try:
-            built = build_tax_profile(instance, profile.loads, cfg)
-            audit = audit_taxes(instance, built, tol=audit_tol, cfg=cfg)
+            built = build_tax_profile(instance, profile.loads)
+            audit = audit_taxes(instance, built, tol=audit_tol)
             taxes = built
             status["taxes"] = status["audit"] = "ok"
         except KernelNonConvergent:
@@ -104,7 +103,7 @@ def design(instance: GameInstance, *, tol_gap: float = 1e-8,
             detail["taxes"] = str(exc)
 
     try:
-        rho = _instance_rho(instance, x_max, cfg)
+        rho = _instance_rho(instance, x_max)
         status["rho"] = "ok"
     except KernelNonConvergent:
         status["rho"] = "infinite-rho"

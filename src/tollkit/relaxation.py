@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from .errors import (GameValidationError, InvalidParams, KernelOverflow,
                      MaxItersExceeded)
 from .game import GameInstance, load_json, loads_of, save_json
-from .kernel import (DEFAULT_KERNEL_CONFIG, KernelConfig, kernel_evaluators,
-                     poisson_kernel)
+from .kernel import kernel_evaluators, poisson_kernel
 
 _FEASIBILITY_TOL = 1e-12
 
@@ -97,9 +96,9 @@ def check_feasible(instance: GameInstance, profile: FractionalProfile) -> None:
 class _Objective:
     """Objective, per-resource margins, and segment line search."""
 
-    def __init__(self, instance: GameInstance, cfg: KernelConfig):
+    def __init__(self, instance: GameInstance):
         self.instance = instance
-        evaluators = [kernel_evaluators(b, cfg) for b in instance.basis]
+        evaluators = [kernel_evaluators(b) for b in instance.basis]
         self.p = [e[0] for e in evaluators]
         self.dp = [e[1] for e in evaluators]
 
@@ -156,8 +155,7 @@ class _Objective:
         return 0.5 * (lo + up)
 
 
-def relaxation_objective(instance: GameInstance, profile: FractionalProfile,
-                         cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
+def relaxation_objective(instance: GameInstance, profile: FractionalProfile) -> float:
     """Objective value ``sum_r sum_j alpha_j^r p_j(v_r)`` at a feasible
     profile, via ``poisson_kernel``."""
     check_feasible(instance, profile)
@@ -165,8 +163,7 @@ def relaxation_objective(instance: GameInstance, profile: FractionalProfile,
     for r, coeffs in enumerate(instance.coefficients):
         for j, alpha in enumerate(coeffs):
             if alpha:
-                total += alpha * poisson_kernel(instance.basis[j],
-                                                profile.loads[r], cfg)
+                total += alpha * poisson_kernel(instance.basis[j], profile.loads[r])
     return total
 
 
@@ -176,10 +173,9 @@ def _strategy_scores(instance: GameInstance, margins) -> list[list[float]]:
             for player in instance.strategies]
 
 
-def gradient(instance: GameInstance, weights,
-             cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> list[list[float]]:
+def gradient(instance: GameInstance, weights) -> list[list[float]]:
     """Partial derivatives of the objective in every strategy weight."""
-    objective = _Objective(instance, cfg)
+    objective = _Objective(instance)
     return _strategy_scores(
         instance, objective.margins(fractional_loads(instance, weights)))
 
@@ -195,18 +191,16 @@ def _oracle_and_gap(weights, grad) -> tuple[list[int], float]:
     return vertex, gap
 
 
-def duality_gap(instance: GameInstance, profile: FractionalProfile,
-                cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
+def duality_gap(instance: GameInstance, profile: FractionalProfile) -> float:
     """Frank-Wolfe gap ``<grad, y - s>``; zero iff first-order optimal."""
     check_feasible(instance, profile)
-    grad = gradient(instance, profile.weights, cfg)
+    grad = gradient(instance, profile.weights)
     _, gap = _oracle_and_gap(profile.weights, grad)
     return gap
 
 
 def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
-                     max_iters: int = 10_000,
-                     cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> FractionalProfile:
+                     max_iters: int = 10_000) -> FractionalProfile:
     """Frank-Wolfe on the load relaxation, from the uniform profile.
 
     Stops once the duality gap falls below ``tol_gap * max(1, |objective|)``
@@ -226,7 +220,7 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     if max_iters < 1:
         raise InvalidParams(f"max_iters must be >= 1, got {max_iters}")
 
-    objective_fn = _Objective(instance, cfg)
+    objective_fn = _Objective(instance)
     strategies = instance.strategies
     weights = [[1.0 / instance.num_strategies(i)] * instance.num_strategies(i)
                for i in range(instance.num_players)]

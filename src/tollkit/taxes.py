@@ -30,15 +30,14 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidParams, KernelOverflow, require_finite_nonnegative
 from .game import BasisFunction, GameInstance, TaxProfile, check_tax_cover
-from .kernel import DEFAULT_KERNEL_CONFIG, KernelConfig, poisson_kernel
+from .kernel import poisson_kernel
 
 # Below this parameter the tables collapse to the v -> 0 limit f(x, 0) = b(x),
 # avoiding the v^x denominators.
 V_FLOOR = 1e-8
 
 
-def modified_cost_table(basis: BasisFunction, v: float, x_cap: int,
-                        cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> list[float]:
+def modified_cost_table(basis: BasisFunction, v: float, x_cap: int) -> list[float]:
     """``[f(0, v), ..., f(x_cap, v)]`` for one generator.
 
     Forward recursion ``f(x+1) = (p - x*b(x) + x*f(x)) / v`` seeds from
@@ -55,7 +54,7 @@ def modified_cost_table(basis: BasisFunction, v: float, x_cap: int,
     if v < V_FLOOR:
         return [basis.b(x) if x else 0.0 for x in range(x_cap + 1)]
 
-    p = poisson_kernel(basis, v, cfg)
+    p = poisson_kernel(basis, v)
     f = [0.0] * (x_cap + 1)
     x_forward = min(x_cap, max(1, int(math.floor(v))))
     if x_cap >= 1:
@@ -79,21 +78,20 @@ def modified_cost_table(basis: BasisFunction, v: float, x_cap: int,
     return f
 
 
-def modified_cost(basis: BasisFunction, x: int, v: float,
-                  cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> float:
+def modified_cost(basis: BasisFunction, x: int, v: float) -> float:
     """Single value ``f(x, v)``."""
     if x < 0:
         raise InvalidParams(f"load must be >= 0, got {x}")
-    return modified_cost_table(basis, v, x, cfg)[x]
+    return modified_cost_table(basis, v, x)[x]
 
 
-def build_tax_profile(instance: GameInstance, v,
-                      cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> TaxProfile:
+def build_tax_profile(instance: GameInstance, v) -> TaxProfile:
     """Tax tables ``tau_r(x) = sum_j alpha_j^r * (f_j(x, v_r) - b_j(x))``.
 
     Tables cover loads ``0..N`` for ``N`` players; behaviour beyond ``N`` is
     never exercised by a valid profile. Deterministic: identical inputs give
-    bit-identical tables.
+    bit-identical tables. A table entry past the double range raises
+    ``KernelOverflow`` naming its resource.
     """
     v = [float(x) for x in v]
     if len(v) != instance.num_resources:
@@ -112,7 +110,7 @@ def build_tax_profile(instance: GameInstance, v,
             key = (j, v[r])
             if key not in f_cache:
                 try:
-                    f_cache[key] = modified_cost_table(instance.basis[j], v[r], n, cfg)
+                    f_cache[key] = modified_cost_table(instance.basis[j], v[r], n)
                 except KernelOverflow as exc:
                     raise KernelOverflow(
                         f"resource {r}: {exc}", x=exc.x, v=exc.v, resource=r) from exc
@@ -121,6 +119,9 @@ def build_tax_profile(instance: GameInstance, v,
             for x in range(n + 1):
                 tau[x] += alpha * (f_table[x] - b.b(x))
                 ell_bar[x] += alpha * f_table[x]
+        if not all(map(math.isfinite, tau + ell_bar)):
+            raise KernelOverflow(f"resource {r}: tax tables leave the double range",
+                                 resource=r)
         tau_rows.append(tuple(tau))
         ell_bar_rows.append(tuple(ell_bar))
     return TaxProfile(v=tuple(v), tau=tuple(tau_rows),
@@ -171,8 +172,7 @@ class TaxAudit:
         )
 
 
-def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7,
-                cfg: KernelConfig = DEFAULT_KERNEL_CONFIG) -> TaxAudit:
+def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7) -> TaxAudit:
     """Check the stored ``ell_bar`` and ``tau`` tables: recursion,
     monotonicity, tax sign, and ``ell_bar == ell + tau``.
 
@@ -192,7 +192,7 @@ def audit_taxes(instance: GameInstance, taxes: TaxProfile, tol: float = 1e-7,
         if v >= V_FLOOR:
             for j, alpha in enumerate(coeffs):
                 if alpha:
-                    p_r += alpha * poisson_kernel(instance.basis[j], v, cfg)
+                    p_r += alpha * poisson_kernel(instance.basis[j], v)
         scale = max(1.0, p_r)
         max_residual = max(
             abs(x * ell[x] - x * ell_bar[x] + v * ell_bar[x + 1] - p_r) / scale

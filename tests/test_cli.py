@@ -113,7 +113,8 @@ class TestDesign:
         assert bundle["stages"]["taxes"]["status"] == "ok"
         assert bundle["stages"]["poa"]["poa"] == 1.0
 
-    def test_nonconvergent_records_infinite_rho(self, capsys, tmp_path):
+    def test_nonconvergent_records_infinite_rho(self, capsys, tmp_path,
+                                                tiny_term_cap):
         # A steep fractional monomial has its kernel peak far past a tiny
         # term cap, so the scan cannot settle and the stage reports an
         # unbounded factor.
@@ -121,19 +122,20 @@ class TestDesign:
         inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
         path = tmp_path / "steep.json"
         inst.save(path)
-        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
+        code, out, _ = run_cli(capsys, "design", str(path))
         assert code == 0
         bundle = json.loads(out)
         assert bundle["stages"]["rho"]["status"] == "infinite-rho"
         assert bundle["stages"]["smoothness"]["status"] == "skipped"
 
-    def test_steep_table_designs_despite_tiny_term_cap(self, capsys, tmp_path):
+    def test_steep_table_designs_despite_tiny_term_cap(self, capsys, tmp_path,
+                                                       tiny_term_cap):
         # Table kernels are exact finite sums, so the term cap never binds.
         b = BasisFunction.table([float(3 ** x) for x in range(1, 13)])
         inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
         path = tmp_path / "steep.json"
         inst.save(path)
-        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
+        code, out, _ = run_cli(capsys, "design", str(path))
         assert code == 0
         stages = json.loads(out)["stages"]
         assert {s["status"] for s in stages.values()} == {"ok"}
@@ -152,19 +154,37 @@ class TestDesign:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "must be finite" in err
 
-    def test_bad_audit_tolerance_exits_two_when_no_audit_runs(self, capsys, tmp_path):
+    def test_bad_audit_tolerance_exits_two_when_no_audit_runs(self, capsys, tmp_path,
+                                                              tiny_term_cap):
         # The relaxation stops on its kernel, so no stage reads the
         # tolerance; the flag is still rejected.
         b = BasisFunction.monomial(150)
         inst = GameInstance.build([b], [[1.0], [1.0]], [[[0], [1]]] * 3)
         path = tmp_path / "steep.json"
         inst.save(path)
-        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64")
+        code, out, _ = run_cli(capsys, "design", str(path))
         assert code == 0
         assert json.loads(out)["stages"]["audit"]["status"] == "skipped"
-        code, out, _ = run_cli(capsys, "design", str(path), "--i-max", "64",
-                               "--audit-tol", "nan")
+        code, out, _ = run_cli(capsys, "design", str(path), "--audit-tol", "nan")
         assert code == 2 and out == ""
+
+    def test_overflowing_tax_tables_end_the_taxes_stage(self, capsys, tmp_path):
+        # Resource 1 is unused, and ell_1(1) = 1.7e308 + 7.58e307 overflows.
+        monomial = {"kind": "monomial", "degree": 1e-05}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "basis": [monomial, monomial],
+            "resources": [{"coeffs": [1e-05, 1.0]}, {"coeffs": [1.7e308, 7.58e307]},
+                          {"coeffs": [1.6868e308, 1e300]}],
+            "players": [{"strategies": [[0]]}, {"strategies": [[2], [0]]},
+                        {"strategies": [[0]]}]}))
+        code, out, _ = run_cli(capsys, "design", str(path))
+        assert code == 0
+        stages = json.loads(out)["stages"]
+        assert {name: stage["status"] for name, stage in stages.items()} == {
+            "relaxation": "ok", "taxes": "overflow", "rho": "ok",
+            "poa": "skipped", "smoothness": "skipped"}
+        assert stages["taxes"]["detail"].startswith("resource 1: ")
 
 
 class TestLearn:
@@ -387,6 +407,16 @@ class TestExperimentConfig:
         old = {**config.to_json(), "seed": 4, "out": "runs"}
         assert ExperimentConfig.from_json(old) == config
 
+    @pytest.mark.parametrize("flag", ["--tol-tail", "--i-max"])
+    def test_snapshot_with_a_removed_kernel_flag_exits_two(self, capsys, tmp_path,
+                                                           flag):
+        snapshot = tmp_path / "config-analyze-basis.json"
+        snapshot.write_text(json.dumps(
+            {"argv": ["analyze-basis", "--monomial", "1", flag, "64"]}))
+        code, out, err = run_cli(capsys, "--config", str(snapshot))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--config", str(tmp_path / "none.json"))
         assert code == 2
@@ -519,6 +549,8 @@ def run_quietly(*argv):
 
 
 TABLE_1E_300 = {"kind": "table", "values": [1e-300]}
+# c(1) = 5e-324 while p(1) is about 1, so rho = p(1)/c(1) overflows.
+TABLE_SUBNORMAL_COST = {"kind": "table", "values": [5e-324, 1.0]}
 
 # Coefficients and table values from subnormal to the top of the double range.
 doubles = st.one_of(
@@ -551,20 +583,31 @@ class TestNumericBoundary:
     """Costs outside the double range exit 3 with one line, never with a
     traceback or a report holding Infinity or NaN."""
 
-    @pytest.mark.parametrize("command,basis,coefficients,players", [
-        ("oracle", [{"kind": "monomial", "degree": 1}], [[1e308], [1e308]], 2),
-        ("oracle", [TABLE_1E_300], [[1e-320], [1.0]], 1),
-        ("design", [TABLE_1E_300], [[1e-320], [1.0]], 1),
-        ("design", [{"kind": "monomial", "degree": 2}], [[1e307], [1e-320]], 3),
-        ("oracle", [TABLE_1E_300, {"kind": "monomial", "degree": 300}],
-         [[1e-320, 1e307], [3.0, 1.0]], 3),
+    @pytest.mark.parametrize("command,source", [
+        ("oracle", two_link_game([{"kind": "monomial", "degree": 1}],
+                                 [[1e308], [1e308]], 2)),
+        ("oracle", two_link_game([TABLE_1E_300], [[1e-320], [1.0]], 1)),
+        ("design", two_link_game([TABLE_1E_300], [[1e-320], [1.0]], 1)),
+        ("design", two_link_game([{"kind": "monomial", "degree": 2}],
+                                 [[1e307], [1e-320]], 3)),
+        ("oracle", two_link_game([TABLE_1E_300, {"kind": "monomial", "degree": 300}],
+                                 [[1e-320, 1e307], [3.0, 1.0]], 3)),
+        ("design", {"basis": [TABLE_SUBNORMAL_COST],
+                    "resources": [{"coeffs": [5e-324]}],
+                    "players": [{"strategies": [[0]]}]}),
+        ("analyze-basis", ["--table", "5e-324,1.0"]),
     ], ids=["overflowing-costs", "zero-optimum-oracle", "zero-optimum-design",
-            "overflowing-system-table", "infinite-equilibrium-cost"])
-    def test_exits_three(self, capsys, tmp_path, command, basis, coefficients,
-                         players):
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(two_link_game(basis, coefficients, players)))
-        code, out, err = run_cli(capsys, command, str(path))
+            "overflowing-system-table", "infinite-equilibrium-cost",
+            "infinite-rho-design", "infinite-rho-analyze-basis"])
+    def test_exits_three(self, capsys, tmp_path, command, source):
+        """``source`` is the instance JSON, or ``analyze-basis``'s flags."""
+        if command == "analyze-basis":
+            argv = [command, *source]
+        else:
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(source))
+            argv = [command, str(path)]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("numeric error: ") and err.count("\n") == 1
 
@@ -579,6 +622,20 @@ class TestNumericBoundary:
             assert code in (0, 2, 3)
             if code == 0:
                 assert "Infinity" not in out and "NaN" not in out
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis=st.one_of(
+        st.builds(lambda d: ["--monomial", repr(d)],
+                  st.one_of(st.integers(0, 700), st.floats(0, 700))),
+        st.builds(lambda v: ["--table", ",".join(map(repr, v))],
+                  st.lists(doubles, min_size=1, max_size=3))),
+        monomial_like=st.booleans())
+    def test_analyze_basis_stays_in_contract(self, basis, monomial_like):
+        argv = ["analyze-basis", *basis] + ["--monomial-like"] * monomial_like
+        code, out = run_quietly(*argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
 
 
 def _drop_tau(data):

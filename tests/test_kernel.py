@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tollkit import (BasisFunction, InvalidParams, KernelConfig,
-                     KernelNonConvergent, KernelOverflow, RhoReport,
-                     UnsupportedBasis, bell_fractional, binomial_expectation,
-                     mu_factor, poisson_kernel, poisson_kernel_derivative,
-                     rho_factor)
-from tollkit.kernel import (DEFAULT_KERNEL_CONFIG, _poisson_series,
+from reference_kernel import c_real
+from tollkit import (BasisFunction, InvalidParams, KernelNonConvergent,
+                     KernelOverflow, RhoReport, UnsupportedBasis,
+                     bell_fractional, binomial_expectation, mu_factor,
+                     poisson_kernel, poisson_kernel_derivative, rho_factor)
+from tollkit.kernel import (_log_cost_ratios, _poisson_series,
                             kernel_evaluators)
 
 mp.mp.dps = 40
@@ -24,6 +24,20 @@ def kernel_oracle(basis, v, terms=400):
     return float(total * mp.e ** (-mp.mpf(v)))
 
 
+def peak_kernel_oracle(basis, v):
+    """``p(v)`` and ``p'(v)`` summed over ``v ± 40 sqrt(v)`` only, where all
+    of the Poisson mass lies at high rates."""
+    v = mp.mpf(v)
+    lo, hi = int(v - 40 * mp.sqrt(v)), int(v + 40 * mp.sqrt(v))
+    c = [mp.mpf(i) * mp.mpf(i) ** basis.degree for i in range(lo, hi + 1)]
+    p = dp = mp.mpf(0)
+    for i in range(lo, hi):
+        w = mp.exp(i * mp.log(v) - v - mp.loggamma(i + 1))
+        p += w * c[i - lo]
+        dp += w * (c[i - lo + 1] - c[i - lo])
+    return float(p), float(dp)
+
+
 def bell_triangle(n):
     """Bell numbers B(0..n) via the Bell triangle recurrence."""
     rows = [[1]]
@@ -34,6 +48,21 @@ def bell_triangle(n):
             row.append(row[-1] + x)
         rows.append(row)
     return [r[0] for r in rows]
+
+
+def valid_tables():
+    """Random admissible tables: ``c(x) = x * b(x)`` built from a positive
+    first difference and non-negative increments, so ``c`` is convex and
+    ``b = c(x)/x`` non-decreasing."""
+    def build(first, increments):
+        diffs, c = [first], [0.0, first]
+        for g in increments:
+            diffs.append(diffs[-1] + g)
+            c.append(c[-1] + diffs[-1])
+        return [c[x] / x for x in range(1, len(c))]
+
+    return st.builds(build, st.floats(0.5, 5.0),
+                     st.lists(st.floats(0.0, 3.0), max_size=11))
 
 
 class TestPoissonKernel:
@@ -66,12 +95,21 @@ class TestPoissonKernel:
         # p(v) = v + v^2 exactly for the linear generator.
         assert poisson_kernel(b, 900.0) == pytest.approx(900.0 + 900.0 ** 2, rel=1e-10)
 
-    def test_nonconvergent_when_cap_too_small(self):
-        # The term peak sits near i = v = 100, past the 64-term cap. A
-        # fractional degree keeps the series evaluator.
+    def test_nonconvergent_when_cap_too_small(self, tiny_term_cap):
+        # The terms still weigh 1e-8 of the sum 64 terms past the Poisson
+        # peak at i = v = 100. A fractional degree keeps the series evaluator.
         b = BasisFunction.monomial(3.5)
         with pytest.raises(KernelNonConvergent):
-            poisson_kernel(b, 100.0, KernelConfig(i_max=64))
+            poisson_kernel(b, 100.0)
+
+    @pytest.mark.parametrize("degree", [0.5, 2.5])
+    def test_high_rate_matches_oracle(self, degree):
+        # Past v = 9286 the series needs more than 10,000 terms from i = 0;
+        # the cap counts from the Poisson peak, so it settles.
+        b = BasisFunction.monomial(degree)
+        want_p, want_dp = peak_kernel_oracle(b, 12_000)
+        assert poisson_kernel(b, 12_000.0) == pytest.approx(want_p, rel=1e-12)
+        assert poisson_kernel_derivative(b, 12_000.0) == pytest.approx(want_dp, rel=1e-12)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(InvalidParams):
@@ -157,21 +195,25 @@ class TestRhoFactor:
         report = rho_factor(BasisFunction.table([1.0, 2.0, 4.0]))
         assert all(s >= 1.0 - 1e-9 for s in report.samples)
 
-    def test_infinite_flag_on_nonconvergence(self):
-        report = rho_factor(BasisFunction.monomial(40.5), cfg=KernelConfig(i_max=64))
+    def test_infinite_flag_on_nonconvergence(self, tiny_term_cap):
+        report = rho_factor(BasisFunction.monomial(40.5))
         assert report.infinite and math.isinf(report.value)
 
-    def test_report_round_trip(self):
+    def test_report_round_trip(self, tiny_term_cap):
         for report in (rho_factor(BasisFunction.monomial(1)),
-                       rho_factor(BasisFunction.monomial(40.5),
-                                  cfg=KernelConfig(i_max=64))):
+                       rho_factor(BasisFunction.monomial(40.5))):
             assert RhoReport.from_json(report.to_json()) == report
 
-    def test_integer_monomial_ignores_series_cap(self):
+    def test_integer_monomial_ignores_series_cap(self, tiny_term_cap):
         # The moment polynomial has no term cap: rho(x^40) is B(41) exactly.
-        report = rho_factor(BasisFunction.monomial(40), cfg=KernelConfig(i_max=64))
+        report = rho_factor(BasisFunction.monomial(40))
         assert not report.infinite
         assert report.value == float(mp.bell(41))
+
+    def test_ratio_past_the_double_range_raises(self):
+        # p(1) is about 1 while c(1) = 5e-324.
+        with pytest.raises(KernelOverflow):
+            rho_factor(BasisFunction.table([5e-324, 1.0]))
 
     @pytest.mark.parametrize("degree", range(5))
     def test_integer_monomials_give_exact_bell(self, degree):
@@ -223,6 +265,15 @@ class TestMuFactor:
     def test_monomials_equal_bell(self, degree):
         assert mu_factor(BasisFunction.monomial(degree)) == pytest.approx(
             bell_fractional(degree), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=valid_tables(), x=st.floats(1e-3, 1e3))
+    def test_log_cost_ratios_match_pointwise_interpolation(self, values, x):
+        basis = BasisFunction.table(values)
+        want = [math.log(c_real(basis, x * i) / c_real(basis, x))
+                for i in range(1, 171)]
+        assert list(_log_cost_ratios(basis, x)) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
 
 
 class TestBinomialExpectation:
@@ -277,16 +328,15 @@ class TestKernelEvaluators:
     def test_polynomial_fast_path_matches_series(self, degree):
         basis = BasisFunction.monomial(degree)
         p, dp = kernel_evaluators(basis)
-        cfg = DEFAULT_KERNEL_CONFIG
 
         def delta_c(i):
             return basis.c(i + 1) - basis.c(i)
 
         for v in (0.0, 0.3, 1.0, 2.5, 7.0):
             assert p(v) == pytest.approx(kernel_oracle(basis, v), rel=1e-12, abs=1e-12)
-            assert p(v) == pytest.approx(_poisson_series(basis.c, v, cfg),
+            assert p(v) == pytest.approx(_poisson_series(basis.c, v),
                                          rel=1e-12, abs=1e-12)
-            assert dp(v) == pytest.approx(_poisson_series(delta_c, v, cfg),
+            assert dp(v) == pytest.approx(_poisson_series(delta_c, v),
                                           rel=1e-12, abs=1e-12)
 
     def test_fractional_degree_uses_series(self):
@@ -331,21 +381,6 @@ def oracle_rates(length):
             2.0 * length, 200.0, 700.0]
 
 
-def valid_tables():
-    """Random admissible tables: ``c(x) = x * b(x)`` built from a positive
-    first difference and non-negative increments, so ``c`` is convex and
-    ``b = c(x)/x`` non-decreasing."""
-    def build(first, increments):
-        diffs, c = [first], [0.0, first]
-        for g in increments:
-            diffs.append(diffs[-1] + g)
-            c.append(c[-1] + diffs[-1])
-        return [c[x] / x for x in range(1, len(c))]
-
-    return st.builds(build, st.floats(0.5, 5.0),
-                     st.lists(st.floats(0.0, 3.0), max_size=11))
-
-
 class TestTableKernel:
     @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
     def test_matches_finite_sum_oracle(self, name):
@@ -365,19 +400,17 @@ class TestTableKernel:
         def delta_c(i):
             return basis.c(i + 1) - basis.c(i)
 
-        assert p(v) == pytest.approx(
-            _poisson_series(basis.c, v, DEFAULT_KERNEL_CONFIG), rel=1e-12, abs=0)
-        assert dp(v) == pytest.approx(
-            _poisson_series(delta_c, v, DEFAULT_KERNEL_CONFIG), rel=1e-12, abs=0)
+        assert p(v) == pytest.approx(_poisson_series(basis.c, v), rel=1e-12, abs=0)
+        assert dp(v) == pytest.approx(_poisson_series(delta_c, v), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
-    def test_ignores_series_term_cap(self, name):
+    def test_ignores_series_term_cap(self, name, tiny_term_cap):
         basis = BasisFunction.table(ORACLE_TABLES[name])
-        p, dp = kernel_evaluators(basis, KernelConfig(i_max=64))
+        p, dp = kernel_evaluators(basis)
         for v in oracle_rates(len(basis.values)) + [1e4]:
-            assert math.isfinite(poisson_kernel(basis, v, KernelConfig(i_max=64)))
+            assert math.isfinite(poisson_kernel(basis, v))
             assert math.isfinite(p(v)) and math.isfinite(dp(v))
-        report = rho_factor(basis, cfg=KernelConfig(i_max=64))
+        report = rho_factor(basis)
         assert not report.infinite
 
     def test_directly_built_table_is_cacheable(self):

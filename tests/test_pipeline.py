@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from game_strategies import parallel_links, small_games, table_twin
-from tollkit import (DEFAULT_KERNEL_CONFIG, BasisFunction, GameInstance,
-                     KernelConfig, KernelNonConvergent, KernelOverflow,
-                     MaxItersExceeded, TooLarge, audit_taxes,
+from tollkit import (BasisFunction, GameInstance, KernelNonConvergent,
+                     KernelOverflow, MaxItersExceeded, TooLarge, audit_taxes,
                      build_tax_profile, check_smoothness, cli, design,
                      empirical_poa, oracle, pipeline, random_instance,
                      rho_factor, solve_relaxation)
@@ -22,7 +21,7 @@ STAGES = ["relaxation", "taxes", "audit", "rho", "poa", "smoothness"]
 
 
 def composed(instance, tol_gap=1e-8, max_iters=10_000, audit_tol=1e-7,
-             x_max=1000, enum_cap=10_000_000, cfg=DEFAULT_KERNEL_CONFIG):
+             x_max=1000, enum_cap=10_000_000):
     """The stages of a design bundle from the public stage functions, one
     call each, in the order and with the statuses ``tollkit design`` gave
     them before ``design`` existed."""
@@ -30,7 +29,7 @@ def composed(instance, tol_gap=1e-8, max_iters=10_000, audit_tol=1e-7,
     profile = None
     try:
         profile = solve_relaxation(instance, tol_gap=tol_gap,
-                                   max_iters=max_iters, cfg=cfg)
+                                   max_iters=max_iters)
         stages["relaxation"] = {"status": "ok", **profile.to_json()}
     except MaxItersExceeded as exc:
         profile = exc.profile
@@ -41,9 +40,9 @@ def composed(instance, tol_gap=1e-8, max_iters=10_000, audit_tol=1e-7,
     taxes = None
     if profile is not None:
         try:
-            taxes = build_tax_profile(instance, profile.loads, cfg)
+            taxes = build_tax_profile(instance, profile.loads)
             stages["taxes"] = {"status": "ok", **taxes.to_json()}
-            audit = audit_taxes(instance, taxes, tol=audit_tol, cfg=cfg)
+            audit = audit_taxes(instance, taxes, tol=audit_tol)
             stages["audit"] = {"status": "ok", **audit.to_json()}
         except KernelNonConvergent:
             stages["taxes"] = {"status": "infinite-rho"}
@@ -56,7 +55,7 @@ def composed(instance, tol_gap=1e-8, max_iters=10_000, audit_tol=1e-7,
     rho = 1.0
     for j, basis in enumerate(instance.basis):
         if rho is not None and any(c[j] > 0 for c in instance.coefficients):
-            report = rho_factor(basis, x_max=x_max, cfg=cfg)
+            report = rho_factor(basis, x_max=x_max)
             rho = None if report.infinite else max(rho, report.value)
     stages["rho"] = ({"status": "infinite-rho"} if rho is None
                      else {"status": "ok", "rho": rho})
@@ -96,13 +95,10 @@ def statuses(stages):
 
 def steep(degree, players, links):
     """A fractional or high monomial whose kernel series outgrows a term
-    cap of 64 at the loads the game reaches."""
+    cap of 64 past the Poisson peak at the loads the game reaches."""
     b = BasisFunction.monomial(degree)
     return GameInstance.build([b], [[1.0]] * links,
                               [[[r] for r in range(links)]] * players)
-
-
-TINY_TERM_CAP = KernelConfig(i_max=64)
 
 
 class TestAgainstComposedStages:
@@ -123,27 +119,36 @@ class TestAgainstComposedStages:
         assert stages["relaxation"]["iters"] == 1
         assert stages["smoothness"]["status"] == "ok"
 
-    def test_infinite_rho_skips_smoothness(self):
-        stages = same_bundle(steep(40.5, 2, 1), cfg=TINY_TERM_CAP)
+    def test_infinite_rho_skips_smoothness(self, tiny_term_cap):
+        stages = same_bundle(steep(40.5, 2, 1))
         assert statuses(stages) == [
             ("relaxation", "ok"), ("taxes", "ok"), ("audit", "ok"),
             ("rho", "infinite-rho"), ("poa", "ok"), ("smoothness", "skipped")]
 
-    def test_relaxation_without_kernel_skips_the_rest(self):
-        stages = same_bundle(steep(150, 3, 2), cfg=TINY_TERM_CAP)
+    def test_relaxation_without_kernel_skips_the_rest(self, tiny_term_cap):
+        stages = same_bundle(steep(150, 3, 2))
         assert statuses(stages) == [
             ("relaxation", "infinite-rho"), ("taxes", "skipped"),
             ("audit", "skipped"), ("rho", "infinite-rho"),
             ("poa", "skipped"), ("smoothness", "skipped")]
 
-    def test_too_large(self):
+    def test_too_large(self, tiny_term_cap):
         stages = same_bundle(parallel_links(3, 2), enum_cap=1)
         assert stages["poa"] == stages["smoothness"] == {
             "status": "too-large",
             "detail": "enumeration of 8 profiles exceeds cap 1"}
-        stages = same_bundle(steep(40.5, 2, 2), enum_cap=1, cfg=TINY_TERM_CAP)
+        stages = same_bundle(steep(40.5, 2, 2), enum_cap=1)
         assert statuses(stages)[-3:] == [
             ("rho", "infinite-rho"), ("poa", "too-large"), ("smoothness", "skipped")]
+
+    def test_crowd_past_the_old_series_cap(self):
+        # 10,001 players load one fractional monomial past v = 9286, where
+        # a cap of 10,000 terms from i = 0 stopped the kernel series.
+        inst = GameInstance.build([BasisFunction.monomial(0.5)], [[1.0]],
+                                  [[[0]]] * 10_001)
+        stages = same_bundle(inst)
+        assert statuses(stages) == [(name, "ok") for name in STAGES]
+        assert stages["audit"]["passed"] and stages["smoothness"]["passed"]
 
     @pytest.mark.parametrize("error,status", [
         (KernelOverflow("table overflowed"), "overflow"),
@@ -187,8 +192,8 @@ class TestOneCompiledGame:
         assert report.smoothness.passed
         assert (compiled, sweeps) == (1, 2)
 
-    def test_one_sweep_without_rho(self):
-        report, compiled, sweeps = self.count(steep(40.5, 2, 2), cfg=TINY_TERM_CAP)
+    def test_one_sweep_without_rho(self, tiny_term_cap):
+        report, compiled, sweeps = self.count(steep(40.5, 2, 2))
         assert report.rho is None and report.poa is not None
         assert (compiled, sweeps) == (1, 1)
 
@@ -197,9 +202,8 @@ class TestCommandLine:
     def test_flag_defaults_are_the_library_defaults(self):
         args = cli.build_parser().parse_args(["design", "game.json"])
         for name, param in inspect.signature(design).parameters.items():
-            if param.default is not inspect.Parameter.empty and name != "cfg":
+            if param.default is not inspect.Parameter.empty:
                 assert getattr(args, name) == param.default
-        assert cli._kernel_config(args) == DEFAULT_KERNEL_CONFIG
 
     def test_prints_the_report(self, capsys, tmp_path):
         inst = parallel_links(3, 2)

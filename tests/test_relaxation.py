@@ -85,8 +85,7 @@ class TestGradient:
                 up_loads = fractional_loads(inst, up)
                 down_loads = fractional_loads(inst, down)
                 from tollkit.relaxation import _Objective
-                from tollkit import DEFAULT_KERNEL_CONFIG
-                obj = _Objective(inst, DEFAULT_KERNEL_CONFIG)
+                obj = _Objective(inst)
                 fd = (obj.value(up_loads) - obj.value(down_loads)) / (2 * h)
                 assert grad[i][k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
