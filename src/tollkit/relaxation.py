@@ -100,7 +100,12 @@ class _Objective:
         self.instance = instance
         evaluators = [kernel_evaluators(b) for b in instance.basis]
         self.p = [e[0] for e in evaluators]
-        self.dp = [e[1] for e in evaluators]
+        # Per resource, the ``(alpha_j, p_j')`` pairs with ``alpha_j != 0``
+        # in ``j`` order: the only terms a margin adds.
+        self.dp_terms = [
+            tuple((alpha, evaluators[j][1]) for j, alpha in enumerate(coeffs)
+                  if alpha)
+            for coeffs in instance.coefficients]
 
     def value(self, loads) -> float:
         total = 0.0
@@ -110,26 +115,16 @@ class _Objective:
                     total += alpha * self.p[j](v)
         return total
 
-    def _margin(self, coeffs, v: float) -> float:
+    @staticmethod
+    def _margin(terms, v: float) -> float:
         """One resource's marginal cost ``sum_j alpha_j * p_j'(v)``."""
         m = 0.0
-        for j, alpha in enumerate(coeffs):
-            if alpha:
-                m += alpha * self.dp[j](v)
+        for alpha, dp in terms:
+            m += alpha * dp(v)
         return m
 
     def margins(self, loads) -> list[float]:
-        return [self._margin(coeffs, v)
-                for coeffs, v in zip(self.instance.coefficients, loads)]
-
-    def slope(self, loads, delta, gamma: float) -> float:
-        """Directional derivative along ``delta`` at step ``gamma``."""
-        total = 0.0
-        for r, d in enumerate(delta):
-            if d:
-                total += d * self._margin(self.instance.coefficients[r],
-                                          loads[r] + gamma * d)
-        return total
+        return [self._margin(terms, v) for terms, v in zip(self.dp_terms, loads)]
 
     def exact_step(self, loads, delta, hi: float) -> float:
         """Minimiser of the convex segment objective on ``[0, hi]``.
@@ -137,18 +132,30 @@ class _Objective:
         Works on the directional derivative, which is monotone along the
         segment, so the step is located by bisection to near machine
         precision; value-based searches bottom out once improvements drop
-        below the float resolution of the objective.
+        below the float resolution of the objective. The segment keeps only
+        the resources that ``delta`` moves, each with its load and margin
+        terms, so a slope evaluation touches nothing else.
         """
+        segment = [(d, loads[r], self.dp_terms[r])
+                   for r, d in enumerate(delta) if d]
+        margin = self._margin
+
+        def slope(gamma: float) -> float:
+            total = 0.0
+            for d, v, terms in segment:
+                total += d * margin(terms, v + gamma * d)
+            return total
+
         if hi <= 0.0:
             return 0.0
-        if self.slope(loads, delta, 0.0) >= 0.0:
+        if slope(0.0) >= 0.0:
             return 0.0
-        if self.slope(loads, delta, hi) <= 0.0:
+        if slope(hi) <= 0.0:
             return hi
         lo, up = 0.0, hi
         for _ in range(64):
             mid = 0.5 * (lo + up)
-            if self.slope(loads, delta, mid) < 0.0:
+            if slope(mid) < 0.0:
                 lo = mid
             else:
                 up = mid
