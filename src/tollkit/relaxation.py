@@ -130,11 +130,19 @@ class _Objective:
         """Minimiser of the convex segment objective on ``[0, hi]``.
 
         Works on the directional derivative, which is monotone along the
-        segment, so the step is located by bisection to near machine
-        precision; value-based searches bottom out once improvements drop
+        segment; value-based searches bottom out once improvements drop
         below the float resolution of the objective. The segment keeps only
         the resources that ``delta`` moves, each with its load and margin
         terms, so a slope evaluation touches nothing else.
+
+        The root of the slope is located by Illinois regula falsi on the
+        bracket ``[0, hi]``: the false-position point of the bracket, with
+        the value kept at one end halved whenever that end survives two
+        updates in a row. A bisection step replaces it whenever it is not
+        strictly inside the bracket or the bracket has not halved over the
+        last two updates. The search stops at a slope of exactly 0, or when
+        the bracket's midpoint no longer lies strictly inside it, and
+        returns that point.
         """
         segment = [(d, loads[r], self.dp_terms[r])
                    for r, d in enumerate(delta) if d]
@@ -148,18 +156,37 @@ class _Objective:
 
         if hi <= 0.0:
             return 0.0
-        if slope(0.0) >= 0.0:
+        f_lo = slope(0.0)
+        if f_lo >= 0.0:
             return 0.0
-        if slope(hi) <= 0.0:
+        f_up = slope(hi)
+        if f_up <= 0.0:
             return hi
         lo, up = 0.0, hi
-        for _ in range(64):
+        kept = 0                      # -1: lo survived the last update, 1: up
+        width_1 = width_2 = math.inf  # bracket widths one and two updates back
+        while True:
             mid = 0.5 * (lo + up)
-            if slope(mid) < 0.0:
-                lo = mid
+            if not lo < mid < up:
+                return mid
+            width = up - lo
+            x = lo + width * (f_lo / (f_lo - f_up))
+            if not lo < x < up or width > 0.5 * width_2:
+                x = mid
+            width_2, width_1 = width_1, width
+            f = slope(x)
+            if f == 0.0:
+                return x
+            if f < 0.0:
+                lo, f_lo = x, f
+                if kept == 1:
+                    f_up *= 0.5
+                kept = 1
             else:
-                up = mid
-        return 0.5 * (lo + up)
+                up, f_up = x, f
+                if kept == -1:
+                    f_lo *= 0.5
+                kept = -1
 
 
 def relaxation_objective(instance: GameInstance, profile: FractionalProfile) -> float:
@@ -215,9 +242,11 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     (still feasible and usable; the recorded gap quantifies its
     suboptimality).
 
-    Steps are exact line searches, preferring the pairwise direction that
-    shifts mass from each player's worst supported strategy onto the oracle
-    one and falling back to the classic step towards the oracle vertex.
+    Steps are exact line searches (``_Objective.exact_step``: Illinois
+    regula falsi on the directional derivative, safeguarded by bisection),
+    preferring the pairwise direction that shifts mass from each player's
+    worst supported strategy onto the oracle one and falling back to the
+    classic step towards the oracle vertex.
     Pairwise steps empty supported coordinates in finitely many drops,
     removing the zigzag that keeps plain Frank-Wolfe at an O(1/t) gap on
     face-constrained optima.

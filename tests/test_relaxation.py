@@ -1,11 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from game_strategies import basis_functions
+from reference_relaxation import (bisection_step, early_exit,
+                                  segment_slope, segment_value)
 from tollkit import (BasisFunction, FractionalProfile, GameInstance,
                      GameValidationError, InvalidParams, MaxItersExceeded,
                      duality_gap, fractional_loads, gradient, poisson_kernel,
                      random_instance, relaxation_objective, solve_relaxation)
+from tollkit.relaxation import _Objective
 
 
 def two_by_two_symmetric():
@@ -224,3 +230,58 @@ class TestDualityGap:
         inst = two_by_two_symmetric()
         prof = solve_relaxation(inst)
         assert FractionalProfile.from_json(prof.to_json()) == prof
+
+
+@st.composite
+def segments(draw):
+    """Loads, a direction and its step bound on 2-6 resources priced by
+    monomials of degree 0-3 and convex tables. The direction moves some
+    loads up and some down, as the solver's do. Each load covers what the
+    direction takes from it up to the bound, exactly so where its drawn
+    base is 0, as at a pairwise step's cap. Unless ``uphill`` is drawn,
+    the direction is turned downhill at 0, so most draws run past the
+    search's early exits."""
+    basis = draw(st.lists(basis_functions(), min_size=1, max_size=2))
+    n = draw(st.integers(2, 6))
+    coefficients = [draw(st.lists(st.floats(0.1, 3.0), min_size=len(basis),
+                                  max_size=len(basis)))
+                    for _ in range(n)]
+    # One player whose strategies are the single resources only carries
+    # the basis and coefficients; the segment itself is drawn below.
+    instance = GameInstance.build(basis, coefficients, [[[r] for r in range(n)]])
+    base = draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))
+    delta = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+                          | st.floats(-2.0, 2.0), min_size=n, max_size=n)
+                 .filter(lambda d: min(d) < 0.0 < max(d)))
+    hi = draw(st.floats(0.0, 10.0))
+
+    def covered(delta):
+        return [v + max(0.0, -d) * hi for v, d in zip(base, delta)]
+
+    loads = covered(delta)
+    uphill = draw(st.booleans())
+    if not uphill and segment_slope(instance, loads, delta, 0.0) > 0.0:
+        delta = [-d for d in delta]
+        loads = covered(delta)
+    return instance, loads, delta, hi
+
+
+class TestLineSearch:
+    """``exact_step`` against the bisection it replaced. Near the root the
+    slope is rounding noise, so the two steps can differ by far more than
+    an ulp of the step; the gate is the segment objective instead."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(segment=segments())
+    def test_objective_no_worse_than_bisection(self, segment):
+        instance, loads, delta, hi = segment
+        step = _Objective(instance).exact_step(loads, delta, hi)
+        reference = bisection_step(instance, loads, delta, hi)
+        assert 0.0 <= step <= hi
+        exit_step = early_exit(instance, loads, delta, hi)
+        if exit_step is not None:
+            assert step == reference == exit_step
+            return
+        phi = segment_value(instance, loads, delta, step)
+        phi_ref = segment_value(instance, loads, delta, reference)
+        assert phi <= phi_ref + 4 * math.ulp(max(1.0, abs(phi_ref)))
