@@ -32,7 +32,8 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator
 
-from .errors import ConstructionFailed, InfeasibleParams, InvalidParams
+from .errors import (ConstructionFailed, InfeasibleParams, InvalidParams,
+                     KernelOverflow)
 from .game import (BasisFunction, GameInstance, load_json, save_json,
                    scratch_array, seeded_rng)
 from .kernel import binomial_expectation
@@ -270,7 +271,14 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
 
 def required_ground_set(c_k: float, beta: int, h: int, eta: float) -> float:
     """Ground-set size above which random construction succeeds w.h.p."""
-    return c_k ** 2 / (2.0 * eta ** 2) * (math.log(10.0) + beta * math.log(h + 1.0))
+    try:
+        n = c_k ** 2 / (2.0 * eta ** 2) * (math.log(10.0) + beta * math.log(h + 1.0))
+    except (OverflowError, ZeroDivisionError):
+        n = math.inf
+    if not math.isfinite(n):
+        raise KernelOverflow(
+            f"required ground-set size overflows at c(k) = {c_k:g}, eta = {eta:g}")
+    return n
 
 
 def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
@@ -306,6 +314,8 @@ def build_partitioning_system(n: int, beta: int, h: int, k: int, eta: float,
         raise InvalidParams(
             f"sampled P2 verification needs at least one sample, got {samples}")
     c_table = basis.cost_table(h)
+    if not all(map(math.isfinite, c_table)):
+        raise KernelOverflow(f"cost table c(0..{h}) overflows: {c_table}")
     n_required = required_ground_set(basis.c(k), beta, h, eta)
 
     worst_overall = -math.inf
@@ -493,8 +503,9 @@ def random_instance(num_players: int, num_resources: int, basis,
             f"cannot pick {hi_cnt} distinct strategies of sizes "
             f"{lo_sz}..{hi_sz} from {num_resources} resources")
     lo_c, hi_c = coeff_range
-    if not (0.0 <= lo_c <= hi_c) or hi_c <= 0:
-        raise InvalidParams("coefficient range must satisfy 0 <= lo <= hi, hi > 0")
+    if not (0.0 <= lo_c <= hi_c < math.inf) or hi_c <= 0:
+        raise InvalidParams(
+            "coefficient range must be finite and satisfy 0 <= lo <= hi, hi > 0")
 
     rng = seeded_rng(seed)
     for _ in range(1000):

@@ -395,19 +395,27 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 def _log_cost_ratios(basis: BasisFunction, x: float) -> np.ndarray:
     """``log(c(x*i) / c(x))`` for ``i = 1..170``, with ``c(t) = t * b(t)``.
 
-    Only ratios are formed, so nothing overflows or underflows however high
-    a monomial degree or however large ``x`` is.
+    Only differences of logs are formed, so nothing overflows or underflows
+    however high a monomial degree or however large ``x`` is. A table is
+    divided by its first entry before it is interpolated, which leaves the
+    ratios as they are and keeps subnormal tables at full precision; past
+    its last entry ``log b`` is taken with the slope factored out. A last
+    step down, which validation lets through as rounding slack on tables
+    of tiny values, continues flat, so ``b`` stays positive.
     """
     if basis.kind == "monomial":
         return (basis.degree + 1.0) * _POI1_LOG_COUNTS
-    vals = np.asarray(basis.values)
+    first = basis.values[0]
+    vals = np.asarray(basis.values) / first
+    last, length = vals[-1], len(vals)
     t = x * _POI1_COUNTS
-    b = np.interp(t, np.arange(len(vals) + 1, dtype=float),
-                  np.concatenate(([0.0], vals)))
-    tail = t > len(vals)
-    if np.any(tail):
-        b[tail] = vals[-1] + (t[tail] - len(vals)) * basis.tail_slope
-    return _POI1_LOG_COUNTS + np.log(b / b[0])
+    tail = t > length
+    log_b = np.log(np.interp(t, np.arange(length + 1.0),
+                             np.concatenate(([0.0], vals))))
+    slope = max(basis.tail_slope, 0.0) / first
+    if slope > 0.0 and np.any(tail):
+        log_b[tail] = math.log(slope) + np.log(last / slope + (t[tail] - length))
+    return _POI1_LOG_COUNTS + (log_b - log_b[0])
 
 
 def mu_factor(basis: BasisFunction, monomial_like: bool = False) -> float:
@@ -424,6 +432,10 @@ def mu_factor(basis: BasisFunction, monomial_like: bool = False) -> float:
         raise UnsupportedBasis(
             "mu requires real-argument evaluation; pass monomial_like=True "
             "to use the table's piecewise linear extension")
+    if basis.kind == "table" and not math.isfinite(max(basis.values) / basis.values[0]):
+        # The cost ratios are formed from the table over its first entry,
+        # and this table spans more than the double range.
+        return math.inf
 
     def ratio(x: float) -> float:
         # sum_i Poi(i; 1) * c(x*i) / c(x), summed in log space.

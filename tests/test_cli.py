@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,15 @@ class TestAnalyzeBasis:
         assert rows[0] == "degree,rho"
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert values == pytest.approx([1.0, 2.0, 5.0, 15.0, 52.0], rel=1e-6)
+
+    def test_subnormal_table_mu_matches_its_scaled_copy(self, capsys):
+        mus = []
+        for table in ("1e-320,2e-320", "1,2"):
+            code, out, _ = run_cli(capsys, "analyze-basis", "--table", table,
+                                   "--monomial-like")
+            assert code == 0
+            mus.append(json.loads(out)["mu"])
+        assert mus[0] == pytest.approx(mus[1], rel=1e-15)
 
     def test_missing_basis_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze-basis")
@@ -330,6 +340,15 @@ class TestForge:
         assert payload["p1_passed"] is True
         assert payload["p2_margin"] >= 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-coeff", "inf"), ("--max-coeff", "nan"), ("--min-coeff", "nan")])
+    def test_random_non_finite_coefficients_exit_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "forge", "random", "--players", "2",
+                                 "--resources", "2", "--monomial", "1",
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_partition_failure_exits_four(self, capsys):
         code, _, err = run_cli(capsys, "forge", "partition", "--n", "6",
                                "--beta", "4", "--h", "3", "--k", "2",
@@ -579,6 +598,35 @@ def boundary_instances(draw):
             "players": [{"strategies": s} for s in players]}
 
 
+PARTITION = ["partition", "--n", "12", "--beta", "2", "--h", "2", "--k", "1"]
+
+
+@st.composite
+def forge_flags(draw):
+    """``forge random`` or ``forge partition`` flags with small shapes and
+    numbers from the ends of the double range; some fail validation."""
+    basis = draw(st.one_of(
+        st.builds(lambda d: ["--monomial", repr(d)],
+                  st.one_of(st.integers(0, 700), st.floats(0, 700))),
+        st.builds(lambda v: ["--table", ",".join(map(repr, sorted(v)))],
+                  st.lists(doubles, min_size=1, max_size=3))))
+    small = st.integers(0, 4)
+    if draw(st.booleans()):
+        coeff = st.one_of(doubles, st.sampled_from(
+            [0.0, -1.0, math.inf, -math.inf, math.nan]))
+        flags = ["random", "--players", draw(small), "--resources", draw(small),
+                 "--min-strategies", draw(small), "--max-strategies", draw(small),
+                 "--min-size", draw(small), "--max-size", draw(small),
+                 "--min-coeff", draw(coeff), "--max-coeff", draw(coeff)]
+    else:
+        eta = st.one_of(st.floats(5e-324, 1.0), st.sampled_from(
+            [1e-200, 0.5, 0.9, 0.0, 1.0, math.nan]))
+        flags = ["partition", "--n", draw(st.integers(1, 24)),
+                 "--beta", draw(small), "--h", draw(small), "--k", draw(small),
+                 "--eta", draw(eta)]
+    return ["forge", *map(str, flags), *basis, "--seed", str(draw(st.integers(0, 3)))]
+
+
 class TestNumericBoundary:
     """Costs outside the double range exit 3 with one line, never with a
     traceback or a report holding Infinity or NaN."""
@@ -596,12 +644,17 @@ class TestNumericBoundary:
                     "resources": [{"coeffs": [5e-324]}],
                     "players": [{"strategies": [[0]]}]}),
         ("analyze-basis", ["--table", "5e-324,1.0"]),
+        ("forge", PARTITION + ["--eta", "0.9", "--table", "1e308,1.7e308"]),
+        ("forge", PARTITION + ["--eta", "0.9", "--table", "1e200"]),
+        ("forge", PARTITION + ["--eta", "1e-200", "--monomial", "1"]),
     ], ids=["overflowing-costs", "zero-optimum-oracle", "zero-optimum-design",
             "overflowing-system-table", "infinite-equilibrium-cost",
-            "infinite-rho-design", "infinite-rho-analyze-basis"])
+            "infinite-rho-design", "infinite-rho-analyze-basis",
+            "partition-cost-table", "partition-ground-set-cost",
+            "partition-ground-set-eta"])
     def test_exits_three(self, capsys, tmp_path, command, source):
-        """``source`` is the instance JSON, or ``analyze-basis``'s flags."""
-        if command == "analyze-basis":
+        """``source`` is the instance JSON, or the command's flags."""
+        if command in ("analyze-basis", "forge"):
             argv = [command, *source]
         else:
             path = tmp_path / "instance.json"
@@ -634,6 +687,15 @@ class TestNumericBoundary:
         argv = ["analyze-basis", *basis] + ["--monomial-like"] * monomial_like
         code, out = run_quietly(*argv)
         assert code in (0, 2, 3)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=forge_flags())
+    def test_forge_stays_in_contract(self, argv):
+        """A partitioning system may also fail to verify, which exits 4."""
+        code, out = run_quietly(*argv)
+        assert code in (0, 2, 3, 4)
         if code == 0:
             assert "Infinity" not in out and "NaN" not in out
 

@@ -383,6 +383,12 @@ class TestRandomInstance:
                       for strat in player for r in strat}
         assert referenced == set(range(inst.num_resources))
 
+    @pytest.mark.parametrize("coeff_range", [
+        (0.5, math.inf), (math.inf, math.inf), (math.nan, 2.0), (0.5, math.nan)])
+    def test_rejects_non_finite_coefficient_range(self, coeff_range):
+        with pytest.raises(InvalidParams, match="finite"):
+            random_instance(2, 2, [LINEAR], coeff_range=coeff_range, seed=0)
+
     def test_infeasible_strategy_demand(self):
         with pytest.raises(InfeasibleParams):
             random_instance(2, 2, [LINEAR], strategy_count_range=(4, 4),

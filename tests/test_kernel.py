@@ -266,6 +266,20 @@ class TestMuFactor:
         assert mu_factor(BasisFunction.monomial(degree)) == pytest.approx(
             bell_fractional(degree), rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-320, 5e-324, 1e-300, 3.0, 1e300])
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 5.0]])
+    def test_scale_invariant(self, values, scale):
+        """``mu`` is a ratio of costs, so scaling the table changes nothing,
+        down to subnormal entries (``5e-324 * 3`` is exactly ``1.5e-323``)."""
+        want = mu_factor(BasisFunction.table(values), monomial_like=True)
+        mu = mu_factor(BasisFunction.table([v * scale for v in values]),
+                       monomial_like=True)
+        assert mu == pytest.approx(want, rel=1e-15)
+
+    def test_span_past_the_double_range_is_infinite(self):
+        basis = BasisFunction.table([5e-324, 1.0])
+        assert mu_factor(basis, monomial_like=True) == math.inf
+
     @settings(max_examples=200, deadline=None)
     @given(values=valid_tables(), x=st.floats(1e-3, 1e3))
     def test_log_cost_ratios_match_pointwise_interpolation(self, values, x):
