@@ -97,22 +97,21 @@ class _Objective:
     """Objective, per-resource margins, and segment line search."""
 
     def __init__(self, instance: GameInstance):
-        self.instance = instance
         evaluators = [kernel_evaluators(b) for b in instance.basis]
-        self.p = [e[0] for e in evaluators]
-        # Per resource, the ``(alpha_j, p_j')`` pairs with ``alpha_j != 0``
-        # in ``j`` order: the only terms a margin adds.
-        self.dp_terms = [
-            tuple((alpha, evaluators[j][1]) for j, alpha in enumerate(coeffs)
-                  if alpha)
-            for coeffs in instance.coefficients]
+        # Per resource, the ``(alpha_j, p_j)`` and ``(alpha_j, p_j')`` pairs
+        # with ``alpha_j != 0`` in ``j`` order: the only terms a value or a
+        # margin adds.
+        self.p_terms, self.dp_terms = (
+            [tuple((alpha, evaluators[j][k]) for j, alpha in enumerate(coeffs)
+                   if alpha)
+             for coeffs in instance.coefficients]
+            for k in (0, 1))
 
     def value(self, loads) -> float:
         total = 0.0
-        for coeffs, v in zip(self.instance.coefficients, loads):
-            for j, alpha in enumerate(coeffs):
-                if alpha:
-                    total += alpha * self.p[j](v)
+        for terms, v in zip(self.p_terms, loads):
+            for alpha, p in terms:
+                total += alpha * p(v)
         return total
 
     @staticmethod
