@@ -269,7 +269,7 @@ def segments(draw):
 class TestLineSearch:
     """``exact_step`` against the bisection it replaced. Near the root the
     slope is rounding noise, so the two steps can differ by far more than
-    an ulp of the step; the gate is the segment objective instead."""
+    an ulp of the step; the gate is the exact segment objective instead."""
 
     @settings(max_examples=400, deadline=None)
     @given(segment=segments())
@@ -284,4 +284,4 @@ class TestLineSearch:
             return
         phi = segment_value(instance, loads, delta, step)
         phi_ref = segment_value(instance, loads, delta, reference)
-        assert phi <= phi_ref + 4 * math.ulp(max(1.0, abs(phi_ref)))
+        assert phi <= phi_ref + 4 * math.ulp(max(1.0, abs(float(phi_ref))))
