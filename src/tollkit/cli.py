@@ -392,8 +392,7 @@ def main(argv=None) -> int:
     try:
         _write_config(args, argv)
         return args.func(args)
-    except (GameValidationError, InvalidParams, InfeasibleParams,
-            json.JSONDecodeError, OSError) as exc:
+    except (GameValidationError, InvalidParams, InfeasibleParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (KernelNonConvergent, KernelOverflow, TooLarge) as exc:

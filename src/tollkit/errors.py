@@ -23,21 +23,9 @@ class KernelNonConvergent(TollkitError, ArithmeticError):
     efficiency factor is unbounded.
     """
 
-    def __init__(self, message: str, *, v: float | None = None, terms: int | None = None):
-        super().__init__(message)
-        self.v = v
-        self.terms = terms
-
 
 class KernelOverflow(TollkitError, OverflowError):
     """An intermediate kernel or tax value left the double range."""
-
-    def __init__(self, message: str, *, x: int | None = None, v: float | None = None,
-                 resource: int | None = None):
-        super().__init__(message)
-        self.x = x
-        self.v = v
-        self.resource = resource
 
 
 class UnsupportedBasis(TollkitError, TypeError):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -248,8 +249,12 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
                c_table, mode: str, samples: int, seed: int) -> tuple[float, int]:
     """``(worst margin, transversals checked)`` of P2 in ``mode``
     (``"exhaustive"`` or ``"sampled"``), priced ``P2_BATCH`` transversals
-    per numpy sweep. The margin is the minimum of cost minus threshold."""
+    per numpy sweep. The margin is the minimum of cost minus threshold.
+    A threshold past the double range raises ``KernelOverflow``; a cost
+    past it is ``inf``, which clears any threshold."""
     threshold = (binomial_expectation(c_table, h, k) - eta) * n
+    if not math.isfinite(threshold):
+        raise KernelOverflow(f"P2 threshold leaves the double range at n = {n}")
     membership = np.zeros((beta, h, n), dtype=np.int8)
     for j in range(beta):
         for i in range(h):
@@ -262,10 +267,11 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
         batches = _drawn_transversals(beta, h, samples, seeded_rng(seed))
     worst = math.inf
     checked = 0
-    for rows, picks in batches:
-        costs = _transversal_costs(membership, c_arr, rows, picks)
-        worst = min(worst, float((costs - threshold).min()))
-        checked += len(costs)
+    with np.errstate(over="ignore"):
+        for rows, picks in batches:
+            costs = _transversal_costs(membership, c_arr, rows, picks)
+            worst = min(worst, float((costs - threshold).min()))
+            checked += len(costs)
     return worst, checked
 
 
@@ -367,7 +373,8 @@ class LabelCoverInstance:
     pi: dict[tuple[int, int], tuple[int, ...]]
 
     def __post_init__(self):
-        degrees = [0] * self.num_right
+        # Degrees are counted per edge, so a large num_right costs nothing.
+        degrees = Counter()
         seen = set()
         for v, u in self.edges:
             if not (0 <= v < self.num_left and 0 <= u < self.num_right):
@@ -376,9 +383,11 @@ class LabelCoverInstance:
                 raise InvalidParams(f"duplicate edge ({v}, {u})")
             seen.add((v, u))
             degrees[u] += 1
-        if any(d != self.h for d in degrees):
+        if (any(d != self.h for d in degrees.values())
+                or (self.h != 0 and len(degrees) != self.num_right)):
             raise InvalidParams(
-                f"every right vertex needs degree exactly {self.h}, got {degrees}")
+                f"every right vertex needs degree exactly {self.h}, got "
+                f"{sorted(degrees.values())} over {self.num_right} right vertices")
         for e in self.edges:
             table = self.pi.get(e)
             if table is None or len(table) != self.alpha:
@@ -454,6 +463,8 @@ def reduce_label_cover(lc: LabelCoverInstance, ps_params: dict,
     strategies = []
     for v in range(lc.num_left):
         edges_v = [(v, u) for (vv, u) in lc.edges if vv == v]
+        if not edges_v:
+            raise InvalidParams(f"left vertex {v} has no edge, so its strategies are empty")
         player_strategies = []
         seen = set()
         for label in range(lc.alpha):

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import GameValidationError, KernelOverflow, TollkitError
+from .errors import GameValidationError, InvalidParams, KernelOverflow, TollkitError
 
 # Slack for float tables in monotonicity / convexity validation.
 _VALIDATION_SLACK = 1e-12
@@ -46,6 +46,8 @@ def _as_index(value) -> int:
 def seeded_rng(seed: int) -> Generator:
     """The package's random stream: numpy's counter-based Philox keyed by
     ``seed``, so seeded outputs are bit-identical within one build."""
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidParams(f"seed must be in [0, 2**128), got {seed}")
     return Generator(Philox(key=seed))
 
 
@@ -58,17 +60,19 @@ def save_json(path, payload) -> None:
 def load_json(cls, path):
     """``cls.from_json`` of the JSON document at ``path``.
 
-    A document that parses but lacks a field, or holds one of the wrong
-    type or value, raises ``GameValidationError`` instead of the raw
-    ``KeyError``/``TypeError``/``ValueError`` that ``from_json`` hits.
+    A file that is not a JSON document, or a document that lacks a field
+    or holds one of the wrong type or value, raises ``GameValidationError``
+    instead of the raw ``ValueError`` (bad JSON or UTF-8, an int of more
+    than 4300 digits), ``KeyError``, ``TypeError`` or ``OverflowError``
+    (``int`` of a JSON ``1e400``) that parsing or ``from_json`` hits.
     """
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         return cls.from_json(data)
     except TollkitError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise GameValidationError(
             f"malformed {cls.__name__} JSON in {path}: {exc!r}") from exc
 
@@ -116,7 +120,7 @@ class BasisFunction:
                     raise GameValidationError(
                         f"table value at x={i + 1} must be finite and > 0, got {v}")
             for i in range(len(vals) - 1):
-                if vals[i + 1] < vals[i] - _VALIDATION_SLACK * max(1.0, abs(vals[i])):
+                if vals[i + 1] < vals[i] * (1.0 - _VALIDATION_SLACK):
                     raise GameValidationError(
                         f"table must be non-decreasing; violated between x={i + 1} and x={i + 2}")
             # Semi-convexity: c(x) = x * b(x) must have non-decreasing first
@@ -125,7 +129,7 @@ class BasisFunction:
             for x in range(1, len(c) - 1):
                 lo = c[x] - c[x - 1]
                 hi = c[x + 1] - c[x]
-                if hi < lo - _VALIDATION_SLACK * max(1.0, abs(c[x])):
+                if hi < lo - _VALIDATION_SLACK * c[x]:
                     raise GameValidationError(
                         f"table violates semi-convexity of x*b(x) at x={x}")
         else:

@@ -13,7 +13,11 @@ the fractional Bell number ``exp(-1) * sum_i i**(d+1) / i!``.
 Integer-degree monomials (degree up to 120) and table bases have exact
 kernels; only non-integer degrees and higher integer degrees run the
 truncated series, cut by ``SERIES_TOL`` and ``SERIES_TERMS`` (see
-``kernel_evaluators``).
+``kernel_evaluators``). The series and a table's head sum walk the Poisson
+weights out from one start (``_poisson_start``): ``x = 0`` up to rate
+``_EXP_SAFE``, the Poisson mode above it. Every weight stays a normalised
+probability, so nothing is rescaled, and above ``_EXP_SAFE`` the series
+costs ``O(sqrt(v))`` terms.
 """
 
 from __future__ import annotations
@@ -29,70 +33,10 @@ import numpy as np
 from .errors import InvalidParams, KernelNonConvergent, KernelOverflow, UnsupportedBasis
 from .game import BasisFunction
 
-_RENORM_LIMIT = 1e200
-_RENORM_FACTOR = 1e-200
-_LOG_RENORM = -math.log(_RENORM_FACTOR)
-# _LOG_RENORM with its low 21 bits cleared: k * _LOG_RENORM_HI is exact for
-# every rescale count k a series can reach.
-_LOG_RENORM_HI = math.ldexp(math.floor(math.ldexp(_LOG_RENORM, 23)), -23)
-
-
 SERIES_TOL = 1e-14  # relative size at which the series' decreasing tail is cut
 SERIES_TERMS = 10_000  # terms the series may run past the Poisson peak i ~ v
 RHO_STALL = 50  # loads in a row without a new maximum that end rho_factor's scan
 MU_GRID = (1e-3, 1e3, 2048)  # mu_factor's first log-spaced grid: low, high, points
-
-
-def _poisson_series(coef: Callable[[int], float], v: float) -> float:
-    """``exp(-v) * sum_{i>=0} coef(i) * v^i / i!`` for non-negative ``coef``.
-
-    Truncates once the running term falls below ``SERIES_TOL * (sum + 1)``
-    while the terms are decreasing and the Poisson weight peak (``i ~ v``)
-    is past. The term cap counts from that peak, ``ceil(v) + SERIES_TERMS``,
-    because no series can stop before it; reaching the cap raises
-    ``KernelNonConvergent``. Accumulation is rescaled on the fly so weights
-    like ``v^i / i!`` never overflow before the closing ``exp(-v)``.
-    """
-    if v < 0 or not math.isfinite(v):
-        raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
-    if v == 0.0:
-        return float(coef(0))
-    total = float(coef(0))
-    w = 1.0
-    rescales = 0
-    prev = math.inf
-    converged = False
-    i = 0
-    cap = math.ceil(v) + SERIES_TERMS
-    while i < cap:
-        i += 1
-        w *= v / i
-        if w > _RENORM_LIMIT or total > _RENORM_LIMIT:
-            w *= _RENORM_FACTOR
-            total *= _RENORM_FACTOR
-            prev *= _RENORM_FACTOR
-            rescales += 1
-        term = coef(i) * w
-        if not math.isfinite(term):
-            raise KernelOverflow(
-                f"kernel term overflowed at i={i}, v={v}", x=i, v=v)
-        total += term
-        if i > v and term <= prev \
-                and term <= SERIES_TOL * (total + 1.0):
-            converged = True
-            break
-        prev = term
-    if not converged:
-        raise KernelNonConvergent(
-            f"series did not settle within {cap} terms at v={v}",
-            v=v, terms=cap)
-    if total <= 0.0:
-        return 0.0
-    # The rescales' log, k * _LOG_RENORM, as hi + lo with lo the rounding
-    # error of hi (0 for k <= 2), so high rates lose no digits to it.
-    hi = rescales * _LOG_RENORM
-    lo = (rescales * _LOG_RENORM_HI - hi) + rescales * (_LOG_RENORM - _LOG_RENORM_HI)
-    return math.exp((hi - v) + (math.log(total) + lo))
 
 
 @functools.cache
@@ -130,24 +74,68 @@ def _poisson_weight(m: int, v: float) -> float:
     return math.exp(-m * (d - math.log1p(d)) - stirling) / math.sqrt(2.0 * math.pi * m)
 
 
+def _poisson_start(v: float, top: float = math.inf) -> tuple[int, float]:
+    """Index ``m`` and weight ``Poi(m; v)`` at which a walk over Poisson
+    weights starts: ``x = 0`` with ``exp(-v)`` up to ``_EXP_SAFE``, above
+    it the mode ``int(v)`` (or ``top`` if lower) with a log-space weight.
+    Weights walked to from there never overflow; those lost to underflow
+    are below any term that counts.
+    """
+    if v <= _EXP_SAFE:
+        return 0, math.exp(-v)
+    m = min(int(v), top)
+    return m, _poisson_weight(m, v)
+
+
+def _poisson_series(coef: Callable[[int], float], v: float) -> float:
+    """``sum_{i>=0} coef(i) * Poi(i; v)`` for non-negative, non-decreasing
+    ``coef``.
+
+    The walk starts at ``_poisson_start`` and first runs up. It stops once
+    the Poisson peak (``i ~ v``) is past and the terms are decreasing, at a
+    term below ``SERIES_TOL * (sum + 1)``. The term cap counts from that
+    peak, ``ceil(v) + SERIES_TERMS``, because no series can stop before it;
+    reaching the cap raises ``KernelNonConvergent``. Below the start the
+    terms only shrink, so the walk down stops at the first one that falls
+    under the same bound. The cost grows with ``sqrt(v)`` above
+    ``_EXP_SAFE``, where the walk starts at the peak.
+    """
+    if v < 0 or not math.isfinite(v):
+        raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
+    start, anchor = _poisson_start(v)
+    cap = math.ceil(v) + SERIES_TERMS
+    total = 0.0
+    w, prev = anchor, math.inf
+    for i in range(start, cap + 1):
+        term = coef(i) * w
+        if not math.isfinite(term):
+            raise KernelOverflow(f"kernel term overflowed at i={i}, v={v}")
+        total += term
+        if i > v and term <= prev and term <= SERIES_TOL * (total + 1.0):
+            break
+        prev = term
+        w *= v / (i + 1)
+    else:
+        raise KernelNonConvergent(f"series did not settle within {cap} terms at v={v}")
+    w = anchor
+    for i in range(start - 1, -1, -1):
+        w *= (i + 1) / v
+        term = coef(i) * w
+        total += term
+        if term <= SERIES_TOL * (total + 1.0):
+            break
+    return total
+
+
 def _head_sum(coef: tuple[float, ...], v: float) -> tuple[float, float]:
     """``sum_{x<n} coef[x] * Poi(x; v)`` and ``Poi(n; v)``, ``n = len(coef)``.
 
-    Weights are walked up from ``exp(-v)``. When that underflows, the walk
-    starts at the mode (or at ``n`` if that is lower) from a log-space
-    weight and runs both ways; weights lost to underflow on the way are
-    below any term that counts.
+    The walk starts at ``_poisson_start`` capped at ``n`` and runs down,
+    then up to ``n``.
     """
     n = len(coef)
+    m, anchor = _poisson_start(v, n)
     total = 0.0
-    if v <= _EXP_SAFE:
-        w = math.exp(-v)
-        for x in range(n):
-            total += coef[x] * w
-            w *= v / (x + 1)
-        return total, w
-    m = min(int(v), n)
-    anchor = _poisson_weight(m, v)
     w = anchor
     for x in range(m - 1, -1, -1):
         w *= (x + 1) / v
@@ -188,7 +176,7 @@ def _table_evaluator(head: tuple[float, ...], e2: float, e1: float,
         weight *= L / (L + u)
         term = ((e2 * u + e1) * u + e0) * weight
         if not math.isfinite(term):
-            raise KernelOverflow(f"table kernel tail overflowed at x={L + u}", x=L + u)
+            raise KernelOverflow(f"table kernel tail overflowed at x={L + u}")
         prev = coeffs[-1]
         coeffs.append(term)
         if term < prev:
@@ -278,7 +266,7 @@ def _checked(evaluate: Callable[[float], float], v: float) -> float:
         raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
     value = evaluate(v)
     if not math.isfinite(value):
-        raise KernelOverflow(f"kernel overflowed at v={v}", v=v)
+        raise KernelOverflow(f"kernel overflowed at v={v}")
     return value
 
 
@@ -357,7 +345,7 @@ def rho_factor(basis: BasisFunction, x_max: int = 1000) -> RhoReport:
             break
         ratio = p / basis.c(x)
         if not math.isfinite(ratio):
-            raise KernelOverflow(f"p(x)/c(x) at x={x} leaves the double range", x=x)
+            raise KernelOverflow(f"p(x)/c(x) at x={x} leaves the double range")
         samples.append(ratio)
         if ratio > best:
             best = ratio
@@ -400,8 +388,8 @@ def _log_cost_ratios(basis: BasisFunction, x: float) -> np.ndarray:
     divided by its first entry before it is interpolated, which leaves the
     ratios as they are and keeps subnormal tables at full precision; past
     its last entry ``log b`` is taken with the slope factored out. A last
-    step down, which validation lets through as rounding slack on tables
-    of tiny values, continues flat, so ``b`` stays positive.
+    step down, which validation lets through as rounding slack, continues
+    flat, so ``b`` stays positive.
     """
     if basis.kind == "monomial":
         return (basis.degree + 1.0) * _POI1_LOG_COUNTS

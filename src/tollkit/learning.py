@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParams, NotConverged, TooLarge
+from .errors import InvalidParams, KernelOverflow, NotConverged, TooLarge
 from .game import Allocation, CompiledGame, GameInstance, TaxProfile, seeded_rng
 from .oracle import (DEFAULT_ENUMERATION_CAP, IMPROVEMENT_THRESHOLD,
                      brute_force_min_sc)
@@ -162,14 +162,18 @@ def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[fl
     running ``total += cost`` in the round loop would sum it:
     ``np.add.accumulate`` is defined to add one row after another, where a
     reduction such as ``np.sum`` may pair terms and round differently.
+    Totals past the double range raise ``KernelOverflow``.
     """
     rows = np.array(rows)
     order = np.array(order, dtype=np.intp)
     totals = np.zeros(rows.shape[1])
-    for start in range(0, len(order), ROUND_BLOCK):
-        block = rows[order[start:start + ROUND_BLOCK]]
-        block[0] += totals
-        totals = np.add.accumulate(block)[-1]
+    with np.errstate(over="ignore"):  # raised below as KernelOverflow
+        for start in range(0, len(order), ROUND_BLOCK):
+            block = rows[order[start:start + ROUND_BLOCK]]
+            block[0] += totals
+            totals = np.add.accumulate(block)[-1]
+    if not np.isfinite(totals).all():
+        raise KernelOverflow("the perceived costs summed over the rounds leave the double range")
     return totals.tolist()
 
 
@@ -196,7 +200,8 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     ``K_i`` bounds any perceived cost player ``i`` can face. ``eta="auto"``
     sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player. The
     losses must lie in ``[0, K_i]`` with ``K_i > 0``: a negative perceived
-    cost, or a player whose ``K_i`` is 0, raises ``InvalidParams``.
+    cost, or a player whose ``K_i`` is 0, raises ``InvalidParams``; cost
+    totals over the rounds past the double range raise ``KernelOverflow``.
 
     A profile's costs and update factors depend on the profile alone, so
     each distinct profile is priced once per run, on its first visit, and

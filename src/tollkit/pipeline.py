@@ -57,7 +57,7 @@ def _instance_rho(instance: GameInstance, x_max: int) -> float:
     for j in used:
         report = rho_factor(instance.basis[j], x_max=x_max)
         if report.infinite:
-            raise KernelNonConvergent("efficiency factor is unbounded", v=None)
+            raise KernelNonConvergent("efficiency factor is unbounded")
         value = max(value, report.value)
     return value
 

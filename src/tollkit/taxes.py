@@ -73,8 +73,7 @@ def modified_cost_table(basis: BasisFunction, v: float, x_cap: int) -> list[floa
 
     for x, value in enumerate(f):
         if not math.isfinite(value):
-            raise KernelOverflow(
-                f"modified cost overflowed at x={x}, v={v}", x=x, v=v)
+            raise KernelOverflow(f"modified cost overflowed at x={x}, v={v}")
     return f
 
 
@@ -112,16 +111,14 @@ def build_tax_profile(instance: GameInstance, v) -> TaxProfile:
                 try:
                     f_cache[key] = modified_cost_table(instance.basis[j], v[r], n)
                 except KernelOverflow as exc:
-                    raise KernelOverflow(
-                        f"resource {r}: {exc}", x=exc.x, v=exc.v, resource=r) from exc
+                    raise KernelOverflow(f"resource {r}: {exc}") from exc
             f_table = f_cache[key]
             b = instance.basis[j]
             for x in range(n + 1):
                 tau[x] += alpha * (f_table[x] - b.b(x))
                 ell_bar[x] += alpha * f_table[x]
         if not all(map(math.isfinite, tau + ell_bar)):
-            raise KernelOverflow(f"resource {r}: tax tables leave the double range",
-                                 resource=r)
+            raise KernelOverflow(f"resource {r}: tax tables leave the double range")
         tau_rows.append(tuple(tau))
         ell_bar_rows.append(tuple(ell_bar))
     return TaxProfile(v=tuple(v), tau=tuple(tau_rows),

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from game_strategies import negated_taxes
-from tollkit import (BasisFunction, GameInstance, best_profile_approximation,
-                     build_tax_profile, cli, multiplicative_weights_run)
+from tollkit import (BasisFunction, GameInstance, TaxProfile,
+                     best_profile_approximation, build_tax_profile, cli,
+                     multiplicative_weights_run)
 from tollkit.cli import main
 
 
@@ -85,6 +86,10 @@ class TestAnalyzeBasis:
     def test_invalid_table_is_parse_error(self, capsys):
         code, _, _ = run_cli(capsys, "analyze-basis", "--table", "3,1")
         assert code == 2
+
+    def test_falling_subnormal_table_is_parse_error(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze-basis", "--table", "1e-320,5e-324")
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("degree", ["103", "104", "110", "300"])
     def test_high_degree_never_ends_in_traceback(self, capsys, degree):
@@ -213,6 +218,29 @@ class TestLearn:
         summary = (out_dir / "learn_summary.csv").read_text().splitlines()
         assert summary[0] == "seed,rounds,max_average_regret,best_sc,ratio"
         assert len(summary) == 2
+
+    @pytest.mark.parametrize("flags", [["--seeds=-1"], ["--seed", str(2 ** 128)]],
+                             ids=["negative", "past-2**128"])
+    def test_seed_outside_the_philox_key_range_exits_two(self, capsys, tmp_path, flags):
+        inst, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        build_tax_profile(inst, [1.0, 1.0]).save(taxes_path)
+        code, out, err = run_cli(capsys, "learn", str(path), "--taxes", str(taxes_path),
+                                 "--rounds", "1", *flags, "--out", str(tmp_path / "runs"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be in [0, 2**128)")
+
+    def test_cost_totals_past_the_double_range_exit_three(self, capsys, tmp_path):
+        """Each round's costs are finite; 50 rounds of them are not."""
+        _, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        TaxProfile(v=(0.0, 0.0), tau=((1e307,) * 3,) * 2, ell_bar=((1e307,) * 3,) * 2,
+                   n_cap=2).save(taxes_path)
+        code, out, err = run_cli(capsys, "learn", str(path), "--taxes", str(taxes_path),
+                                 "--rounds", "50", "--seeds", "0",
+                                 "--out", str(tmp_path / "runs"))
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: ")
 
     def test_three_seeds_meet_factor_bound(self, capsys, tmp_path):
         inst, path = write_two_by_two(tmp_path)
@@ -601,15 +629,18 @@ def boundary_instances(draw):
 PARTITION = ["partition", "--n", "12", "--beta", "2", "--h", "2", "--k", "1"]
 
 
+basis_flags = st.one_of(
+    st.builds(lambda d: ["--monomial", repr(d)],
+              st.one_of(st.integers(0, 700), st.floats(0, 700))),
+    st.builds(lambda v: ["--table", ",".join(map(repr, sorted(v)))],
+              st.lists(doubles, min_size=1, max_size=3)))
+
+
 @st.composite
 def forge_flags(draw):
     """``forge random`` or ``forge partition`` flags with small shapes and
     numbers from the ends of the double range; some fail validation."""
-    basis = draw(st.one_of(
-        st.builds(lambda d: ["--monomial", repr(d)],
-                  st.one_of(st.integers(0, 700), st.floats(0, 700))),
-        st.builds(lambda v: ["--table", ",".join(map(repr, sorted(v)))],
-                  st.lists(doubles, min_size=1, max_size=3))))
+    basis = draw(basis_flags)
     small = st.integers(0, 4)
     if draw(st.booleans()):
         coeff = st.one_of(doubles, st.sampled_from(
@@ -625,6 +656,125 @@ def forge_flags(draw):
                  "--beta", draw(small), "--h", draw(small), "--k", draw(small),
                  "--eta", draw(eta)]
     return ["forge", *map(str, flags), *basis, "--seed", str(draw(st.integers(0, 3)))]
+
+
+def mostly(usual, odd):
+    """``usual`` five times in six, else ``odd``: a run that trips on
+    every flag at once would only ever test the first check."""
+    return st.integers(0, 5).flatmap(lambda i: odd if i == 0 else usual)
+
+
+# Table entries and flag values of either sign, the non-finite ones included.
+signed_doubles = st.one_of(doubles, doubles.map(lambda x: -x), st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf]))
+# What a malformed file may hold where a count or a table belongs.
+odd_json_values = st.sampled_from(
+    [0, -1, 1, 2, 10 ** 30, -10 ** 30, 2 ** 200, 1.5, math.nan, math.inf,
+     -math.inf, "3", "x", None, [], {}, True, [[1]]])
+# Files that are not the JSON of anything.
+garbage_files = st.sampled_from(
+    [b"", b"{", b"\xff\xfe", b"null", b"[]", b"NaN", b"1" * 5000,
+     b'{"resources": 1e400}'])
+
+
+def write_json_file(path, data):
+    """``data`` as JSON, or as raw bytes when it is ``bytes``."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
+
+
+@st.composite
+def learn_taxes_files(draw):
+    """Taxes for the two-player, two-resource game of ``write_two_by_two``.
+    Most are valid, with every entry scaled by one factor from across the
+    double range; the rest have entries of either sign (negative ``tau``,
+    NaN), an odd ``n_cap``, resource count or field, or are not JSON."""
+    kind = draw(st.sampled_from(["valid"] * 6 + ["signed", "odd", "garbage"]))
+    if kind == "garbage":
+        return draw(garbage_files)
+    n_cap, count = 2, 2
+    if kind == "odd":
+        n_cap = draw(st.one_of(st.integers(-1, 3), odd_json_values))
+        count = draw(st.integers(1, 3))
+    length = n_cap + 1 if type(n_cap) is int and 0 <= n_cap <= 3 else 3
+    scale = draw(st.sampled_from([1.0, 5e-324, 1e-300, 1e300, 1e306, 3e306, 1e307]))
+    entry = signed_doubles if kind == "signed" else st.floats(0, 4).map(lambda x: x * scale)
+    table = st.lists(entry, min_size=length, max_size=length)
+    resources = [{"v": draw(entry), "tau": draw(table), "ell_bar": draw(table)}
+                 for _ in range(count)]
+    if kind == "odd" and draw(st.booleans()):
+        field = draw(st.sampled_from(["v", "tau", "ell_bar"]))
+        resources[0][field] = draw(odd_json_values)
+    return {"resources": resources, "n_cap": n_cap}
+
+
+@st.composite
+def learn_flags(draw):
+    """``--rounds``, ``--eta``, ``--seeds`` and ``--seed`` at and past their
+    limits. Rounds stay at most 64: the run plays every one of them."""
+    rounds = draw(mostly(st.integers(1, 64), st.one_of(
+        st.integers(-2 ** 63, 0), st.sampled_from(["1e3", "x", str(-2 ** 200)]))))
+    eta = draw(mostly(
+        st.one_of(st.just("auto"), st.floats(0, 10).map(repr), doubles.map(repr)),
+        st.one_of(st.sampled_from(["nan", "inf", "1e400", "x", ""]),
+                  signed_doubles.map(repr))))
+    seed = mostly(st.integers(0, 2 ** 128 - 1), st.integers(-2 ** 130, 2 ** 130))
+    seeds = draw(mostly(
+        st.lists(seed, min_size=1, max_size=3).map(lambda s: ",".join(map(str, s))),
+        st.sampled_from(["", ",", "1e3", "0x10", " 1 , ,2"])))
+    return [f"--rounds={rounds}", f"--eta={eta}", f"--seeds={seeds}",
+            f"--seed={draw(mostly(st.integers(0, 3), seed))}"]
+
+
+@st.composite
+def label_cover_files(draw):
+    """Small label-cover JSON, some with a field, an edge or a constraint
+    map replaced by an odd value, some not JSON at all. The right alphabet
+    ``beta`` stays small: the system has one row per label."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(garbage_files)
+    left, right = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    h, alpha = draw(st.integers(1, left)), draw(st.integers(1, 3))
+    beta = draw(st.integers(max(h, alpha), 3))
+    edges = [[v, u] for u in range(right)
+             for v in draw(st.lists(st.integers(0, left - 1), min_size=h,
+                                    max_size=h, unique=True))]
+    # Distinct rows per edge keep a left vertex's strategies distinct.
+    pi = {f"{v},{u}": draw(st.lists(st.integers(0, beta - 1), min_size=alpha,
+                                     max_size=alpha, unique=True)) for v, u in edges}
+    data = {"left": left, "right": right, "edges": edges, "h": h,
+            "alpha": alpha, "beta": beta, "pi": pi}
+    for _ in range(draw(mostly(st.just(0), st.integers(1, 2)))):
+        odd = draw(odd_json_values)
+        where = draw(st.sampled_from(
+            ["left", "right", "h", "alpha", "beta", "edge", "pi key", "pi value"]))
+        if where == "beta":
+            data["beta"] = draw(st.sampled_from([0, -1, 1.5, math.nan, "x", None]))
+        elif where == "edge":
+            data["edges"][0][draw(st.integers(0, 1))] = odd
+        elif where == "pi key":
+            data["pi"][draw(st.sampled_from(["1", "0,0,0", "a,b", "-1,0", "0,5"]))] = [0]
+        elif where == "pi value":
+            data["pi"][f"{edges[0][0]},{edges[0][1]}"] = odd
+        else:
+            data[where] = odd
+    return data
+
+
+@st.composite
+def reduce_flags(draw):
+    """``forge reduce`` flags: ``--n``, ``--k``, ``--beta`` and ``--eta``
+    at and past their limits, and a basis from the whole double range."""
+    n = draw(mostly(st.sampled_from([6, 12]), st.integers(-2, 24)))
+    k = draw(mostly(st.just(1), st.integers(-1, 3)))
+    beta = draw(mostly(st.sampled_from([None, 4]), st.integers(-1, 3)))
+    eta = draw(mostly(st.floats(0.05, 0.95), st.one_of(
+        signed_doubles, st.sampled_from([0.0, 1.0]))))
+    basis = draw(mostly(st.just(["--monomial", "1"]), basis_flags))
+    return ["--n", str(n), "--k", str(k), f"--eta={eta!r}", *basis,
+            *([] if beta is None else ["--beta", str(beta)])]
 
 
 class TestNumericBoundary:
@@ -647,11 +797,12 @@ class TestNumericBoundary:
         ("forge", PARTITION + ["--eta", "0.9", "--table", "1e308,1.7e308"]),
         ("forge", PARTITION + ["--eta", "0.9", "--table", "1e200"]),
         ("forge", PARTITION + ["--eta", "1e-200", "--monomial", "1"]),
+        ("forge", PARTITION + ["--eta", "0.5", "--table", "1e150,8e307"]),
     ], ids=["overflowing-costs", "zero-optimum-oracle", "zero-optimum-design",
             "overflowing-system-table", "infinite-equilibrium-cost",
             "infinite-rho-design", "infinite-rho-analyze-basis",
             "partition-cost-table", "partition-ground-set-cost",
-            "partition-ground-set-eta"])
+            "partition-ground-set-eta", "partition-threshold"])
     def test_exits_three(self, capsys, tmp_path, command, source):
         """``source`` is the instance JSON, or the command's flags."""
         if command in ("analyze-basis", "forge"):
@@ -699,6 +850,29 @@ class TestNumericBoundary:
         if code == 0:
             assert "Infinity" not in out and "NaN" not in out
 
+    @settings(max_examples=150, deadline=None)
+    @given(taxes=learn_taxes_files(), flags=learn_flags())
+    def test_learn_stays_in_contract(self, tmp_path_factory, taxes, flags):
+        base = tmp_path_factory.getbasetemp()
+        _, path = write_two_by_two(base)
+        write_json_file(base / "taxes.json", taxes)
+        code, out = run_quietly("learn", str(path), "--taxes", str(base / "taxes.json"),
+                                *flags, "--out", str(base / "runs"))
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
+
+    @settings(max_examples=150, deadline=None)
+    @given(lc=label_cover_files(), flags=reduce_flags())
+    def test_forge_reduce_stays_in_contract(self, tmp_path_factory, lc, flags):
+        """A partitioning system may also fail to verify, which exits 4."""
+        path = tmp_path_factory.getbasetemp() / "labelcover.json"
+        write_json_file(path, lc)
+        code, out = run_quietly("forge", "reduce", "--labelcover", str(path), *flags)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
+
 
 def _drop_tau(data):
     del data["resources"][0]["tau"]
@@ -717,6 +891,32 @@ def _fractional_index(data):
 
 
 class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command,content", [
+        ("learn", b"\xff\xfe"), ("learn", b"1" * 5000),
+        ("learn", b'{"resources": [], "n_cap": 1e400}'),
+        ("reduce", b'{"left": 1, "right": 1e30, "edges": [], "h": 0, '
+                   b'"alpha": 1, "beta": 1, "pi": {}}'),
+        ("reduce", b'{"left": 1000000000000000000000000000000, "right": 1, '
+                   b'"edges": [[0, 0]], "h": 1, "alpha": 1, "beta": 1, '
+                   b'"pi": {"0,0": [0]}}'),
+    ], ids=["taxes-not-utf8", "taxes-int-past-4300-digits", "taxes-n-cap-1e400",
+            "labelcover-right-1e30", "labelcover-left-1e30"])
+    def test_unreadable_files_exit_two(self, capsys, tmp_path, command, content):
+        """Files that are not UTF-8 JSON, hold a number past the int range,
+        or claim more vertices than their edges reach."""
+        _, path = write_two_by_two(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {
+            "learn": ["learn", str(path), "--taxes", str(bad), "--rounds", "1",
+                      "--out", str(tmp_path / "runs")],
+            "reduce": ["forge", "reduce", "--labelcover", str(bad), "--n", "6",
+                       "--k", "1", "--eta", "0.5", "--monomial", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command,edit", [
         ("oracle", _drop_tau), ("learn", _drop_tau), ("oracle", _nan_tau),
         ("reduce", _drop_pi), ("instance", _fractional_index),

@@ -38,6 +38,16 @@ class TestBasisValidation:
         with pytest.raises(GameValidationError):
             BasisFunction.table([1.0, 10.0, 7.0])
 
+    @pytest.mark.parametrize("values", [[1e-13, 1e-15], [1e-20, 1e-19, 1e-19]],
+                             ids=["falling", "semi-concave"])
+    def test_table_slack_scales_with_tiny_values(self, values):
+        with pytest.raises(GameValidationError):
+            BasisFunction.table(values)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_table_admits_drops_of_rounding_size(self, scale):
+        BasisFunction.table([scale, scale * (1.0 - 1e-14)])
+
     def test_affine_table_extends_exactly(self):
         b = BasisFunction.table([2.0, 3.0])
         assert [b.b(x) for x in range(8)] == [0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]

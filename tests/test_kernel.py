@@ -31,10 +31,11 @@ def peak_kernel_oracle(basis, v):
     lo, hi = int(v - 40 * mp.sqrt(v)), int(v + 40 * mp.sqrt(v))
     c = [mp.mpf(i) * mp.mpf(i) ** basis.degree for i in range(lo, hi + 1)]
     p = dp = mp.mpf(0)
+    w = mp.exp(lo * mp.log(v) - v - mp.loggamma(lo + 1))
     for i in range(lo, hi):
-        w = mp.exp(i * mp.log(v) - v - mp.loggamma(i + 1))
         p += w * c[i - lo]
         dp += w * (c[i - lo + 1] - c[i - lo])
+        w = w * v / (i + 1)
     return float(p), float(dp)
 
 
@@ -104,12 +105,23 @@ class TestPoissonKernel:
 
     @pytest.mark.parametrize("degree", [0.5, 2.5])
     def test_high_rate_matches_oracle(self, degree):
-        # Past v = 9286 the series needs more than 10,000 terms from i = 0;
-        # the cap counts from the Poisson peak, so it settles.
+        # The series starts at the Poisson peak, past 10,000 terms from i = 0.
         b = BasisFunction.monomial(degree)
-        want_p, want_dp = peak_kernel_oracle(b, 12_000)
-        assert poisson_kernel(b, 12_000.0) == pytest.approx(want_p, rel=1e-12)
-        assert poisson_kernel_derivative(b, 12_000.0) == pytest.approx(want_dp, rel=1e-12)
+        for v in (12_000.0, 1e5):
+            want_p, want_dp = peak_kernel_oracle(b, v)
+            assert poisson_kernel(b, v) == pytest.approx(want_p, rel=1e-12)
+            assert poisson_kernel_derivative(b, v) == pytest.approx(want_dp, rel=1e-12)
+
+    def test_high_rate_cost_grows_with_sqrt_rate(self):
+        # About 7 standard deviations of Poi(v) on either side of the peak.
+        calls = []
+
+        def coef(i):
+            calls.append(i)
+            return BasisFunction.monomial(0.5).c(i)
+
+        _poisson_series(coef, 1e6)
+        assert len(calls) <= 50_000
 
     def test_rejects_negative_rate(self):
         with pytest.raises(InvalidParams):
