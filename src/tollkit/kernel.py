@@ -134,13 +134,14 @@ def _head_sum(coef: tuple[float, ...], v: float) -> tuple[float, float]:
     then up to ``n``.
     """
     n = len(coef)
-    m, anchor = _poisson_start(v, n)
+    m, w = _poisson_start(v, n)
     total = 0.0
-    w = anchor
-    for x in range(m - 1, -1, -1):
-        w *= (x + 1) / v
-        total += coef[x] * w
-    w = anchor
+    if m:  # table kernels run this per evaluation: no empty walk down
+        anchor = w
+        for x in range(m - 1, -1, -1):
+            w *= (x + 1) / v
+            total += coef[x] * w
+        w = anchor
     for x in range(m, n):
         total += coef[x] * w
         w *= v / (x + 1)
