@@ -63,8 +63,9 @@ def load_json(cls, path):
     A file that is not a JSON document, or a document that lacks a field
     or holds one of the wrong type or value, raises ``GameValidationError``
     instead of the raw ``ValueError`` (bad JSON or UTF-8, an int of more
-    than 4300 digits), ``KeyError``, ``TypeError`` or ``OverflowError``
-    (``int`` of a JSON ``1e400``) that parsing or ``from_json`` hits.
+    than 4300 digits), ``RecursionError`` (arrays nested too deep),
+    ``KeyError``, ``TypeError`` or ``OverflowError`` (``int`` of a JSON
+    ``1e400``) that parsing or ``from_json`` hits.
     """
     try:
         with open(path) as fh:
@@ -72,7 +73,8 @@ def load_json(cls, path):
         return cls.from_json(data)
     except TollkitError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            AttributeError) as exc:
         raise GameValidationError(
             f"malformed {cls.__name__} JSON in {path}: {exc!r}") from exc
 

@@ -674,7 +674,7 @@ odd_json_values = st.sampled_from(
 # Files that are not the JSON of anything.
 garbage_files = st.sampled_from(
     [b"", b"{", b"\xff\xfe", b"null", b"[]", b"NaN", b"1" * 5000,
-     b'{"resources": 1e400}'])
+     b"[" * 100_000 + b"]" * 100_000, b'{"resources": 1e400}'])
 
 
 def write_json_file(path, data):
@@ -893,17 +893,19 @@ def _fractional_index(data):
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("command,content", [
         ("learn", b"\xff\xfe"), ("learn", b"1" * 5000),
+        ("learn", b"[" * 100_000 + b"]" * 100_000),
         ("learn", b'{"resources": [], "n_cap": 1e400}'),
         ("reduce", b'{"left": 1, "right": 1e30, "edges": [], "h": 0, '
                    b'"alpha": 1, "beta": 1, "pi": {}}'),
         ("reduce", b'{"left": 1000000000000000000000000000000, "right": 1, '
                    b'"edges": [[0, 0]], "h": 1, "alpha": 1, "beta": 1, '
                    b'"pi": {"0,0": [0]}}'),
-    ], ids=["taxes-not-utf8", "taxes-int-past-4300-digits", "taxes-n-cap-1e400",
+    ], ids=["taxes-not-utf8", "taxes-int-past-4300-digits", "taxes-nested-too-deep",
+            "taxes-n-cap-1e400",
             "labelcover-right-1e30", "labelcover-left-1e30"])
     def test_unreadable_files_exit_two(self, capsys, tmp_path, command, content):
-        """Files that are not UTF-8 JSON, hold a number past the int range,
-        or claim more vertices than their edges reach."""
+        """Files that are not UTF-8 JSON, nest too deep, hold a number past
+        the int range, or claim more vertices than their edges reach."""
         _, path = write_two_by_two(tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
