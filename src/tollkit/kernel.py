@@ -91,14 +91,18 @@ def _poisson_series(coef: Callable[[int], float], v: float) -> float:
     """``sum_{i>=0} coef(i) * Poi(i; v)`` for non-negative, non-decreasing
     ``coef``.
 
-    The walk starts at ``_poisson_start`` and first runs up. It stops once
-    the Poisson peak (``i ~ v``) is past and the terms are decreasing, at a
-    term below ``SERIES_TOL * (sum + 1)``. The term cap counts from that
-    peak, ``ceil(v) + SERIES_TERMS``, because no series can stop before it;
-    reaching the cap raises ``KernelNonConvergent``. Below the start the
-    terms only shrink, so the walk down stops at the first one that falls
-    under the same bound. The cost grows with ``sqrt(v)`` above
-    ``_EXP_SAFE``, where the walk starts at the peak.
+    The walk starts at ``_poisson_start`` and first runs up. Once the
+    Poisson peak (``i ~ v``) is past and the terms are decreasing, each
+    term bounds what is left by the geometric series of its ratio ``r`` to
+    the previous one, ``term * r / (1 - r)``, and the walk stops when that
+    falls to ``SERIES_TOL`` of the sum, or when the weights underflow to 0.
+    The term cap counts from that peak, ``ceil(v) + SERIES_TERMS``, because
+    no series can stop before it; reaching the cap raises
+    ``KernelNonConvergent``. Below the start a step down from ``i``
+    multiplies the weight by ``i / v`` and ``coef`` does not grow, so the
+    walk down stops once ``term * r / (1 - r)`` with ``r = i / v`` falls to
+    the same share. The cost grows with ``sqrt(v)`` above ``_EXP_SAFE``,
+    where the walk starts at the peak.
     """
     if v < 0 or not math.isfinite(v):
         raise InvalidParams(f"kernel parameter must be finite and >= 0, got {v}")
@@ -111,7 +115,10 @@ def _poisson_series(coef: Callable[[int], float], v: float) -> float:
         if not math.isfinite(term):
             raise KernelOverflow(f"kernel term overflowed at i={i}, v={v}")
         total += term
-        if i > v and term <= prev and term <= SERIES_TOL * (total + 1.0):
+        # term * r / (1 - r) with r = term / prev, formed so that it cannot
+        # overflow where the sum does not.
+        if i > v and (w == 0.0 or term < prev and
+                      term * (term / (prev - term)) <= SERIES_TOL * total):
             break
         prev = term
         w *= v / (i + 1)
@@ -122,7 +129,8 @@ def _poisson_series(coef: Callable[[int], float], v: float) -> float:
         w *= (i + 1) / v
         term = coef(i) * w
         total += term
-        if term <= SERIES_TOL * (total + 1.0):
+        # term * r / (1 - r) with r = i / v.
+        if term * (i / (v - i)) <= SERIES_TOL * total:
             break
     return total
 
