@@ -10,6 +10,13 @@ over visited profiles, which approximates a coarse correlated equilibrium
 as regret decays; ``oracle.coarse_correlated_check`` checks the smoothness
 certificate in expectation over it.
 
+A run plays its rounds in speculative windows: it guesses a block of
+rounds' profiles, plays them in numpy, and keeps the rounds up to the first
+guessed wrong. Every weight, sum and pick equals the round-by-round loop's
+to the last bit, so the window length changes speed only, never a trace.
+Where windows would play too few rounds to pay, rounds are stepped one at a
+time instead (``_Pace``).
+
 Randomness comes from numpy's counter-based Philox generator keyed by the
 seed, so identical inputs reproduce traces bit-exactly within one build.
 """
@@ -19,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Optional
 
 import numpy as np
@@ -150,9 +158,26 @@ class RunTrace:
             fh.write("\n")
 
 
-# Rounds whose uniforms are drawn at once, and whose cost rows are summed at
-# once after the run.
+# Rounds whose uniforms are drawn at once, whose cost rows are summed at
+# once after the run, and that one window of rounds spans at most.
 ROUND_BLOCK = 1024
+
+# Doubles in one window's (widest, players, rounds) arrays, at most.
+WINDOW_ENTRIES = 1 << 15
+# The window a run tries first, and the shortest it tries after a miss.
+FIRST_WINDOW = 16
+# A window costs about as much as stepping this many rounds one at a time.
+WINDOW_COST = 16
+# Windows end where weights renormalise; renormalising more often than
+# every this many rounds, they hardly pay.
+RENORM_SPACING = 2 * WINDOW_COST
+# Profiles priced in one ProfileBatch call.
+PRICE_WIDTH = 64
+
+# A player's weights are divided by the largest once that falls below this,
+# so later products stay representable.
+RENORMALISE = 1e-150
+UNDERFLOW = "weights underflowed to zero; eta too aggressive"
 
 
 def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[float]:
@@ -178,14 +203,279 @@ def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[fl
 
 
 def _renormalised(row: list[float]) -> list[float]:
-    """``row`` divided by its largest weight once that falls below 1e-150,
-    so later products stay representable."""
+    """``row`` divided by its largest weight once that falls below
+    ``RENORMALISE``."""
     top = max(row)
     if top == 0.0:
-        raise InvalidParams("weights underflowed to zero; eta too aggressive")
-    if top < 1e-150:
+        raise InvalidParams(UNDERFLOW)
+    if top < RENORMALISE:
         return [w / top for w in row]
     return row
+
+
+class _PricedProfiles:
+    """Every profile a run has priced, numbered in order of pricing.
+
+    A profile's costs and update factors depend on the profile alone, so
+    each is priced once per run. Per profile it keeps the choices, the
+    untaxed social cost, one row of every player's own-strategy costs
+    followed by the played costs (``rows``, summed over the rounds by
+    ``_totals_in_round_order``), and every player's update factors
+    ``exp(-rate * cost)``, as lists for the round loop and, for windows,
+    as column ``j`` of ``factors()``. Windows price profiles they only
+    guessed, so it holds profiles never played too.
+    """
+
+    def __init__(self, game: CompiledGame, rates: list[float]):
+        radices = game.radices
+        self.game = game
+        self.index = {}
+        self.profiles = []
+        self.social = []
+        self.rows = []
+        self.factor_lists = []
+        bounds = list(accumulate(radices, initial=0))
+        self._starts = bounds[:-1]
+        self._spans = list(zip(bounds, bounds[1:]))
+        self._rates = [rates[i] for i, s in enumerate(radices) for _ in range(s)]
+        # Where each strategy's factor goes in a padded column.
+        self._padded_at = (np.array([a for s in radices for a in range(s)]),
+                           np.array([i for i, s in enumerate(radices) for _ in range(s)]))
+        self._factors = np.ones((max(radices), len(radices), 0))
+        self._filled = 0
+
+    def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
+        """The numbers of ``profiles``, pricing the new ones: one alone
+        through ``CompiledGame.price``, more ``PRICE_WIDTH`` at a time."""
+        index = self.index
+        new = [p for p in profiles if p not in index]
+        if len(new) == 1:
+            social, own = self.game.price(new[0])
+            self._add(new[0], social, [c for row in own for c in row])
+        elif new:
+            new = list(dict.fromkeys(new))
+            batch = self.game.batch(PRICE_WIDTH)
+            choices = np.zeros((len(self.game.radices), PRICE_WIDTH), dtype=np.intp)
+            for start in range(0, len(new), PRICE_WIDTH):
+                chunk = new[start:start + PRICE_WIDTH]
+                choices[:, :len(chunk)] = np.array(chunk).T
+                batch.choose(choices)
+                batch.price_loads()
+                social = batch.price_social()[:len(chunk)].tolist()
+                costs = batch.price_strategies()[:, :len(chunk)].T.tolist()
+                for profile, sc, flat in zip(chunk, social, costs):
+                    self._add(profile, sc, flat)
+        return [index[p] for p in profiles]
+
+    def _add(self, profile: tuple[int, ...], social: float, costs: list[float]) -> None:
+        self.index[profile] = len(self.profiles)
+        self.profiles.append(profile)
+        self.social.append(social)
+        self.rows.append(costs + [costs[s + k] for s, k in zip(self._starts, profile)])
+        factors = [math.exp(-rate * c) for rate, c in zip(self._rates, costs)]
+        self.factor_lists.append([factors[a:b] for a, b in self._spans])
+
+    def factors(self) -> np.ndarray:
+        """Every priced profile's factors as a ``(widest, players,
+        profiles)`` array padded with 1.0; it grows by doubling."""
+        count = len(self.profiles)
+        if self._filled < count:
+            if self._factors.shape[2] < count:
+                grown = np.ones(self._factors.shape[:2] + (2 * count,))
+                grown[:, :, :self._filled] = self._factors[:, :, :self._filled]
+                self._factors = grown
+            flat = [[f for row in factors for f in row]
+                    for factors in self.factor_lists[self._filled:count]]
+            at = self._padded_at + (slice(self._filled, count),)
+            self._factors[at] = np.array(flat).T
+            self._filled = count
+        return self._factors
+
+
+def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
+                 order: list[int]) -> tuple[np.ndarray, int]:
+    """Play the rounds of ``draws`` (``(players, rounds)``) one at a time
+    from the ``(widest, players)`` padded ``weights``, appending each
+    round's profile number to ``order``; returns the weights after them
+    and the number of rounds that renormalised them.
+
+    A player picks the first strategy whose running weight sum exceeds
+    ``u`` times the full sum, the last entry of that running sum, or the
+    last strategy if none does."""
+    radices = memo.game.radices
+    rows = [row[:s] for row, s in zip(weights.T.tolist(), radices)]
+    index = memo.index
+    factor_lists = memo.factor_lists
+    mul = operator.mul
+    renormalised = 0
+    for us in draws.T.tolist():
+        choices = []
+        for row, u in zip(rows, us):
+            sums = list(accumulate(row))
+            choices.append(bisect_right(sums, u * sums.pop()))
+        choices = tuple(choices)
+        j = index.get(choices)
+        if j is None:
+            j = memo.ids([choices])[0]
+        order.append(j)
+        rows = [list(map(mul, row, factors))
+                for row, factors in zip(rows, factor_lists[j])]
+        for top in map(max, rows):
+            if top < RENORMALISE:
+                rows = [_renormalised(row) for row in rows]
+                renormalised += 1
+                break
+    padded = np.zeros_like(weights)
+    for i, row in enumerate(rows):
+        padded[:len(row), i] = row
+    return padded, renormalised
+
+
+class _Windows:
+    """Blocks of rounds played at once in numpy, speculatively.
+
+    Given the exact weights before a window's first round, it guesses every
+    round's profile, multiplies the guessed profiles' factors up along the
+    rounds (``np.multiply.accumulate``), and from each round's weights
+    takes the exact picks from running sums along the strategies. The
+    rounds up to the first whose exact profile differs from the guess are
+    played: each one's weights come from rounds guessed right only. A
+    window also ends at the first round whose weights need renormalising.
+    Both running products and sums fold one element after another, so
+    every weight, sum and pick equals the round loop's.
+
+    Arrays are ``(widest, players, rounds)``: the folds then run along
+    contiguous rows or across whole planes, where numpy's per-row loops
+    over a short strategy axis would cost more than the arithmetic.
+    """
+
+    def __init__(self, memo: _PricedProfiles):
+        radices = memo.game.radices
+        self.memo = memo
+        self._shape = (max(radices), len(radices))
+        self._plane = math.prod(self._shape)
+        self.longest = min(ROUND_BLOCK, max(1, WINDOW_ENTRIES // self._plane))
+        self._lasts = np.array(radices)[:, None] - 1
+        self._path = np.empty(self._plane * (self.longest + 1))
+        self._sums = np.empty(self._plane * self.longest)
+
+    def picks(self, sums: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Each player's pick in each round from the running weight sums
+        ``(widest, players, rounds)`` and the uniforms ``(players,
+        rounds)``: the first strategy whose running sum exceeds ``u`` times
+        the last one."""
+        cut = draws * sums[-1]
+        return np.minimum((sums[:-1] <= cut).sum(axis=0), self._lasts)
+
+    def play(self, weights: np.ndarray, draws: np.ndarray, ahead: np.ndarray
+             ) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
+        """Play at least the first round of ``draws``, guessing the profiles
+        ``ahead`` (``(players, rounds)``) for the first rounds and from
+        ``weights`` for the rest. Returns the played rounds' profile
+        numbers, the weights after them, the picks known for the rounds
+        after them (the next window's guesses: the exact picks computed
+        for rounds not played, then the rest of ``ahead``), and whether
+        the weights were renormalised."""
+        memo = self.memo
+        size = draws.shape[1]
+        known = min(ahead.shape[1], size)
+        if known == size:
+            guess = ahead[:, :size]
+        else:
+            guess = self.picks(np.add.accumulate(weights)[:, :, None], draws)
+            guess[:, :known] = ahead[:, :known]
+        # One lookup per run of equal guesses.
+        new_run = np.ones(size, dtype=bool)
+        np.any(guess[:, 1:] != guess[:, :-1], axis=0, out=new_run[1:])
+        run_ids = memo.ids(list(map(tuple, guess[:, new_run].T.tolist())))
+        ids = np.array(run_ids)[new_run.cumsum() - 1]
+
+        path = self._path[:self._plane * (size + 1)].reshape(self._shape + (size + 1,))
+        path[:, :, 0] = weights
+        memo.factors().take(ids, axis=2, out=path[:, :, 1:])
+        np.multiply.accumulate(path, axis=2, out=path)
+        sums = self._sums[:self._plane * size].reshape(self._shape + (size,))
+        sums[0] = path[0, :, :size]
+        for k in range(1, len(sums)):
+            np.add(sums[k - 1], path[k, :, :size], out=sums[k])
+        exact = self.picks(sums, draws)
+
+        # The last round played: the first miss, or the last before weights
+        # that need renormalising. No factor exceeds 1, so a player's largest
+        # weight never grows and the window's last weights tell whether any
+        # need it.
+        stop = (exact != guess).any(axis=0)
+        if path[:, :, size].max(axis=0).min() < RENORMALISE:
+            stop |= path[:, :, 1:].max(axis=0).min(axis=0) < RENORMALISE
+        last = int(stop.argmax())
+        if not stop[last]:
+            last = size - 1
+        played = ids[:last + 1].tolist()
+        pick = exact[:, last].tolist()
+        if pick != guess[:, last].tolist():
+            played[last] = memo.ids([tuple(pick)])[0]
+            after = path[:, :, last] * memo.factors()[:, :, played[last]]
+        else:
+            after = path[:, :, last + 1].copy()
+        tops = after.max(axis=0)
+        renormalised = tops.min() < RENORMALISE
+        if renormalised:
+            if tops.min() == 0.0:
+                raise InvalidParams(UNDERFLOW)
+            low = tops < RENORMALISE
+            after[:, low] /= tops[low]
+        ahead = (exact[:, last + 1:] if ahead.shape[1] <= size else
+                 np.concatenate((exact[:, last + 1:], ahead[:, size:]), axis=1))
+        return played, after, ahead, renormalised
+
+
+class _Pace:
+    """When a run tries a window and when it steps rounds one at a time.
+
+    Windows pay where they play many rounds each. They play few where
+    weights renormalise often, since a window ends there, or where even a
+    retry's guesses miss early. A run then steps a stretch of rounds one at
+    a time, twice as long as the last, before it tries a window again; a
+    stretch whose weights renormalised more often than every
+    ``RENORM_SPACING`` rounds is followed by another straight away. A run
+    starts with a stretch, which tells whether that is so. A window that
+    plays at least ``WINDOW_COST`` rounds ends the backoff. A window spans
+    twice as many rounds as the last after playing all of them, and twice
+    the rounds it played otherwise.
+    """
+
+    def __init__(self, longest: int):
+        self.longest = longest
+        self.size = min(FIRST_WINDOW, longest)  # rounds the next window spans
+        self.stretch = self.stepped = FIRST_WINDOW  # the stretch, rounds left in it
+        self.renormalised = 0  # rounds of the stretch that renormalised
+        self.short = 0  # windows in a row that played under WINDOW_COST rounds
+
+    def stepped_rounds(self, count: int, renormalised: int) -> None:
+        self.stepped -= count
+        self.renormalised += renormalised
+        if not self.stepped and RENORM_SPACING * self.renormalised > self.stretch:
+            self._back_off()
+
+    def window(self, spanned: int, played: int, known: int, renormalised: bool) -> None:
+        if played == spanned:
+            self.size = min(2 * self.size, self.longest)
+        else:
+            self.size = min(max(2 * played, FIRST_WINDOW, known), self.longest)
+        if renormalised and played < RENORM_SPACING:
+            self._back_off()
+        elif played >= WINDOW_COST:
+            self.short = self.stretch = 0
+        else:
+            # A first try guesses from stale weights and may miss early; a
+            # retry guesses the first try's exact picks.
+            self.short += 1
+            if self.short == 2:
+                self._back_off()
+
+    def _back_off(self) -> None:
+        self.stretch = self.stepped = max(FIRST_WINDOW, 2 * self.stretch)
+        self.renormalised = self.short = 0
 
 
 def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
@@ -203,12 +493,27 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     cost, or a player whose ``K_i`` is 0, raises ``InvalidParams``; cost
     totals over the rounds past the double range raise ``KernelOverflow``.
 
+    A player picks the first strategy whose running weight sum exceeds
+    ``u`` times the sum's last entry. Taking the total from the running sum,
+    not from ``sum``, which compensates its additions from Python 3.12 on,
+    keeps picks the same on every Python version.
+
     A profile's costs and update factors depend on the profile alone, so
-    each distinct profile is priced once per run, on its first visit, and
-    later visits reuse the result. The memo holds, per distinct profile,
-    its social cost and every player's own-strategy costs and factors: it
-    grows with the distinct profiles visited (at most ``rounds``, typically
-    a few dozen), not with the game's profile count.
+    each distinct profile is priced once per run and later visits reuse
+    the result (``_PricedProfiles``). Rounds are played in windows
+    (``_Windows``) of up to ``ROUND_BLOCK`` rounds and ``WINDOW_ENTRIES``
+    doubles: a window guesses its rounds' profiles, prices the new ones
+    together, and plays in numpy the rounds up to the first one guessed
+    wrong, with the weights, sums and picks of the round-by-round loop to
+    the last bit. A window also ends where weights must be renormalised.
+    The memo therefore also holds profiles that were guessed and never
+    played; only played ones reach ``profiles`` and ``best_profile``. It
+    grows with the distinct profiles guessed or played (typically a few
+    dozen), not with the game's profile count. Where weights renormalise
+    every few rounds (a high ``eta``) or guesses keep missing, windows play
+    too few rounds to pay; the run then steps rounds one at a time in
+    stretches that double, so its worst case costs about what the
+    round-by-round loop costs (``_Pace``).
     """
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
@@ -235,75 +540,46 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         etas = [float(eta)] * n
     if any(not math.isfinite(e) or e < 0 for e in etas):
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
-    rates = [e / s for e, s in zip(etas, scale)]
 
     rng = seeded_rng(seed)
-    weights = [[1.0] * instance.num_strategies(i) for i in range(n)]
-    mul = operator.mul
-    # Per distinct profile, in order of first visit: the profile, its social
-    # cost, every player's own-strategy costs followed by the played costs
-    # (one flat row), and every player's update factors.
-    seen = {}
-    visited = []
-    social = []
-    cost_rows = []
-    factors = []
-    order = []  # per round, the position of its profile in the lists above
-
+    memo = _PricedProfiles(game, [e / s for e, s in zip(etas, scale)])
+    windows = _Windows(memo)
+    weights = np.zeros((max(game.radices), n))
+    for i, s in enumerate(game.radices):
+        weights[:s, i] = 1.0
+    order = []  # per round, the number of its profile in memo
+    pace = _Pace(windows.longest)
     for start in range(0, rounds, ROUND_BLOCK):
-        block = rng.random((min(ROUND_BLOCK, rounds - start), n)).tolist()
-        for draws in block:
-            choices = []
-            for row, u in zip(weights, draws):
-                u *= sum(row)
-                acc = 0.0
-                pick = len(row) - 1
-                for k, w in enumerate(row):
-                    acc += w
-                    if u < acc:
-                        pick = k
-                        break
-                choices.append(pick)
-            choices = tuple(choices)
-            j = seen.get(choices)
-            if j is None:
-                j = seen[choices] = len(visited)
-                sc, own = game.price(choices)
-                visited.append(choices)
-                social.append(sc)
-                cost_rows.append([c for row in own for c in row]
-                                 + [row[k] for row, k in zip(own, choices)])
-                factors.append([[math.exp(-rate * c) for c in row]
-                                for rate, row in zip(rates, own)])
-            order.append(j)
+        block = rng.random((min(ROUND_BLOCK, rounds - start), n)).T
+        t, ahead = 0, block[:, :0]
+        while t < block.shape[1]:
+            if pace.stepped:
+                stop = min(t + pace.stepped, block.shape[1])
+                weights, renormalised = _step_rounds(weights, block[:, t:stop], memo, order)
+                pace.stepped_rounds(stop - t, renormalised)
+                t, ahead = stop, block[:, :0]
+                continue
+            draws = block[:, t:t + pace.size]
+            played, weights, ahead, renormalised = windows.play(weights, draws, ahead)
+            order += played
+            t += len(played)
+            pace.window(draws.shape[1], len(played), ahead.shape[1], renormalised)
 
-            weights = [list(map(mul, row, factor))
-                       for row, factor in zip(weights, factors[j])]
-            for top in map(max, weights):
-                if top < 1e-150:
-                    weights = [_renormalised(row) for row in weights]
-                    break
-
-    # A repeat visit cannot undercut the running minimum its first visit
-    # set, so the first strict minimum over distinct profiles in visit order
-    # is the first over rounds.
-    best_profile, best_sc = None, math.inf
-    for choices, sc in zip(visited, social):
-        if sc < best_sc:
-            best_sc = sc
-            best_profile = choices
-
-    totals = iter(_totals_in_round_order(cost_rows, order))
+    # The first strict minimum over the rounds.
+    round_costs = np.array(memo.social)[order]
+    first = int(round_costs.argmin())
+    totals = iter(_totals_in_round_order(memo.rows, order))
     alt_totals = tuple(tuple(islice(totals, instance.num_strategies(i)))
                        for i in range(n))
-
+    profiles = memo.profiles
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
-        profiles=tuple([visited[j] for j in order]),
-        social_costs=tuple([social[j] for j in order]),
+        profiles=tuple([profiles[j] for j in order]),
+        social_costs=tuple(round_costs.tolist()),
         incurred_total=tuple(totals),
         strategy_costs_total=alt_totals,
-        best_profile=Allocation(best_profile), best_sc=best_sc)
+        best_profile=Allocation(profiles[order[first]]),
+        best_sc=float(round_costs[first]))
 
 
 def best_profile_approximation(instance: GameInstance, taxes: Optional[TaxProfile],

@@ -3,9 +3,11 @@
 ``best_response_dynamics`` is the descent ``tollkit.learning`` ran before it
 priced through ``CompiledGame``: it keeps the loads by hand and prices every
 deviation with ``move_cost``. ``multiplicative_weights_run`` is the loop it
-ran before it priced each distinct profile once per run: it draws one
-uniform at a time and prices every own strategy of every player in every
-round with ``loads_of``/``system_cost``/``move_cost``. ``save_jsonl``
+ran before it priced each distinct profile once per run and played rounds
+in speculative windows: it draws one uniform at a time, plays one round at
+a time, and prices every own strategy of every player in every round with
+``loads_of``/``system_cost``/``move_cost``. A pick compares against the
+running weight sum, whose last entry is the total. ``save_jsonl``
 writes each round with its own ``json.dumps``. The library adds the same
 terms in the same order and writes the same bytes, so the tests require
 exact equality.
@@ -126,13 +128,15 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         choices = []
         for i in range(n):
             row = weights[i]
-            total = sum(row)
-            u = rng.random() * total
+            sums = []
             acc = 0.0
-            pick = len(row) - 1
-            for k, w in enumerate(row):
+            for w in row:
                 acc += w
-                if u < acc:
+                sums.append(acc)
+            u = rng.random() * acc
+            pick = len(row) - 1
+            for k, total in enumerate(sums):
+                if u < total:
                     pick = k
                     break
             choices.append(pick)

@@ -15,7 +15,7 @@ from tollkit import (Allocation, BasisFunction, GameInstance, InvalidParams,
                      NotConverged, TaxProfile, bell_fractional,
                      best_profile_approximation, best_response_dynamics,
                      brute_force_min_sc, build_tax_profile,
-                     coarse_correlated_check, enumerate_pure_nash,
+                     coarse_correlated_check, design, enumerate_pure_nash,
                      multiplicative_weights_run, random_instance,
                      solve_relaxation)
 from tollkit import learning
@@ -30,6 +30,19 @@ def two_by_two_symmetric():
 def taxed_two_by_two():
     inst = two_by_two_symmetric()
     return inst, build_tax_profile(inst, [1.0, 1.0])
+
+
+def learn_family(seed):
+    """A game of the ``learn`` benchmark workload and acceptance batch, with
+    its designed taxes."""
+    d = seed % 3
+    basis = [BasisFunction.monomial(d)]
+    if seed % 5 == 0 and d > 0:
+        basis.append(BasisFunction.monomial(0))
+    inst = random_instance(2 + seed % 3, 2 + (seed // 3) % 3, basis,
+                           strategy_count_range=(2, 3), strategy_size_range=(1, 2),
+                           coeff_range=(0.5, 2.0), seed=seed)
+    return inst, design(inst).taxes
 
 
 def seeded_instances(count):
@@ -306,16 +319,31 @@ def run_or_error(run, *args, **kwargs):
         return f"InvalidParams: {exc}"
 
 
+def count_windows(monkeypatch) -> list:
+    """Record the rounds every window spans from now on."""
+    spans = []
+    real = learning._Windows.play
+
+    def counting(windows, weights, draws, ahead):
+        spans.append(draws.shape[1])
+        return real(windows, weights, draws, ahead)
+
+    monkeypatch.setattr(learning._Windows, "play", counting)
+    return spans
+
+
 class TestAgainstRoundByRoundReference:
-    """The memoised run equals the loop that prices every round, field by
-    field and in the bytes of its trace file, or both raise the same
-    error."""
+    """The run, with its memo and its speculative windows of rounds, equals
+    the loop that prices every round one round at a time, field by field
+    and in the bytes of its trace file, or both raise the same error."""
 
     @staticmethod
-    def assert_matches(inst, taxes, rounds, eta, seed, block, out_dir):
+    def assert_matches(inst, taxes, rounds, eta, seed, block, out_dir,
+                       entries=learning.WINDOW_ENTRIES):
         want = run_or_error(reference.multiplicative_weights_run, inst, taxes,
                             rounds, eta=eta, seed=seed)
-        with mock.patch.object(learning, "ROUND_BLOCK", block):
+        with mock.patch.object(learning, "ROUND_BLOCK", block), \
+                mock.patch.object(learning, "WINDOW_ENTRIES", entries):
             got = run_or_error(multiplicative_weights_run, inst, taxes,
                                rounds, eta=eta, seed=seed)
         assert got == want
@@ -332,12 +360,16 @@ class TestAgainstRoundByRoundReference:
         inst = data.draw(small_games())
         taxes = (build_tax_profile(inst, data.draw(fractional_profiles(inst)).loads)
                  if data.draw(st.booleans()) else None)
+        # Rates from none to one that renormalises every round or
+        # underflows; blocks, and so windows, from 1 round to 1024; and
+        # windows capped by their memory bound down to 2 rounds.
         self.assert_matches(
-            inst, taxes, rounds=data.draw(st.integers(1, 120)),
-            eta=data.draw(st.sampled_from(["auto", 0.0, 0.3, 700.0, 1e4])),
+            inst, taxes, rounds=data.draw(st.integers(1, 600)),
+            eta=data.draw(st.sampled_from(["auto", 0.0, 0.3, 2.0, 20.0, 700.0, 1e4])),
             seed=data.draw(st.integers(0, 2 ** 32)),
-            block=data.draw(st.sampled_from([learning.ROUND_BLOCK, 1, 7])),
-            out_dir=tmp_path_factory.mktemp("trace"))
+            block=data.draw(st.sampled_from([learning.ROUND_BLOCK, 1, 7, 64])),
+            out_dir=tmp_path_factory.mktemp("trace"),
+            entries=data.draw(st.sampled_from([learning.WINDOW_ENTRIES, 64])))
 
     # Two players on two identical untaxed links: every perceived cost is 1
     # or 2 and the cost bound is 2, so the update factors are
@@ -359,15 +391,50 @@ class TestAgainstRoundByRoundReference:
         else:
             assert len(result.profiles) == 3000
 
+    def test_designed_taxes_at_a_renormalising_rate(self, tmp_path):
+        # Windows price profiles they guessed and never played. Taking the
+        # cheapest profile over everything priced, or in order of pricing,
+        # picks another best_profile here.
+        inst, taxes = learn_family(4)
+        self.assert_matches(inst, taxes, 2000, 700.0, seed=1,
+                            block=learning.ROUND_BLOCK, out_dir=tmp_path)
+
     def test_each_distinct_profile_priced_once(self, monkeypatch):
-        inst, _ = seeded_instances(8)[-1]
+        inst, _ = seeded_instances(12)[-1]
         taxes = build_tax_profile(inst, [0.6] * inst.num_resources)
+        priced = []
+        real = learning._PricedProfiles._add
+
+        def recording(memo, profile, social, costs):
+            priced.append(profile)
+            real(memo, profile, social, costs)
+
+        monkeypatch.setattr(learning._PricedProfiles, "_add", recording)
         calls = count_prices(monkeypatch)
-        trace = multiplicative_weights_run(inst, taxes, rounds=2000, seed=5)
-        distinct = set(trace.profiles)
-        assert 1 < len(distinct) < 100
-        assert len(calls) == len(distinct)
-        assert set(calls) == distinct
+        trace = multiplicative_weights_run(inst, taxes, rounds=2000, seed=0)
+        played = set(trace.profiles)
+        assert 1 < len(played) < 100
+        # No profile is priced twice, every played one is priced, and those
+        # priced one at a time are among them.
+        assert len(priced) == len(set(priced))
+        assert played <= set(priced)
+        assert set(calls) <= set(priced)
+        # Windows priced guesses that were never played; none of them
+        # reaches the trace.
+        assert set(priced) - played
+        assert trace.best_profile.choices in played
+        assert trace.best_sc == min(trace.social_costs)
+        assert trace.profiles.index(trace.best_profile.choices) == \
+            trace.social_costs.index(trace.best_sc)
+
+    def test_learn_game_plays_in_few_windows(self, monkeypatch):
+        # A fall back to short windows would still equal the reference;
+        # this counts them. About 25 windows play the 5000 rounds.
+        inst, taxes = learn_family(4)
+        spans = count_windows(monkeypatch)
+        trace = multiplicative_weights_run(inst, taxes, rounds=5000, seed=0)
+        assert len(trace.profiles) == 5000
+        assert 0 < len(spans) <= 40
 
 
 class TestBestProfileApproximation:
