@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams, KernelOverflow, NotConverged, TooLarge
-from .game import Allocation, CompiledGame, GameInstance, TaxProfile, seeded_rng
+from .game import (Allocation, CompiledGame, GameInstance, ProfileBatch, TaxProfile,
+                   seeded_rng)
 from .oracle import (DEFAULT_ENUMERATION_CAP, IMPROVEMENT_THRESHOLD,
                      brute_force_min_sc)
 
@@ -180,7 +181,7 @@ RENORMALISE = 1e-150
 UNDERFLOW = "weights underflowed to zero; eta too aggressive"
 
 
-def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[float]:
+def _totals_in_round_order(rows: list[list[float]], order: np.ndarray) -> list[float]:
     """Column totals of ``rows[j]`` over ``j`` in ``order``.
 
     Each column is summed from 0.0 one round at a time, exactly as a
@@ -190,7 +191,6 @@ def _totals_in_round_order(rows: list[list[float]], order: list[int]) -> list[fl
     Totals past the double range raise ``KernelOverflow``.
     """
     rows = np.array(rows)
-    order = np.array(order, dtype=np.intp)
     totals = np.zeros(rows.shape[1])
     with np.errstate(over="ignore"):  # raised below as KernelOverflow
         for start in range(0, len(order), ROUND_BLOCK):
@@ -243,21 +243,26 @@ class _PricedProfiles:
                            np.array([i for i, s in enumerate(radices) for _ in range(s)]))
         self._factors = np.ones((max(radices), len(radices), 0))
         self._filled = 0
+        self._batches = {}
 
     def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
-        """The numbers of ``profiles``, pricing the new ones: one alone
-        through ``CompiledGame.price``, more ``PRICE_WIDTH`` at a time."""
+        """The numbers of ``profiles``, pricing the new ones together:
+        ``PRICE_WIDTH`` at a time, or one alone."""
         index = self.index
         new = [p for p in profiles if p not in index]
-        if len(new) == 1:
-            social, own = self.game.price(new[0])
-            self._add(new[0], social, [c for row in own for c in row])
-        elif new:
+        if new:
             new = list(dict.fromkeys(new))
-            batch = self.game.batch(PRICE_WIDTH)
-            choices = np.zeros((len(self.game.radices), PRICE_WIDTH), dtype=np.intp)
-            for start in range(0, len(new), PRICE_WIDTH):
-                chunk = new[start:start + PRICE_WIDTH]
+            width = 1 if len(new) == 1 else PRICE_WIDTH
+            # The run's own batches, not CompiledGame.batch, whose cache
+            # would tie them to the game in a reference cycle that only the
+            # cyclic collector frees, while a run makes too few objects to
+            # set it off often.
+            batch = self._batches.get(width)
+            if batch is None:
+                batch = self._batches[width] = ProfileBatch(self.game, width)
+            choices = np.zeros((len(self.game.radices), width), dtype=np.intp)
+            for start in range(0, len(new), width):
+                chunk = new[start:start + width]
                 choices[:, :len(chunk)] = np.array(chunk).T
                 batch.choose(choices)
                 batch.price_loads()
@@ -293,11 +298,11 @@ class _PricedProfiles:
 
 
 def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
-                 order: list[int]) -> tuple[np.ndarray, int]:
+                 order: np.ndarray) -> tuple[np.ndarray, int]:
     """Play the rounds of ``draws`` (``(players, rounds)``) one at a time
-    from the ``(widest, players)`` padded ``weights``, appending each
-    round's profile number to ``order``; returns the weights after them
-    and the number of rounds that renormalised them.
+    from the ``(widest, players)`` padded ``weights``, writing each round's
+    profile number to ``order``; returns the weights after them and the
+    number of rounds that renormalised them.
 
     A player picks the first strategy whose running weight sum exceeds
     ``u`` times the full sum, the last entry of that running sum, or the
@@ -308,6 +313,7 @@ def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
     factor_lists = memo.factor_lists
     mul = operator.mul
     renormalised = 0
+    played = []
     for us in draws.T.tolist():
         choices = []
         for row, u in zip(rows, us):
@@ -317,7 +323,7 @@ def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
         j = index.get(choices)
         if j is None:
             j = memo.ids([choices])[0]
-        order.append(j)
+        played.append(j)
         rows = [list(map(mul, row, factors))
                 for row, factors in zip(rows, factor_lists[j])]
         for top in map(max, rows):
@@ -325,6 +331,7 @@ def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
                 rows = [_renormalised(row) for row in rows]
                 renormalised += 1
                 break
+    order[:] = played
     padded = np.zeros_like(weights)
     for i, row in enumerate(rows):
         padded[:len(row), i] = row
@@ -368,7 +375,7 @@ class _Windows:
         return np.minimum((sums[:-1] <= cut).sum(axis=0), self._lasts)
 
     def play(self, weights: np.ndarray, draws: np.ndarray, ahead: np.ndarray
-             ) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         """Play at least the first round of ``draws``, guessing the profiles
         ``ahead`` (``(players, rounds)``) for the first rounds and from
         ``weights`` for the rest. Returns the played rounds' profile
@@ -410,7 +417,7 @@ class _Windows:
         last = int(stop.argmax())
         if not stop[last]:
             last = size - 1
-        played = ids[:last + 1].tolist()
+        played = ids[:last + 1]
         pick = exact[:, last].tolist()
         if pick != guess[:, last].tolist():
             played[last] = memo.ids([tuple(pick)])[0]
@@ -547,7 +554,7 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     weights = np.zeros((max(game.radices), n))
     for i, s in enumerate(game.radices):
         weights[:s, i] = 1.0
-    order = []  # per round, the number of its profile in memo
+    order = np.empty(rounds, dtype=np.intp)  # per round, its profile's number in memo
     pace = _Pace(windows.longest)
     for start in range(0, rounds, ROUND_BLOCK):
         block = rng.random((min(ROUND_BLOCK, rounds - start), n)).T
@@ -555,31 +562,35 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         while t < block.shape[1]:
             if pace.stepped:
                 stop = min(t + pace.stepped, block.shape[1])
-                weights, renormalised = _step_rounds(weights, block[:, t:stop], memo, order)
+                weights, renormalised = _step_rounds(
+                    weights, block[:, t:stop], memo, order[start + t:start + stop])
                 pace.stepped_rounds(stop - t, renormalised)
                 t, ahead = stop, block[:, :0]
                 continue
             draws = block[:, t:t + pace.size]
             played, weights, ahead, renormalised = windows.play(weights, draws, ahead)
-            order += played
+            order[start + t:start + t + len(played)] = played
             t += len(played)
             pace.window(draws.shape[1], len(played), ahead.shape[1], renormalised)
 
-    # The first strict minimum over the rounds.
-    round_costs = np.array(memo.social)[order]
-    first = int(round_costs.argmin())
+    # The first strict minimum over the rounds played; a trace shares its
+    # profiles and costs with the memo.
     totals = iter(_totals_in_round_order(memo.rows, order))
+    order = order.tolist()
+    social = memo.social
+    round_costs = tuple([social[j] for j in order])
+    best_sc = min(round_costs)
     alt_totals = tuple(tuple(islice(totals, instance.num_strategies(i)))
                        for i in range(n))
     profiles = memo.profiles
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
         profiles=tuple([profiles[j] for j in order]),
-        social_costs=tuple(round_costs.tolist()),
+        social_costs=round_costs,
         incurred_total=tuple(totals),
         strategy_costs_total=alt_totals,
-        best_profile=Allocation(profiles[order[first]]),
-        best_sc=float(round_costs[first]))
+        best_profile=Allocation(profiles[order[round_costs.index(best_sc)]]),
+        best_sc=best_sc)
 
 
 def best_profile_approximation(instance: GameInstance, taxes: Optional[TaxProfile],
