@@ -392,9 +392,8 @@ class TestAgainstRoundByRoundReference:
             assert len(result.profiles) == 3000
 
     def test_designed_taxes_at_a_renormalising_rate(self, tmp_path):
-        # Windows price profiles they guessed and never played. Taking the
-        # cheapest profile over everything priced, or in order of pricing,
-        # picks another best_profile here.
+        # Designed taxes at a rate that renormalises the weights every
+        # round, where windows cannot pay and the run steps its rounds.
         inst, taxes = learn_family(4)
         self.assert_matches(inst, taxes, 2000, 700.0, seed=1,
                             block=learning.ROUND_BLOCK, out_dir=tmp_path)
