@@ -9,9 +9,9 @@ under any cost ``c`` with ``c(0) = 0`` (property P1), while a transversal
 that picks one block from each of ``h`` distinct rows should cost at least
 ``(E_{Bin(h, k/h)}[c] - eta) * n`` (property P2). Systems are built by
 balanced random assignment and re-drawn until P2 verifies. P2 is checked
-``P2_BATCH`` transversals at a time: one gather of the batch's blocks, one
-count per element, one cost-table lookup and one row sum, as the oracle
-prices profiles in chunks.
+``P2_BATCH`` transversals at a time: one gather of the batch's blocks, the
+per-element counts as ``h`` adds of whole gathered planes, one cost-table
+lookup and one row sum, as the oracle prices profiles in chunks.
 
 The reduction turns a bi-regular label-cover instance into a congestion
 game: one player per left vertex, a fresh copy of one partitioning system
@@ -42,6 +42,7 @@ from .kernel import binomial_expectation
 P2_EXHAUSTIVE_LIMIT = 1_000_000
 P2_DEFAULT_SAMPLES = 100_000
 P2_BATCH = 256
+SWAP_BLOCK = 64
 _CONSTRUCTION_RETRIES = 100
 
 
@@ -101,6 +102,14 @@ class PartitioningSystem:
         return load_json(cls, path)
 
 
+def _swap_draws(rng: Generator) -> Iterator[list[float]]:
+    """The row repair's uniforms, four per attempt (``e``, ``e2``, ``j1``,
+    ``j2``), drawn ``SWAP_BLOCK`` attempts at a time. Nothing is drawn
+    before the first attempt asks; a row's unused draws stay drawn."""
+    while True:
+        yield from rng.random((SWAP_BLOCK, 4)).tolist()
+
+
 def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     """``h`` blocks of ``k*n/h`` elements, each element in exactly ``k``.
 
@@ -109,6 +118,10 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     within a chunk by conflict-reducing swaps (swaps preserve the exact
     block counts). A swap changes only its two chunks, so only those two
     are re-checked; ``bad`` keeps its order, which the draws index into.
+    An attempt maps its four ``_swap_draws`` uniforms ``u`` to indices
+    ``int(u * bound)``, which is below ``bound`` for every double ``u < 1``
+    and ``bound <= 2**53``, so the draws cost one numpy call per
+    ``SWAP_BLOCK`` attempts, not four calls per attempt.
     """
     if k == h:
         return [list(range(n)) for _ in range(h)]
@@ -123,17 +136,19 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     bad = [e for e in range(n) if conflicts(chunks[e])]
     attempts = 0
     limit = 50 * n * k + 1000
+    draws = _swap_draws(rng)
     while bad:
         attempts += 1
         if attempts > limit:
             raise ConstructionFailed(
                 "balanced assignment repair did not settle", attempts=attempts)
-        e = bad[int(rng.integers(len(bad)))]
-        e2 = int(rng.integers(n))
+        u, u2, u3, u4 = next(draws)
+        e = bad[int(u * len(bad))]
+        e2 = int(u2 * n)
         if e2 == e:
             continue
-        j1 = int(rng.integers(k))
-        j2 = int(rng.integers(k))
+        j1 = int(u3 * k)
+        j2 = int(u4 * k)
         a, b = chunks[e], chunks[e2]
         before = conflicts(a) + conflicts(b)
         a[j1], b[j2] = b[j2], a[j1]
@@ -231,15 +246,27 @@ def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
     """Cost of transversal ``t``, which takes block ``picks[t, j]`` of row
     ``rows[t, j]`` for each ``j``. Each cost is a sum over the elements in
     element order, as ``c_arr[counts].sum()`` of one transversal adds it.
-    The gather, the counts and the terms go to this thread's reused
-    buffers: fresh ones per batch made the allocator hand pages back and
-    fault them in again, as often as the heap's history decided."""
+
+    The gather is laid out ``(h, m, n)``, so pick ``j`` of every
+    transversal is one contiguous plane, and the counts are the sum of the
+    ``h`` planes, added whole in ``int8`` (``intp`` from ``h = 128`` on,
+    where ``int8`` would wrap), then copied to ``intp`` for the lookup:
+    integer adds, so the counts are exact in any order. The gather, the
+    counts and the terms go to this thread's reused buffers: fresh ones per
+    batch made the allocator hand pages back and fault them in again, as
+    often as the heap's history decided."""
     (m, h), (_, blocks, n) = rows.shape, membership.shape
-    gathered = membership.reshape(-1, n).take(
-        rows * blocks + picks, axis=0, mode="clip",
-        out=scratch_array("p2.gathered", (m, h, n), np.int8))
-    counts = gathered.sum(axis=1, dtype=np.intp,
-                          out=scratch_array("p2.counts", (m, n), np.intp))
+    planes = membership.reshape(-1, n).take(
+        rows.T * blocks + picks.T, axis=0, mode="clip",
+        out=scratch_array("p2.gathered", (h, m, n), np.int8))
+    counts = scratch_array("p2.counts", (m, n), np.intp)
+    total = (counts if h > np.iinfo(np.int8).max
+             else scratch_array("p2.counts8", (m, n), np.int8))
+    np.copyto(total, planes[0])
+    for plane in planes[1:]:
+        total += plane
+    if total is not counts:
+        np.copyto(counts, total)
     terms = c_arr.take(counts, mode="clip",
                        out=scratch_array("p2.terms", (m, n), float))
     return terms.sum(axis=1)

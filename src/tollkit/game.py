@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import threading
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -544,7 +545,9 @@ class CompiledGame:
     def batch(self, width: int) -> "ProfileBatch":
         """Arrays for pricing ``width`` profiles at a time; built once per
         width and thread, so further sweeps of this game skip building its
-        views, and threads sharing the game never share a batch."""
+        views, and threads sharing the game never share a batch. The game
+        keeps its batches and a batch holds the game weakly, so a game
+        nobody else holds is freed at once, not by the cyclic collector."""
         key = (width, threading.get_ident())
         batch = self._batches.get(key)
         if batch is None:
@@ -561,13 +564,14 @@ class ProfileBatch:
     view of a per-thread buffer that the next chunk overwrites and that all
     batches on the thread share: use one batch at a time and copy what must
     outlive a chunk. Pricing a chunk allocates no array that grows with
-    ``width``.
+    ``width``. ``game`` is a weak proxy of the compiled game: use a batch
+    while its game is held.
     """
 
     def __init__(self, game: CompiledGame, width: int):
         n = len(game.radices)
         num_r, num_s = game._members_t.shape
-        self.game = game
+        self.game = weakref.proxy(game)
         self.width = width
         self._views = {}
         self.columns = scratch_array("columns", (width,), np.intp)

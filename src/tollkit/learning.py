@@ -35,8 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams, KernelOverflow, NotConverged, TooLarge
-from .game import (Allocation, CompiledGame, GameInstance, ProfileBatch, TaxProfile,
-                   seeded_rng)
+from .game import Allocation, CompiledGame, GameInstance, TaxProfile, seeded_rng
 from .oracle import (DEFAULT_ENUMERATION_CAP, IMPROVEMENT_THRESHOLD,
                      brute_force_min_sc)
 
@@ -243,7 +242,6 @@ class _PricedProfiles:
                            np.array([i for i, s in enumerate(radices) for _ in range(s)]))
         self._factors = np.ones((max(radices), len(radices), 0))
         self._filled = 0
-        self._batches = {}
 
     def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
         """The numbers of ``profiles``, pricing the new ones together:
@@ -253,13 +251,7 @@ class _PricedProfiles:
         if new:
             new = list(dict.fromkeys(new))
             width = 1 if len(new) == 1 else PRICE_WIDTH
-            # The run's own batches, not CompiledGame.batch, whose cache
-            # would tie them to the game in a reference cycle that only the
-            # cyclic collector frees, while a run makes too few objects to
-            # set it off often.
-            batch = self._batches.get(width)
-            if batch is None:
-                batch = self._batches[width] = ProfileBatch(self.game, width)
+            batch = self.game.batch(width)
             choices = np.zeros((len(self.game.radices), width), dtype=np.intp)
             for start in range(0, len(new), width):
                 chunk = new[start:start + width]

@@ -3,11 +3,14 @@
 ``balanced_row`` is the row sampler ``tollkit.forge`` ran before its repair
 loop re-checked only the two elements a swap touches: it keeps the chunks
 as a numpy array and recomputes the conflicts of the whole ``bad`` list
-after every accepted swap. ``verify_p2`` is the P2 check it ran before the
+after every accepted swap. It takes an attempt's four draws from a row of
+a ``(SWAP_BLOCK, 4)`` block of uniforms, as the library does, so the two
+consume one stream alike. ``verify_p2`` is the P2 check it ran before the
 check became a batched numpy sweep: it gathers one transversal at a time,
-and in sampled mode draws each transversal with ``rng.choice``. The library
-walks the exhaustive transversals in the same order and sums each one's
-costs in the same order, so the tests require exact equality.
+counts its elements with one ``sum`` over the picked blocks, and in
+sampled mode draws each transversal with ``rng.choice``. The library walks
+the exhaustive transversals in the same order and sums each one's costs in
+the same order, so the tests require exact equality.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from numpy.random import Generator
 from tollkit import ConstructionFailed, InvalidParams
 from tollkit.game import seeded_rng
 from tollkit.kernel import binomial_expectation
-from tollkit.forge import P2_EXHAUSTIVE_LIMIT
+from tollkit.forge import P2_EXHAUSTIVE_LIMIT, SWAP_BLOCK
 
 
 def balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
@@ -39,17 +42,21 @@ def balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     bad = [e for e in range(n) if conflicts(chunks[e])]
     attempts = 0
     limit = 50 * n * k + 1000
+    block = np.empty((0, 4))
     while bad:
         attempts += 1
         if attempts > limit:
             raise ConstructionFailed(
                 "balanced assignment repair did not settle", attempts=attempts)
-        e = bad[int(rng.integers(len(bad)))]
-        e2 = int(rng.integers(n))
+        if not len(block):
+            block = rng.random((SWAP_BLOCK, 4))
+        (u, u2, u3, u4), block = block[0].tolist(), block[1:]
+        e = bad[int(u * len(bad))]
+        e2 = int(u2 * n)
         if e2 == e:
             continue
-        j1 = int(rng.integers(k))
-        j2 = int(rng.integers(k))
+        j1 = int(u3 * k)
+        j2 = int(u4 * k)
         before = conflicts(chunks[e]) + conflicts(chunks[e2])
         chunks[e, j1], chunks[e2, j2] = chunks[e2, j2], chunks[e, j1]
         after = conflicts(chunks[e]) + conflicts(chunks[e2])

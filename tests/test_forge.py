@@ -255,6 +255,71 @@ class TestSweepAgainstReference:
         # One (P2_BATCH, n) array of counts would take 8 * P2_BATCH * n bytes.
         assert peak < forge.P2_BATCH * n
 
+    def test_counts_past_int8_then_small_again(self):
+        # Every picked block holds element 0, so its count is h: past 127 an
+        # int8 count would wrap. Then h = 3 runs in the same buffers.
+        rng = seeded_rng(0)
+        for beta, h, n in ((131, 130, 5), (128, 128, 3), (6, 3, 120)):
+            membership = (rng.random((beta, h, n)) < 0.5).astype(np.int8)
+            membership[:, :, 0] = 1
+            c_arr = np.asarray(BasisFunction.monomial(1).cost_table(h),
+                               dtype=float)
+            rows = np.argsort(rng.random((40, beta)), axis=1)[:, :h]
+            picks = rng.integers(h, size=(40, h))
+            costs = forge._transversal_costs(membership, c_arr, rows, picks)
+            assert costs.tolist() == reference.transversal_costs(
+                membership, c_arr, zip(rows, picks))
+            assert min(costs) >= c_arr[h]
+
+    def test_swap_index_stays_below_its_bound(self):
+        # An attempt maps a uniform u < 1 to int(u * bound); the largest
+        # double below 1 must still land below every bound a row can have.
+        top = 1.0 - 2.0 ** -53
+        bounds = list(range(1, 1 << 16)) + [2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53]
+        assert all(int(top * bound) == bound - 1 for bound in bounds)
+
+        class TopDraws:
+            """A seeded shuffle, then every uniform the largest below 1."""
+
+            def __init__(self, seed):
+                self.rng = seeded_rng(seed)
+
+            def shuffle(self, slots):
+                self.rng.shuffle(slots)
+
+            def random(self, shape):
+                return np.full(shape, top)
+
+        for seed in range(20):
+            outcomes = []
+            for row in (forge._balanced_row, reference.balanced_row):
+                try:
+                    outcomes.append(row(6, 3, 2, TopDraws(seed)))
+                except ConstructionFailed as failed:
+                    outcomes.append(failed.attempts)
+            assert outcomes[0] == outcomes[1]
+
+    def test_repair_draws_cross_blocks_like_the_reference(self):
+        class Counting:
+            """A generator that counts its blocks of uniforms."""
+
+            def __init__(self, seed):
+                self.rng, self.blocks = seeded_rng(seed), 0
+
+            def shuffle(self, slots):
+                self.rng.shuffle(slots)
+
+            def random(self, shape):
+                self.blocks += 1
+                return self.rng.random(shape)
+
+        ours, theirs = Counting(0), Counting(0)
+        for _ in range(4):
+            assert (forge._balanced_row(120, 3, 2, ours)
+                    == reference.balanced_row(120, 3, 2, theirs))
+        # More attempts than one block holds, in some row.
+        assert ours.blocks == theirs.blocks > 4
+
     @settings(max_examples=150, deadline=None)
     @given(h=st.integers(1, 6), data=st.data())
     def test_balanced_rows_equal_reference(self, h, data):

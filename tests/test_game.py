@@ -1,6 +1,9 @@
+import gc
 import itertools
+import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,6 +273,21 @@ class TestCompileOnce:
                     assert (player_cost(inst, t, a, 1)
                             == reference.player_cost(inst, t, a, 1))
         assert compiled == [(inst, None), (inst, taxes)]
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_game_that_priced_a_profile_dies_without_the_collector(self, width):
+        # The game caches its batches, so a batch holding the game strongly
+        # would make a cycle that only the cyclic collector frees.
+        game = CompiledGame(two_by_two_symmetric())
+        game.price([0, 1])
+        game.batch(width).choose(np.zeros((2, width), dtype=np.intp))
+        dead = weakref.ref(game)
+        gc.disable()
+        try:
+            del game
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestJson:
