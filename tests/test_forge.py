@@ -39,6 +39,21 @@ def draw_blocks(n, beta, h, k, seed):
                  for _ in range(beta))
 
 
+class CountedDraws:
+    """A seeded generator for the row repair that counts its blocks of
+    uniforms, and returns ``top`` for every uniform when it is given."""
+
+    def __init__(self, seed, top=None):
+        self.rng, self.top, self.blocks = seeded_rng(seed), top, 0
+
+    def shuffle(self, slots):
+        self.rng.shuffle(slots)
+
+    def random(self, shape):
+        self.blocks += 1
+        return self.rng.random(shape) if self.top is None else np.full(shape, self.top)
+
+
 def yes_label_cover():
     """Two left vertices, one right vertex of degree 2, single labels."""
     return LabelCoverInstance(
@@ -277,43 +292,17 @@ class TestSweepAgainstReference:
         top = 1.0 - 2.0 ** -53
         bounds = list(range(1, 1 << 16)) + [2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53]
         assert all(int(top * bound) == bound - 1 for bound in bounds)
-
-        class TopDraws:
-            """A seeded shuffle, then every uniform the largest below 1."""
-
-            def __init__(self, seed):
-                self.rng = seeded_rng(seed)
-
-            def shuffle(self, slots):
-                self.rng.shuffle(slots)
-
-            def random(self, shape):
-                return np.full(shape, top)
-
         for seed in range(20):
             outcomes = []
             for row in (forge._balanced_row, reference.balanced_row):
                 try:
-                    outcomes.append(row(6, 3, 2, TopDraws(seed)))
+                    outcomes.append(row(6, 3, 2, CountedDraws(seed, top)))
                 except ConstructionFailed as failed:
                     outcomes.append(failed.attempts)
             assert outcomes[0] == outcomes[1]
 
     def test_repair_draws_cross_blocks_like_the_reference(self):
-        class Counting:
-            """A generator that counts its blocks of uniforms."""
-
-            def __init__(self, seed):
-                self.rng, self.blocks = seeded_rng(seed), 0
-
-            def shuffle(self, slots):
-                self.rng.shuffle(slots)
-
-            def random(self, shape):
-                self.blocks += 1
-                return self.rng.random(shape)
-
-        ours, theirs = Counting(0), Counting(0)
+        ours, theirs = CountedDraws(0), CountedDraws(0)
         for _ in range(4):
             assert (forge._balanced_row(120, 3, 2, ours)
                     == reference.balanced_row(120, 3, 2, theirs))
