@@ -25,7 +25,7 @@ from .errors import (ConstructionFailed, GameValidationError,
                      InfeasibleParams, InvalidParams, KernelNonConvergent,
                      KernelOverflow, TollkitError, TooLarge, UnsupportedBasis)
 from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
-                   save_json)
+                   save_json, save_json_text)
 from .kernel import bell_fractional, mu_factor, rho_factor
 # ``best_profile_approximation`` stays importable here: perfbench's tracer
 # wraps the learning entry points at the names ``cli`` holds.
@@ -89,10 +89,11 @@ def _parse_basis(args) -> BasisFunction:
 
 
 def _emit(args, payload, name: str) -> None:
-    print(json.dumps(payload, indent=2))
+    text = json.dumps(payload, indent=2)
+    print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        save_json(os.path.join(args.out, name), payload)
+        save_json_text(os.path.join(args.out, name), text)
 
 
 def cmd_analyze_basis(args) -> int:

@@ -231,14 +231,23 @@ def _drawn_transversals(beta: int, h: int, samples: int, rng: Generator
                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``samples`` uniform transversals as batches of ``P2_BATCH`` rows.
 
-    A row's selection is the first ``h`` columns of a uniform random
-    permutation of ``range(beta)`` (the argsort of uniforms): ``h`` ordered
-    distinct rows, as ``rng.choice(beta, h, replace=False)`` draws them.
+    Each batch takes one ``(2h, m)`` block of uniforms ``u``, so the draw
+    costs ``O(h)`` numpy calls whatever ``beta`` is. A transversal's rows
+    are ``h`` distinct rows by Floyd's algorithm, run down the batch at
+    once: its ``j``-th row is ``t = int(u[j] * (beta - h + j + 1))``, or
+    ``beta - h + j`` if ``t`` is already taken, so every set of ``h`` rows
+    is equally likely. The order of the rows within a transversal is not a
+    uniform permutation, and need not be: a transversal's cost does not
+    depend on it. Its picks are ``int(u[h + j] * h)``.
     """
+    bounds = np.concatenate((np.arange(beta - h + 1, beta + 1), np.full(h, h)))
     for start in range(0, samples, P2_BATCH):
         m = min(P2_BATCH, samples - start)
-        rows = np.argsort(rng.random((m, beta)), axis=1)[:, :h]
-        yield rows, rng.integers(h, size=(m, h))
+        draws = (rng.random((2 * h, m)) * bounds[:, None]).astype(np.intp)
+        for j in range(1, h):
+            taken = (draws[:j] == draws[j]).any(axis=0)
+            np.putmask(draws[j], taken, beta - h + j)
+        yield draws[:h].T, draws[h:].T
 
 
 def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,

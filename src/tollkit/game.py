@@ -53,9 +53,14 @@ def seeded_rng(seed: int) -> Generator:
 
 
 def save_json(path, payload) -> None:
+    save_json_text(path, json.dumps(payload, indent=2))
+
+
+def save_json_text(path, text: str) -> None:
+    """Write a JSON document encoded by ``json.dumps(..., indent=2)`` and a
+    closing newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(cls, path):

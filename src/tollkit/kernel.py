@@ -220,30 +220,36 @@ def kernel_evaluators(basis: BasisFunction):
     This is the one place that decides how the kernel is evaluated.
     Integer-degree monomials admit the closed moment polynomial
     ``E_{Poi(v)}[P^(d+1)] = sum_i S(d+1, i) v^i`` with Stirling partition
-    coefficients, exact up to rounding. A table basis with ``L`` entries is
-    affine past ``L``, so ``c(x) = x * b(x)`` is a quadratic there and both
-    kernels are exact finite sums (``_table_evaluator``). Everything else
-    runs the truncated series (``_poisson_series``). The pair does not
-    validate ``v``, so inner solver loops pay neither checks nor dispatch
-    per evaluation; ``poisson_kernel`` and its derivative are the checked
-    entry points. Pairs are cached per basis, so a ``rho_factor`` scan
-    builds a table's coefficients once.
+    coefficients, exact up to rounding, run by Horner's rule over tuples of
+    the coefficients of ``p`` and ``p'`` formed once per basis. A table
+    basis with ``L`` entries is affine past ``L``, so ``c(x) = x * b(x)``
+    is a quadratic there and both kernels are exact finite sums
+    (``_table_evaluator``). Everything else runs the truncated series
+    (``_poisson_series``). The pair does not validate ``v``, so inner
+    solver loops pay neither checks nor dispatch per evaluation;
+    ``poisson_kernel`` and its derivative are the checked entry points.
+    Pairs are cached per basis, so a ``rho_factor`` scan builds a table's
+    coefficients once.
     """
     if (basis.kind == "monomial" and float(basis.degree).is_integer()
             and basis.degree <= 120):
         n = int(basis.degree) + 1
-        coeffs = _stirling_row(n)
+        row = _stirling_row(n)
+        # Horner coefficients from the top down: S(n, i) for p / v and
+        # i * S(n, i) for p', for i = n..1.
+        coeffs = row[n:0:-1]
+        slopes = tuple(i * row[i] for i in range(n, 0, -1))
 
         def p(v: float) -> float:
             acc = 0.0
-            for i in range(n, 0, -1):
-                acc = acc * v + coeffs[i]
+            for c in coeffs:
+                acc = acc * v + c
             return acc * v
 
         def dp(v: float) -> float:
             acc = 0.0
-            for i in range(n, 0, -1):
-                acc = acc * v + i * coeffs[i]
+            for c in slopes:
+                acc = acc * v + c
             return acc
 
         return p, dp

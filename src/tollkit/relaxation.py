@@ -17,6 +17,7 @@ per-player argmin, so Frank-Wolfe applies directly and its duality gap
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (GameValidationError, InvalidParams, KernelOverflow,
@@ -132,7 +133,8 @@ class _Objective:
         segment; value-based searches bottom out once improvements drop
         below the float resolution of the objective. The segment keeps only
         the resources that ``delta`` moves, each with its load and margin
-        terms, so a slope evaluation touches nothing else.
+        terms, so a slope evaluation touches nothing else, and adds each
+        resource's margin terms in ``_margin``'s order without calling it.
 
         The root of the slope is located by Illinois regula falsi on the
         bracket ``[0, hi]``: the false-position point of the bracket, with
@@ -143,18 +145,23 @@ class _Objective:
         the bracket's midpoint no longer lies strictly inside it, and
         returns that point.
         """
+        if hi <= 0.0:
+            return 0.0
         segment = [(d, loads[r], self.dp_terms[r])
                    for r, d in enumerate(delta) if d]
-        margin = self._margin
 
         def slope(gamma: float) -> float:
             total = 0.0
             for d, v, terms in segment:
-                total += d * margin(terms, v + gamma * d)
+                # _margin at v + gamma * d, inline: a call per resource
+                # would cost as much as the sum it makes.
+                x = v + gamma * d
+                m = 0.0
+                for alpha, dp in terms:
+                    m += alpha * dp(x)
+                total += d * m
             return total
 
-        if hi <= 0.0:
-            return 0.0
         f_lo = slope(0.0)
         if f_lo >= 0.0:
             return 0.0
@@ -202,7 +209,8 @@ def relaxation_objective(instance: GameInstance, profile: FractionalProfile) -> 
 
 def _strategy_scores(instance: GameInstance, margins) -> list[list[float]]:
     """Per-strategy sums of resource margins: the gradient in the weights."""
-    return [[sum(margins[r] for r in strat) for strat in player]
+    margin = margins.__getitem__
+    return [[sum(map(margin, strat)) for strat in player]
             for player in instance.strategies]
 
 
@@ -218,9 +226,9 @@ def _oracle_and_gap(weights, grad) -> tuple[list[int], float]:
     vertex = []
     gap = 0.0
     for scores, row in zip(grad, weights):
-        best_k = min(range(len(scores)), key=lambda k: (scores[k], k))
-        vertex.append(best_k)
-        gap += sum(w * s for w, s in zip(row, scores)) - scores[best_k]
+        best = min(scores)
+        vertex.append(scores.index(best))
+        gap += sum(map(operator.mul, row, scores)) - best
     return vertex, gap
 
 
@@ -283,14 +291,19 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
         away = []
         cap = math.inf
         delta_pw = [0.0] * instance.num_resources
-        for i, scores in enumerate(grad):
-            support = [k for k, w in enumerate(weights[i]) if w > 0.0]
-            worst = max(support, key=lambda k: (scores[k], -k))
-            if worst == vertex[i] or scores[worst] <= scores[vertex[i]]:
+        for i, (scores, row, best) in enumerate(zip(grad, weights, vertex)):
+            # The worst supported strategy (highest score, ties to the
+            # lowest index) if it scores above the oracle's; else the
+            # oracle's own, and this player makes no pairwise move.
+            worst, top = best, scores[best]
+            for k, w in enumerate(row):
+                if w > 0.0 and scores[k] > top:
+                    worst, top = k, scores[k]
+            if worst == best:
                 continue
             away.append((i, worst))
-            cap = min(cap, weights[i][worst])
-            for r in strategies[i][vertex[i]]:
+            cap = min(cap, row[worst])
+            for r in strategies[i][best]:
                 delta_pw[r] += 1.0
             for r in strategies[i][worst]:
                 delta_pw[r] -= 1.0

@@ -6,11 +6,17 @@ as a numpy array and recomputes the conflicts of the whole ``bad`` list
 after every accepted swap. It takes an attempt's four draws from a row of
 a ``(SWAP_BLOCK, 4)`` block of uniforms, as the library does, so the two
 consume one stream alike. ``verify_p2`` is the P2 check it ran before the
-check became a batched numpy sweep: it gathers one transversal at a time,
-counts its elements with one ``sum`` over the picked blocks, and in
-sampled mode draws each transversal with ``rng.choice``. The library walks
-the exhaustive transversals in the same order and sums each one's costs in
-the same order, so the tests require exact equality.
+check became a batched numpy sweep: it gathers one transversal at a time
+and counts its elements with one ``sum`` over the picked blocks. The
+library walks the exhaustive transversals in the same order and sums each
+one's costs in the same order, so the tests require exact equality. In
+sampled mode the reference draws each transversal with ``rng.choice``, an
+ordered draw of distinct rows. The library draws rows by Floyd's algorithm
+from blocks of uniforms, whose order within a transversal is not uniform,
+from another stream. A transversal's cost does not depend on the order of
+its rows, so both draw the same distribution of costs, but not the same
+transversals: sampled margins are compared against the exhaustive one,
+not against each other.
 """
 
 from __future__ import annotations

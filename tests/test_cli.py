@@ -445,6 +445,27 @@ class TestExperimentConfig:
         assert ((first / "instance.json").read_text()
                 == (second / "instance.json").read_text())
 
+    @pytest.mark.parametrize("command", ["design", "partition"])
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path, command):
+        # One encoding serves stdout and the file; the file's bytes are
+        # what json.dump and a closing newline write.
+        out_dir = tmp_path / "out"
+        if command == "design":
+            _, path = write_two_by_two(tmp_path)
+            argv, name = ["design", str(path)], "design_bundle.json"
+        else:
+            argv = ["forge", "partition", "--n", "12", "--beta", "4",
+                    "--h", "3", "--k", "2", "--eta", "0.9", "--monomial", "1",
+                    "--seed", "0"]
+            name = "partitioning_system.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == 0
+        written = (out_dir / name).read_bytes()
+        dumped = io.StringIO()
+        json.dump(json.loads(written), dumped, indent=2)
+        dumped.write("\n")
+        assert written == out.encode() == dumped.getvalue().encode()
+
     def test_round_trip(self):
         from tollkit.cli import ExperimentConfig
         config = ExperimentConfig(argv=("oracle", "x.json", "--seed", "4",

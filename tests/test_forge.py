@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,17 +41,19 @@ def draw_blocks(n, beta, h, k, seed):
 
 
 class CountedDraws:
-    """A seeded generator for the row repair that counts its blocks of
-    uniforms, and returns ``top`` for every uniform when it is given."""
+    """A seeded generator for the row repair and the transversal draws that
+    counts its blocks of uniforms and the uniforms in them, and returns
+    ``top`` for every uniform when it is given."""
 
     def __init__(self, seed, top=None):
-        self.rng, self.top, self.blocks = seeded_rng(seed), top, 0
+        self.rng, self.top, self.blocks, self.uniforms = seeded_rng(seed), top, 0, 0
 
     def shuffle(self, slots):
         self.rng.shuffle(slots)
 
     def random(self, shape):
         self.blocks += 1
+        self.uniforms += math.prod(shape)
         return self.rng.random(shape) if self.top is None else np.full(shape, self.top)
 
 
@@ -215,6 +218,41 @@ class TestSweepAgainstReference:
             assert all(len(set(r)) == 3 for r in rows.tolist())
             assert rows.min() >= 0 and rows.max() < 6
             assert picks.min() >= 0 and picks.max() < 3
+
+    @pytest.mark.parametrize("beta", [6, 100, 4000])
+    def test_draws_do_not_grow_with_the_row_count(self, beta):
+        draws = CountedDraws(0)
+        batches = list(forge._drawn_transversals(beta, 3, 600, draws))
+        # One block of 2h uniforms per transversal, per batch.
+        assert (draws.blocks, draws.uniforms) == (len(batches), 600 * 2 * 3)
+        for rows, picks in batches:
+            assert all(len(set(r)) == 3 for r in rows.tolist())
+            assert rows.min() >= 0 and rows.max() < beta
+
+    @pytest.mark.parametrize("top", [0.0, 1.0 - 2.0 ** -53])
+    def test_extreme_uniforms_draw_distinct_rows_in_range(self, top):
+        # At u = 0 every row after the first collides with row 0 and takes
+        # the top of its range; at the largest u below 1 none collides.
+        beta, h = 7, 4
+        rows, picks = next(forge._drawn_transversals(beta, h, 5, CountedDraws(0, top)))
+        want = [0, 4, 5, 6] if top == 0.0 else [3, 4, 5, 6]
+        assert rows.tolist() == [want] * 5
+        assert picks.tolist() == [[0 if top == 0.0 else h - 1] * h] * 5
+
+    def test_unordered_transversals_are_uniform(self):
+        # beta = 5, h = 3: 10 row sets times 27 picks, 270 unordered
+        # transversals, 100 expected draws each. The stream is seeded, so
+        # the statistic is fixed; 0.1% of uniform draws exceed 349.
+        beta, h, samples = 5, 3, 27_000
+        counts = Counter()
+        for rows, picks in forge._drawn_transversals(beta, h, samples,
+                                                     seeded_rng(0)):
+            counts.update(frozenset(zip(r, p)) for r, p in
+                          zip(rows.tolist(), picks.tolist()))
+        assert len(counts) == math.comb(beta, h) * h ** h
+        expected = samples / len(counts)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 349
 
     @settings(max_examples=60, deadline=None)
     @given(shape=shapes(), basis=basis_functions(), seed=st.integers(0, 10**6),

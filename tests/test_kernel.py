@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernel
 from reference_kernel import c_real
 from tollkit import (BasisFunction, InvalidParams, KernelNonConvergent,
                      KernelOverflow, RhoReport, UnsupportedBasis,
@@ -179,6 +180,16 @@ class TestKernelDerivative:
         grid = [0.1 * i for i in range(1, 101)]
         values = [poisson_kernel_derivative(b, v) for v in grid]
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(values, values[1:]))
+
+    def test_monomial_horner_loops_equal_the_index_loops(self):
+        # Bit for bit, through overflow to inf at the top degrees and rates.
+        points = ([0.0, 0.5, 1.0, 2.0, 3.7, 8.0, 120.5, 999.999]
+                  + [10.0 ** (e / 4) for e in range(-40, 25)])
+        for degree in range(121):
+            got = kernel_evaluators(BasisFunction.monomial(degree))
+            want = reference_kernel.monomial_evaluators(degree)
+            for f, g in zip(got, want):
+                assert [f(v).hex() for v in points] == [g(v).hex() for v in points]
 
     def test_kernel_second_differences_nonnegative(self):
         for basis in (BasisFunction.monomial(1.5), BasisFunction.table([1.0, 3.0, 6.0])):

@@ -269,6 +269,13 @@ class TestChunkBoundaries:
     every optimum, every equilibrium and every worst margin tied with
     profiles in later chunks."""
 
+    @pytest.fixture(autouse=True)
+    def narrow_chunks(self):
+        # 256 profiles a chunk, so the first balanced profile (index 377)
+        # lies past the first chunk, which a chunk of 1024 would hold.
+        with mock.patch.object(oracle, "CHUNK_PROFILES", 256):
+            yield
+
     def setup_method(self):
         self.inst = parallel_links(9, 3)
         self.size = 3 ** 9

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from game_strategies import basis_functions
+import reference_relaxation as reference
+from game_strategies import basis_functions, small_games, table_twin
 from reference_relaxation import (bisection_step, early_exit,
                                   segment_slope, segment_value)
+from test_acceptance import design_family
 from tollkit import (BasisFunction, FractionalProfile, GameInstance,
-                     GameValidationError, InvalidParams, MaxItersExceeded,
-                     duality_gap, fractional_loads, gradient, poisson_kernel,
-                     random_instance, relaxation_objective, solve_relaxation)
+                     GameValidationError, InvalidParams, KernelOverflow,
+                     MaxItersExceeded, duality_gap, fractional_loads, gradient,
+                     poisson_kernel, random_instance, relaxation_objective,
+                     solve_relaxation)
 from tollkit.relaxation import _Objective
 
 
@@ -285,3 +288,82 @@ class TestLineSearch:
         phi = segment_value(instance, loads, delta, step)
         phi_ref = segment_value(instance, loads, delta, reference)
         assert phi <= phi_ref + 4 * math.ulp(max(1.0, abs(float(phi_ref))))
+
+
+def solved(solve, instance, **kwargs):
+    """What ``solve`` ends in: the profile, or the error type with its
+    message and the profile it carries."""
+    try:
+        return solve(instance, **kwargs)
+    except (MaxItersExceeded, KernelOverflow) as exc:
+        return type(exc), str(exc), getattr(exc, "profile", None)
+
+
+def verify_game(seed):
+    """The game of ``forge random`` that the ``verify`` benchmark designs:
+    8 players with 3 strategies of 1-3 of 6 resources, monomial degree 1
+    or 2."""
+    return random_instance(8, 6, [BasisFunction.monomial(1 + seed % 2)],
+                           strategy_count_range=(3, 3),
+                           strategy_size_range=(1, 3), seed=seed)
+
+
+@st.composite
+def fractional_degree_games(draw):
+    """``small_games`` with some bases swapped for non-integer monomials,
+    whose kernels run the truncated series."""
+    inst = draw(small_games())
+    basis = tuple(BasisFunction.monomial(draw(st.sampled_from([0.5, 1.5, 2.25])))
+                  if draw(st.booleans()) else b for b in inst.basis)
+    return GameInstance(basis=basis, coefficients=inst.coefficients,
+                        strategies=inst.strategies)
+
+
+class TestAgainstReference:
+    """The solver runs the float operations of the loop it replaced
+    (``reference_relaxation.solve_relaxation``) in the same order, so every
+    output equals it exactly: weights, loads, objective, gap, iterations,
+    and the profile an error carries."""
+
+    def test_acceptance_family_and_table_twins(self):
+        for seed in range(180):
+            inst, _ = design_family(seed)
+            for game in (inst, table_twin(inst)):
+                assert (solved(solve_relaxation, game)
+                        == solved(reference.solve_relaxation, game)), seed
+
+    def test_verify_games(self):
+        for seed in range(24):
+            game = verify_game(seed)
+            assert (solved(solve_relaxation, game)
+                    == solved(reference.solve_relaxation, game)), seed
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=fractional_degree_games(),
+           tol_gap=st.sampled_from([1e-6, 1e-8, 1e-12]))
+    def test_small_games(self, inst, tol_gap):
+        assert (solved(solve_relaxation, inst, tol_gap=tol_gap, max_iters=2000)
+                == solved(reference.solve_relaxation, inst, tol_gap=tol_gap,
+                          max_iters=2000))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 12])
+    def test_iterate_at_the_iteration_cap(self, max_iters):
+        capped = 0
+        for seed in range(24):
+            game = verify_game(seed)
+            got = solved(solve_relaxation, game, tol_gap=1e-14,
+                         max_iters=max_iters)
+            assert got == solved(reference.solve_relaxation, game,
+                                 tol_gap=1e-14, max_iters=max_iters), seed
+            capped += isinstance(got, tuple) and got[0] is MaxItersExceeded
+        # A few games reach a zero gap at a vertex within the cap.
+        assert capped >= 19
+
+    def test_kernel_overflow(self):
+        # p(2) = 6 on each link, times 1e308, leaves the double range.
+        b = BasisFunction.monomial(1)
+        inst = GameInstance.build([b], [[1e308], [1e308]],
+                                  [[[0], [1]], [[0], [1]], [[0], [1]]])
+        got = solved(solve_relaxation, inst)
+        assert got[0] is KernelOverflow
+        assert got == solved(reference.solve_relaxation, inst)
