@@ -214,14 +214,30 @@ def _table_evaluator(head: tuple[float, ...], e2: float, e1: float,
 
 
 @functools.lru_cache(maxsize=256)
+def monomial_coefficients(basis: BasisFunction
+                          ) -> Optional[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Ascending coefficients of ``p`` and ``p'`` for an integer-degree
+    monomial ``b(x) = x**d`` with ``d <= 120``, else None.
+
+    ``p`` is the moment polynomial ``E_{Poi(v)}[P^n] = sum_i S(n, i) v^i``
+    with ``n = d + 1`` and Stirling partition coefficients, so its tuple
+    is ``S(n, 0..n)`` (``S(n, 0) = 0``) and that of ``p'`` is
+    ``i * S(n, i)`` for ``i = 1..n``: ``p'`` has degree ``d``.
+    """
+    if not (basis.kind == "monomial" and float(basis.degree).is_integer()
+            and basis.degree <= 120):
+        return None
+    row = _stirling_row(int(basis.degree) + 1)
+    return row, tuple(i * row[i] for i in range(1, len(row)))
+
+
+@functools.lru_cache(maxsize=256)
 def kernel_evaluators(basis: BasisFunction):
     """The ``(p, p')`` evaluator pair for one basis.
 
     This is the one place that decides how the kernel is evaluated.
-    Integer-degree monomials admit the closed moment polynomial
-    ``E_{Poi(v)}[P^(d+1)] = sum_i S(d+1, i) v^i`` with Stirling partition
-    coefficients, exact up to rounding, run by Horner's rule over tuples of
-    the coefficients of ``p`` and ``p'`` formed once per basis. A table
+    Integer-degree monomials up to degree 120 run Horner's rule over the
+    tuples of ``monomial_coefficients``, exact up to rounding. A table
     basis with ``L`` entries is affine past ``L``, so ``c(x) = x * b(x)``
     is a quadratic there and both kernels are exact finite sums
     (``_table_evaluator``). Everything else runs the truncated series
@@ -231,14 +247,11 @@ def kernel_evaluators(basis: BasisFunction):
     Pairs are cached per basis, so a ``rho_factor`` scan builds a table's
     coefficients once.
     """
-    if (basis.kind == "monomial" and float(basis.degree).is_integer()
-            and basis.degree <= 120):
-        n = int(basis.degree) + 1
-        row = _stirling_row(n)
-        # Horner coefficients from the top down: S(n, i) for p / v and
-        # i * S(n, i) for p', for i = n..1.
-        coeffs = row[n:0:-1]
-        slopes = tuple(i * row[i] for i in range(n, 0, -1))
+    polynomials = monomial_coefficients(basis)
+    if polynomials is not None:
+        # Horner from the top down: S(n, n..1) for p / v, i * S(n, i) for p'.
+        coeffs = polynomials[0][:0:-1]
+        slopes = polynomials[1][::-1]
 
         def p(v: float) -> float:
             acc = 0.0

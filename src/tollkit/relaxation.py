@@ -12,6 +12,14 @@ The kernels are convex, loads are linear in the weights, and the feasible
 set is a product of simplices whose linear minimisation oracle is an exact
 per-player argmin, so Frank-Wolfe applies directly and its duality gap
 ``<grad, y - s>`` certifies the distance to optimality.
+
+The kernel of an integer monomial of degree ``d <= 120`` is a polynomial
+(``kernel.monomial_coefficients``), so a resource whose bases are all such
+monomials costs ``sum_j alpha_j p_j``, one polynomial, and its margin one
+polynomial of the largest degree ``D``. Along a step's segment the slope
+of the objective is then a polynomial in the step of degree ``D``, and for
+``D <= 2`` its root has a closed form. Tables, the truncated series and
+higher degrees search the root of the slope by Illinois regula falsi.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from .errors import (GameValidationError, InvalidParams, KernelOverflow,
                      MaxItersExceeded)
 from .game import GameInstance, load_json, loads_of, save_json
-from .kernel import kernel_evaluators, poisson_kernel
+from .kernel import kernel_evaluators, monomial_coefficients, poisson_kernel
 
 _FEASIBILITY_TOL = 1e-12
 
@@ -94,47 +102,134 @@ def check_feasible(instance: GameInstance, profile: FractionalProfile) -> None:
                 f"resource {r}: stored load {b} != recomputed {a}")
 
 
+def _merged(terms) -> list[float]:
+    """``sum_j alpha_j * c_j`` over ``(alpha_j, c_j)`` pairs of ascending
+    coefficient tuples, added in ``j`` order."""
+    out = []
+    for alpha, coeffs in terms:
+        out += [0.0] * (len(coeffs) - len(out))
+        for i, c in enumerate(coeffs):
+            out[i] += alpha * c
+    return out
+
+
 class _Objective:
-    """Objective, per-resource margins, and segment line search."""
+    """Objective, per-resource margins, and segment line search.
+
+    A resource is polynomial when every basis with ``alpha_j != 0`` on it
+    is an integer monomial of degree <= 120 (``monomial_coefficients``).
+    Its value ``sum_j alpha_j p_j`` and margin ``sum_j alpha_j p_j'`` are
+    then one merged coefficient tuple each, run by one Horner loop, and
+    its evaluator terms are empty. Every other resource keeps its
+    ``(alpha_j, p_j)`` and ``(alpha_j, p_j')`` evaluator terms in ``j``
+    order, and empty coefficient tuples.
+    """
 
     def __init__(self, instance: GameInstance):
         evaluators = [kernel_evaluators(b) for b in instance.basis]
-        # Per resource, the ``(alpha_j, p_j)`` and ``(alpha_j, p_j')`` pairs
-        # with ``alpha_j != 0`` in ``j`` order: the only terms a value or a
-        # margin adds.
-        self.p_terms, self.dp_terms = (
-            [tuple((alpha, evaluators[j][k]) for j, alpha in enumerate(coeffs)
-                   if alpha)
-             for coeffs in instance.coefficients]
-            for k in (0, 1))
+        polynomials = [monomial_coefficients(b) for b in instance.basis]
+        # Per resource: Horner tuples (highest power first) of the value
+        # and the margin, the evaluator terms, and the margin's ascending
+        # coefficients padded to three when it has degree <= 2, else None.
+        self.p_coeffs, self.dp_coeffs, self.p_terms, self.dp_terms = [], [], [], []
+        self.quadratics = []
+        for coeffs in instance.coefficients:
+            used = [(alpha, j) for j, alpha in enumerate(coeffs) if alpha]
+            if all(polynomials[j] for _, j in used):
+                p = _merged([(alpha, polynomials[j][0]) for alpha, j in used])
+                dp = _merged([(alpha, polynomials[j][1]) for alpha, j in used])
+                p_terms = dp_terms = ()
+                quadratic = (*dp, 0.0, 0.0)[:3] if len(dp) <= 3 else None
+            else:
+                p = dp = []
+                p_terms = tuple((alpha, evaluators[j][0]) for alpha, j in used)
+                dp_terms = tuple((alpha, evaluators[j][1]) for alpha, j in used)
+                quadratic = None
+            self.p_coeffs.append(tuple(reversed(p)))
+            self.dp_coeffs.append(tuple(reversed(dp)))
+            self.p_terms.append(p_terms)
+            self.dp_terms.append(dp_terms)
+            self.quadratics.append(quadratic)
 
     def value(self, loads) -> float:
         total = 0.0
-        for terms, v in zip(self.p_terms, loads):
+        for coeffs, terms, v in zip(self.p_coeffs, self.p_terms, loads):
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * v + c
+            total += acc
             for alpha, p in terms:
                 total += alpha * p(v)
         return total
 
-    @staticmethod
-    def _margin(terms, v: float) -> float:
-        """One resource's marginal cost ``sum_j alpha_j * p_j'(v)``."""
-        m = 0.0
-        for alpha, dp in terms:
-            m += alpha * dp(v)
-        return m
-
     def margins(self, loads) -> list[float]:
-        return [self._margin(terms, v) for terms, v in zip(self.dp_terms, loads)]
+        """Each resource's marginal cost ``sum_j alpha_j * p_j'(v)``."""
+        out = []
+        for coeffs, terms, v in zip(self.dp_coeffs, self.dp_terms, loads):
+            m = 0.0
+            for c in coeffs:
+                m = m * v + c
+            for alpha, dp in terms:
+                m += alpha * dp(v)
+            out.append(m)
+        return out
 
     def exact_step(self, loads, delta, hi: float) -> float:
         """Minimiser of the convex segment objective on ``[0, hi]``.
 
-        Works on the directional derivative, which is monotone along the
-        segment; value-based searches bottom out once improvements drop
-        below the float resolution of the objective. The segment keeps only
-        the resources that ``delta`` moves, each with its load and margin
-        terms, so a slope evaluation touches nothing else, and adds each
-        resource's margin terms in ``_margin``'s order without calling it.
+        Works on the directional derivative, the slope
+        ``s(gamma) = sum_r delta_r * m_r(v_r + gamma * delta_r)``, which is
+        monotone along the segment; value-based searches bottom out once
+        improvements drop below the float resolution of the objective.
+
+        When every resource ``delta`` moves is polynomial with a margin of
+        degree <= 2, the slope is the polynomial ``s0 + s1*gamma +
+        s2*gamma^2``, formed by one Taylor shift of each moved margin to
+        its load. Its coefficients decide both early exits (``s0 >= 0``
+        gives 0, ``s(hi) <= 0`` gives ``hi``), and otherwise the step is
+        its root: ``-s0/s1`` when ``s2 = 0`` (as whenever every moved
+        margin has degree <= 1), else the stable quadratic root
+        ``2(-s0) / (s1 + sqrt(max(0, s1^2 - 4*s2*s0)))``, clamped to
+        ``hi``. A denominator that is not positive and finite, or a root
+        that is not finite, falls back to ``_illinois_step``, the search
+        that every other segment runs (tables, the truncated series,
+        margins of degree > 2).
+        """
+        if hi <= 0.0:
+            return 0.0
+        s0 = s1 = s2 = 0.0
+        for d, v, quadratic in zip(delta, loads, self.quadratics):
+            if d:
+                if quadratic is None:
+                    return self._illinois_step(loads, delta, hi)
+                c0, c1, c2 = quadratic
+                # m(v + t) = m(v) + m'(v) * t + c2 * t^2, with t = gamma * d.
+                dd = d * d
+                s0 += d * ((c2 * v + c1) * v + c0)
+                s1 += dd * (2.0 * c2 * v + c1)
+                s2 += dd * d * c2
+        if s0 >= 0.0:
+            return 0.0
+        if s0 + hi * (s1 + hi * s2) <= 0.0:
+            return hi
+        if s2:
+            den = s1 + math.sqrt(max(0.0, s1 * s1 - 4.0 * s2 * s0))
+            num = -2.0 * s0
+        else:
+            den, num = s1, -s0
+        if 0.0 < den < math.inf:
+            root = num / den
+            if root < math.inf:
+                return min(root, hi)  # num > 0 and den > 0: root >= 0
+        return self._illinois_step(loads, delta, hi)
+
+    def _illinois_step(self, loads, delta, hi: float) -> float:
+        """``exact_step`` by a bracket search on the slope.
+
+        The segment keeps only the resources that ``delta`` moves, each
+        with its load, margin tuple and margin terms, so a slope
+        evaluation touches nothing else, and prices each margin as
+        ``margins`` does without calling it.
 
         The root of the slope is located by Illinois regula falsi on the
         bracket ``[0, hi]``: the false-position point of the bracket, with
@@ -145,18 +240,18 @@ class _Objective:
         the bracket's midpoint no longer lies strictly inside it, and
         returns that point.
         """
-        if hi <= 0.0:
-            return 0.0
-        segment = [(d, loads[r], self.dp_terms[r])
+        segment = [(d, loads[r], self.dp_coeffs[r], self.dp_terms[r])
                    for r, d in enumerate(delta) if d]
 
         def slope(gamma: float) -> float:
             total = 0.0
-            for d, v, terms in segment:
-                # _margin at v + gamma * d, inline: a call per resource
+            for d, v, coeffs, terms in segment:
+                # margins at v + gamma * d, inline: a call per resource
                 # would cost as much as the sum it makes.
                 x = v + gamma * d
                 m = 0.0
+                for c in coeffs:
+                    m = m * x + c
                 for alpha, dp in terms:
                     m += alpha * dp(x)
                 total += d * m
@@ -249,11 +344,13 @@ def solve_relaxation(instance: GameInstance, tol_gap: float = 1e-8,
     (still feasible and usable; the recorded gap quantifies its
     suboptimality).
 
-    Steps are exact line searches (``_Objective.exact_step``: Illinois
-    regula falsi on the directional derivative, safeguarded by bisection),
-    preferring the pairwise direction that shifts mass from each player's
-    worst supported strategy onto the oracle one and falling back to the
-    classic step towards the oracle vertex.
+    Steps are exact line searches (``_Objective.exact_step``: the root of
+    the directional derivative in closed form where every moved resource
+    has a polynomial margin of degree <= 2, else Illinois regula falsi
+    safeguarded by bisection), preferring the pairwise direction that
+    shifts mass from each player's worst supported strategy onto the
+    oracle one and falling back to the classic step towards the oracle
+    vertex.
     Pairwise steps empty supported coordinates in finitely many drops,
     removing the zigzag that keeps plain Frank-Wolfe at an O(1/t) gap on
     face-constrained optima.

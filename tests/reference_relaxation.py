@@ -4,15 +4,21 @@
 made leaner, together with the ``_Objective``, ``_strategy_scores`` and
 ``_oracle_and_gap`` it called, kept as they were: per-player oracles and
 gaps through ``min`` with a ``key``, the away strategy from a support list,
-a Python call per margin term, and the integer-monomial kernels of
-``reference_kernel.kernel_evaluators``. The library's solver runs the same
-float operations in the same order, so the tests require equal profiles.
+a Python call per margin term, every step searched by Illinois regula
+falsi, and the integer-monomial kernels of
+``reference_kernel.kernel_evaluators``. Where no resource is polynomial
+(some basis on it is a table or a non-integer monomial), the library's
+solver runs the same float operations in the same order, so the tests
+require equal profiles. On integer-monomial games the library merges each
+resource's bases into one polynomial and takes closed-form steps, and this
+loop is the Illinois reference its objectives are held to.
 
 ``bisection_step`` is the 64-step bisection of the directional derivative
 that ``_Objective.exact_step`` ran before it became Illinois regula falsi.
 Its slope is priced here from ``kernel_evaluators`` and the instance's
-coefficients, adding the same terms in the same order as the solver, so
-the early exits of the two searches must agree exactly.
+coefficients, adding the same terms in the same order as the solver's
+Illinois search, so on segments without polynomial resources the early
+exits of the two searches must agree exactly.
 
 ``segment_value`` is the segment objective in 40-digit arithmetic from
 closed forms of the kernel, so comparing it at two steps measures the
@@ -75,6 +81,13 @@ def exact_kernel(basis: BasisFunction, v):
     for x in range(1, L):
         total += (x * b[x - 1] - (s * x + e1) * x) * mp.exp(-v) * v ** x / mp.factorial(x)
     return total
+
+
+def exact_kernel_derivative(basis: BasisFunction, v):
+    """``p'(v) = sum_i i * S(d+1, i) * v^(i-1)`` of an integer-degree
+    monomial, at the working precision."""
+    n = int(basis.degree) + 1
+    return sum(i * _stirling2(n, i) * v ** (i - 1) for i in range(1, n + 1))
 
 
 def segment_value(instance: GameInstance, loads, delta, gamma: float):

@@ -12,7 +12,7 @@ from tollkit import (BasisFunction, InvalidParams, KernelNonConvergent,
                      bell_fractional, binomial_expectation, mu_factor,
                      poisson_kernel, poisson_kernel_derivative, rho_factor)
 from tollkit.kernel import (_log_cost_ratios, _poisson_series,
-                            kernel_evaluators)
+                            kernel_evaluators, monomial_coefficients)
 
 mp.mp.dps = 40
 
@@ -180,6 +180,17 @@ class TestKernelDerivative:
         grid = [0.1 * i for i in range(1, 101)]
         values = [poisson_kernel_derivative(b, v) for v in grid]
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(values, values[1:]))
+
+    def test_monomial_coefficients_only_for_closed_forms(self):
+        # p(v) = v + 3v^2 + v^3 and p'(v) = 1 + 6v + 3v^2 for b(x) = x^2.
+        assert monomial_coefficients(BasisFunction.monomial(2)) == (
+            (0.0, 1.0, 3.0, 1.0), (1.0, 6.0, 3.0))
+        assert monomial_coefficients(BasisFunction.monomial(0)) == ((0.0, 1.0), (1.0,))
+        p, dp = monomial_coefficients(BasisFunction.monomial(120))
+        assert (len(p), len(dp)) == (122, 121)
+        for basis in (BasisFunction.monomial(121), BasisFunction.monomial(1.5),
+                      BasisFunction.table([1.0, 2.0])):
+            assert monomial_coefficients(basis) is None
 
     def test_monomial_horner_loops_equal_the_index_loops(self):
         # Bit for bit, through overflow to inf at the top degrees and rates.

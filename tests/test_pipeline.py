@@ -15,7 +15,8 @@ from tollkit import (BasisFunction, GameInstance, KernelNonConvergent,
                      build_tax_profile, check_smoothness, cli, design,
                      empirical_poa, oracle, pipeline, random_instance,
                      rho_factor, solve_relaxation)
-from tollkit.game import CompiledGame
+from test_acceptance import design_family
+from tollkit.game import CompiledGame, ProfileBatch
 
 STAGES = ["relaxation", "taxes", "audit", "rho", "poa", "smoothness"]
 
@@ -196,6 +197,28 @@ class TestOneCompiledGame:
         report, compiled, sweeps = self.count(steep(40.5, 2, 2))
         assert report.rho is None and report.poa is not None
         assert (compiled, sweeps) == (1, 1)
+
+    @pytest.mark.parametrize("inst,widths", [
+        (design_family(0)[0], [4]),
+        (design_family(7)[0], [12]),
+        # 3^8 = 6561 profiles: six full chunks of 1024 and one of 417.
+        (random_instance(8, 6, [BasisFunction.monomial(1)],
+                         strategy_count_range=(3, 3),
+                         strategy_size_range=(1, 3), seed=0), [1024, 417]),
+    ])
+    def test_one_batch_per_chunk_width(self, inst, widths):
+        # Both sweeps and every chunk of a width share one ProfileBatch.
+        built = []
+        init = ProfileBatch.__init__
+
+        def counting_init(batch, game, width):
+            built.append(width)
+            init(batch, game, width)
+
+        with mock.patch.object(ProfileBatch, "__init__", counting_init):
+            report = design(inst)
+        assert report.smoothness is not None
+        assert built == widths
 
 
 class TestCommandLine:
