@@ -444,6 +444,25 @@ def scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
+@functools.lru_cache(maxsize=32)
+def _enumeration_table(radices: tuple[int, ...], slow: int, width: int) -> np.ndarray:
+    """Read-only rows ``slow..`` of profiles ``0 .. period + width - 2`` in
+    ``itertools.product`` order, ``period`` being the product of
+    ``radices[slow:]``, as strategy rows (choices plus offsets). It depends
+    on the strategy counts alone, so games of one shape share it, and the
+    cache holds at most 32 tables of ``_ENUMERATION_TABLE_LIMIT`` entries."""
+    rest = radices[slow:]
+    period = math.prod(rest)
+    table = np.empty((len(rest), period + width - 1), np.intp)
+    table[:, :period] = np.indices(rest).reshape(len(rest), period)
+    # The rows repeat every period profiles, and period >= width.
+    table[:, period:] = table[:, :width - 1]
+    offsets = list(accumulate(radices, initial=0))[slow:-1]
+    table += np.array(offsets, np.intp)[:, None]
+    table.flags.writeable = False
+    return table
+
+
 def ordered_sums(rows: Sequence[Sequence]) -> tuple[list[int], list[list]]:
     """How to sum nonempty ragged ``rows`` position by position: the rows
     longest first (a stable sort), so those with a p-th entry are a prefix,
@@ -547,6 +566,12 @@ class CompiledGame:
         flat = batch.price_strategies()[:, 0].tolist()
         return social, [flat[start:stop] for start, stop in self._spans]
 
+    def choices(self, k: int) -> tuple[int, ...]:
+        """The strategy indices of profile ``k`` in ``itertools.product``
+        order."""
+        return tuple(k // stride % radix for stride, radix
+                     in zip(self._strides[:, 0].tolist(), self.radices))
+
     def batch(self, width: int) -> "ProfileBatch":
         """Arrays for pricing ``width`` profiles at a time; built once per
         width and thread, so further sweeps of this game skip building its
@@ -580,7 +605,7 @@ class ProfileBatch:
         self.width = width
         self._views = {}
         self.columns = scratch_array("columns", (width,), np.intp)
-        self.columns[:] = range(width)
+        np.copyto(self.columns, np.arange(width))
         self._index = scratch_array("index", (width,), np.intp)
         self.rows = scratch_array("rows", (n, width), np.intp)
         # Profile k chooses (k // stride_i) % radix_i. The first players,
@@ -592,9 +617,7 @@ class ProfileBatch:
         period = strides[slow - 1] if slow else math.prod(game.radices)
         self._table = None
         if (n - slow) * (period + width) <= _ENUMERATION_TABLE_LIMIT:
-            index = np.arange(period + width - 1)
-            self._table = (index // game._strides[slow:] % game._radix_col[slow:]
-                           + game._offset_col[slow:])
+            self._table = _enumeration_table(game.radices, slow, width)
             self._period = period
             self._slow = list(zip(strides, game.radices, game.offsets.tolist()))[:slow]
         # The incidence gather of the rows; price_strategies turns it into

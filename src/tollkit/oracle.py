@@ -17,11 +17,16 @@ checks it over the play of a learning run.
 Every pass is one numpy sweep over a ``CompiledGame``. Profiles are
 numbered in ``itertools.product`` order (the last player's choice varies
 fastest), or given as an array of choices, and priced ``CHUNK_PROFILES``
-at a time, so memory is a chunk times a size of the game, never the number
-of profiles: at most ``resources x players x CHUNK_PROFILES`` intp for the
-largest array. A chunk costs about the same number of numpy calls at any
-width, so on mid-size games the width sets how many such calls a sweep
-makes; 1024 was the fastest width on 8-player games of 3^8 profiles.
+at a time, so a sweep's memory is a chunk times a size of the game, never
+the number of profiles: its largest arrays have ``CHUNK_PROFILES`` columns
+and a row per resource and player, or per strategy-resource pair. A chunk costs about the same number of numpy
+calls at any width, so on mid-size games the width sets how many such
+calls a sweep makes; 1024 was the fastest width on 8-player games of 3^8
+profiles. The one exception is ``poa_and_smoothness`` on a game of at most
+``STORED_PROFILES`` profiles: to price each profile once, it keeps every
+profile's social cost and certificate left side, and forms the margins
+once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at most
+25 MiB; a larger game is swept twice, ``SC(a_opt)`` first, in chunk memory.
 Each chunk is reduced with first-occurrence
 ``argmin``/``argmax`` and chunks are compared strictly, so witnesses are
 the lexicographically first ones, and every sum adds its terms in the
@@ -39,7 +44,7 @@ import numpy as np
 from .errors import (GameValidationError, KernelOverflow, TooLarge,
                      require_finite_nonnegative)
 from .game import (Allocation, CompiledGame, GameInstance, ProfileBatch,
-                   TaxProfile, ordered_sums)
+                   TaxProfile, ordered_sums, scratch_array)
 from .relaxation import FractionalProfile, check_feasible
 
 if TYPE_CHECKING:
@@ -58,6 +63,12 @@ IMPROVEMENT_THRESHOLD = 1e-12
 # calls per chunk whatever its width; at 3^8 profiles 1024 took 19-24% less
 # time than 256, while 2048 and one chunk of all 6561 profiles took more.
 CHUNK_PROFILES = 1024
+
+# Games of at most this many profiles get their smoothness margins from the
+# one sweep that finds SC(a_opt): it keeps each profile's social cost and
+# certificate left side (16 bytes), and the margin step adds 9 bytes a
+# profile of temporaries. Larger games are swept twice, SC(a_opt) first.
+STORED_PROFILES = 1 << 20
 
 # A certificate's left side on a batch, from its strategy and played costs.
 _Lhs = Callable[[ProfileBatch, np.ndarray, np.ndarray], np.ndarray]
@@ -106,6 +117,37 @@ class _Least:
             self.value = float(values[j])
             self.witness = Allocation(
                 tuple((batch.rows[:, j] - batch.game.offsets).tolist()))
+
+
+class _Margins:
+    """The smoothness margins ``lhs(a) - (SC(a) - bound)`` of enumerated
+    profiles, offered in sweep order: the least one and the first profile
+    that has it, and whether every margin stayed above
+    ``-tol * max(1, SC(a))``."""
+
+    def __init__(self, game: CompiledGame, tol: float):
+        self.game = game
+        self.tol = tol
+        self.worst = _Least()
+        self.passed = True
+
+    def offer(self, start: int, costs: np.ndarray, sides: np.ndarray,
+              bound: float) -> None:
+        """Profiles ``start, start + 1, ...`` given their social costs and
+        left sides, which become their margins."""
+        excess = scratch_array("smooth.excess", costs.shape, float)
+        np.subtract(costs, bound, out=excess)
+        sides -= excess
+        j = int(sides.argmin())
+        if sides[j] < self.worst.value:
+            self.worst = _Least(float(sides[j]),
+                                Allocation(self.game.choices(start + j)))
+        if self.passed:
+            # -tol * max(1, SC(a)), in the excess's array
+            floor = np.maximum(costs, 1.0, out=excess)
+            floor *= -self.tol
+            below = scratch_array("smooth.below", costs.shape, bool)
+            self.passed = not np.less(sides, floor, out=below).any()
 
 
 def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
@@ -259,16 +301,28 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile) -> _Lhs:
 
 
 def _sweep(game: CompiledGame, size: int, lhs: Optional[_Lhs] = None,
-           bound: float = 0.0, tol: float = 0.0
+           rho: float = 0.0, tol: float = 0.0
            ) -> tuple[PoaReport, Optional[SmoothnessResult]]:
     """One pass over every profile for the price of anarchy and, given
     ``lhs`` (a ``certificate_lhs``), the smoothness certificate, whose
-    margin ``lhs(a) - (SC(a) - bound)`` must stay above
+    margin ``lhs(a) - (SC(a) - rho * SC(a_opt))`` must stay above
     ``-tol * max(1, SC(a))``. Both read one ``price_strategies`` and
-    ``price_played`` a chunk."""
-    least, worst_ne, worst_margin = _Least(), _Least(), _Least()
+    ``price_played`` a chunk. Up to ``STORED_PROFILES`` profiles the
+    margins are formed after the pass, from the kept ``SC(a)`` and
+    ``lhs(a)``: a game of one chunk keeps them in the chunk's own arrays.
+    A larger game first takes ``SC(a_opt)`` from a sweep of social costs
+    and forms its margins chunk by chunk."""
+    least, worst_ne = _Least(), _Least()
     num_ne = 0
-    passed = True
+    margins = None if lhs is None else _Margins(game, tol)
+    one_pass = size <= STORED_PROFILES
+    store = None
+    if margins is not None and not one_pass:
+        bound = rho * _min_social_cost(game, size)[1]
+    elif margins is not None and size > CHUNK_PROFILES:
+        store = (scratch_array("smooth.social", (size,), float),
+                 scratch_array("smooth.lhs", (size,), float))
+    start = 0
     for batch in _profile_chunks(game, size):
         costs = batch.price_social()
         least.offer(batch, costs)
@@ -283,19 +337,15 @@ def _sweep(game: CompiledGame, size: int, lhs: Optional[_Lhs] = None,
             negated.fill(math.inf)
             np.negative(costs, out=negated, where=nash)
             worst_ne.offer(batch, negated)
-        if lhs is not None:
-            margin = lhs(batch, strategies, played)
-            excess = batch.scratch("smooth.excess", 1)[0]
-            np.subtract(costs, bound, out=excess)
-            margin -= excess
-            worst_margin.offer(batch, margin)
-            if passed:
-                # -tol * max(1, SC(a))
-                floor = batch.scratch("smooth.floor", 1)[0]
-                np.maximum(costs, 1.0, out=floor)
-                floor *= -tol
-                below = batch.scratch("smooth.below", 1, bool)[0]
-                passed = not np.less(margin, floor, out=below).any()
+        if margins is not None:
+            sides = lhs(batch, strategies, played)
+            stop = start + batch.width
+            if not one_pass:
+                margins.offer(start, costs, sides, bound)
+            elif store is not None:
+                store[0][start:stop] = costs
+                store[1][start:stop] = sides
+            start = stop
     if worst_ne.witness is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     poa = PoaReport(
@@ -304,23 +354,16 @@ def _sweep(game: CompiledGame, size: int, lhs: Optional[_Lhs] = None,
         poa=-worst_ne.value / least.value, num_pure_ne=num_ne,
         enumerated_profiles=size)
     smoothness = None
-    if lhs is not None:
-        smoothness = SmoothnessResult(passed=passed, worst_margin=worst_margin.value,
-                                      witness=worst_margin.witness)
+    if margins is not None:
+        if one_pass:
+            margins.offer(0, *(store or (costs, sides)), rho * least.value)
+        smoothness = SmoothnessResult(passed=margins.passed,
+                                      worst_margin=margins.worst.value,
+                                      witness=margins.worst.witness)
     # Costs are finite (CompiledGame); their ratio and rho * SC(a_opt) need not be.
     if not math.isfinite(poa.poa) or smoothness and not math.isfinite(smoothness.worst_margin):
         raise KernelOverflow("the PoA or the smoothness margin leaves the double range")
     return poa, smoothness
-
-
-def _certificate_setup(instance: GameInstance, taxes: Optional[TaxProfile],
-                       profile: FractionalProfile, cap: int):
-    """Both certificate checks' start: the profile count, checked before
-    feasibility, the compiled game, its ``certificate_lhs`` and ``SC(a_opt)``."""
-    size = _enumeration_size(instance, cap)
-    check_feasible(instance, profile)
-    game = CompiledGame(instance, taxes)
-    return size, game, certificate_lhs(game, profile), _min_social_cost(game, size)[1]
 
 
 def check_smoothness(instance: GameInstance, taxes: TaxProfile,
@@ -342,12 +385,16 @@ def poa_and_smoothness(instance: GameInstance, taxes: TaxProfile,
                        cap: int = DEFAULT_ENUMERATION_CAP, tol: float = 1e-7
                        ) -> tuple[PoaReport, SmoothnessResult]:
     """``empirical_poa`` and ``check_smoothness`` from one compiled game and
-    two sweeps: social costs alone for ``SC(a_opt)``, then equilibria and
-    margins from the same priced strategies."""
+    one sweep that prices each profile once: equilibria, ``SC(a_opt)`` and
+    the certificate's left sides from the same priced strategies, then the
+    margins. Past ``STORED_PROFILES`` profiles a sweep of social costs for
+    ``SC(a_opt)`` comes first."""
     require_finite_nonnegative("rho", rho)
     require_finite_nonnegative("smoothness tol", tol)
-    size, game, lhs, min_cost = _certificate_setup(instance, taxes, profile, cap)
-    return _sweep(game, size, lhs, rho * min_cost, tol)
+    size = _enumeration_size(instance, cap)
+    check_feasible(instance, profile)
+    game = CompiledGame(instance, taxes)
+    return _sweep(game, size, certificate_lhs(game, profile), rho, tol)
 
 
 @dataclass(frozen=True)
@@ -388,7 +435,11 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
     vanishing term.
     """
-    _, game, lhs, min_cost = _certificate_setup(instance, taxes, profile, cap)
+    size = _enumeration_size(instance, cap)
+    check_feasible(instance, profile)
+    game = CompiledGame(instance, taxes)
+    lhs = certificate_lhs(game, profile)
+    min_cost = _min_social_cost(game, size)[1]
     distribution = trace.empirical_distribution
     visited = np.array(list(distribution), dtype=np.intp).reshape(
         -1, instance.num_players).T

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -18,6 +19,7 @@ from tollkit import (Allocation, BasisFunction, FractionalProfile,
                      oracle, random_instance, solve_relaxation)
 from tollkit import game as game_module
 from tollkit.game import CompiledGame
+from tollkit.relaxation import fractional_loads
 
 
 def two_by_two_symmetric():
@@ -234,7 +236,8 @@ class TestCheckSmoothness:
 
 class TestAgainstScalarReference:
     """The sweeps equal the profile-by-profile loops exactly, at the
-    production chunk size and at chunk sizes that split small games."""
+    production chunk size and at chunk sizes that split small games, with
+    the smoothness margins from one sweep or from two."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -245,6 +248,9 @@ class TestAgainstScalarReference:
                  if data.draw(st.booleans()) else None)
         rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
         chunk = data.draw(st.sampled_from([oracle.CHUNK_PROFILES, 1, 3, 7]))
+        # One sweep with every margin kept, or SC(a_opt) first.
+        size = math.prod(map(len, inst.strategies))
+        stored = data.draw(st.sampled_from([oracle.STORED_PROFILES, 0, size - 1]))
         trace = multiplicative_weights_run(inst, taxes, rounds=40,
                                            seed=data.draw(st.integers(0, 9)))
 
@@ -254,7 +260,8 @@ class TestAgainstScalarReference:
                 reference.check_smoothness(inst, taxes, profile, rho).to_json(),
                 reference.coarse_correlated_check(inst, taxes, profile, rho,
                                                   trace).to_json())
-        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk):
+        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
+                mock.patch.object(oracle, "STORED_PROFILES", stored):
             got = (brute_force_min_sc(inst),
                    enumerate_pure_nash(inst, taxes),
                    empirical_poa(inst, taxes).to_json(),
@@ -296,9 +303,12 @@ class TestChunkBoundaries:
         profile = FractionalProfile(weights=((1 / 3,) * 3,) * 9, loads=(3.0,) * 3,
                                     objective=0.0, gap=0.0, iters=0)
         taxes = build_tax_profile(self.inst, profile.loads)
-        result = check_smoothness(self.inst, taxes, profile, rho=1.0)
         want = reference.check_smoothness(self.inst, taxes, profile, rho=1.0)
-        assert result.to_json() == want.to_json()
+        # Margins kept for one pass, and chunk by chunk after SC(a_opt).
+        for stored in (oracle.STORED_PROFILES, self.size - 1):
+            with mock.patch.object(oracle, "STORED_PROFILES", stored):
+                result = check_smoothness(self.inst, taxes, profile, rho=1.0)
+            assert result.to_json() == want.to_json()
         # Relabelling the links gives the same margin to a profile in a
         # later chunk; the first one must win.
         lhs = reference.smoothness_lhs(self.inst, taxes, profile)
@@ -374,6 +384,50 @@ class TestReusedBuffers:
             other = pool.submit(game.batch, width).result()
         assert game.batch(width) is game.batch(width)
         assert not np.shares_memory(game.batch(width).rows, other.rows)
+
+
+class TestMarginStore:
+    """``poa_and_smoothness`` keeps 16 bytes a profile, plus 9 of margin
+    temporaries, up to ``STORED_PROFILES`` profiles; past it, its memory
+    does not grow with the number of profiles. Both games have 10 players
+    choosing among 12 links with 30 strategies in all, so without the
+    enumeration table, whose size follows the strategy counts, their chunk
+    arrays have the same shapes."""
+
+    many = [3] * 10                          # 59,049 profiles
+    few = [12, 3, 3, 2, 2, 2, 2, 2, 1, 1]    # 3,456 profiles
+
+    @staticmethod
+    def peak(radices, stored):
+        """Peak traced bytes of one call, in a thread with no buffers yet."""
+        b = BasisFunction.monomial(1)
+        inst = GameInstance.build([b], [[1.0]] * 12,
+                                  [[[r] for r in range(k)] for k in radices])
+        weights = tuple((1 / k,) * k for k in radices)
+        prof = FractionalProfile(weights=weights,
+                                 loads=tuple(fractional_loads(inst, weights)),
+                                 objective=0.0, gap=0.0, iters=0)
+        taxes = build_tax_profile(inst, prof.loads)
+
+        def call():
+            tracemalloc.start()
+            try:
+                with mock.patch.object(oracle, "STORED_PROFILES", stored), \
+                        mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", -1):
+                    oracle.poa_and_smoothness(inst, taxes, prof, rho=1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(call).result()
+
+    def test_memory_follows_the_store_limit(self):
+        size = math.prod(self.many)
+        swept_twice = self.peak(self.many, 1000)
+        assert abs(swept_twice - self.peak(self.few, 1000)) < 16 * 1024
+        stored = self.peak(self.many, oracle.STORED_PROFILES) - swept_twice
+        assert 16 * size <= stored <= 25 * size
 
 
 def strategy_counts(radices):

@@ -168,8 +168,9 @@ class TestAgainstComposedStages:
 
 
 class TestOneCompiledGame:
-    """A design compiles its game once and sweeps its profiles at most
-    twice: ``SC(opt)`` first, then equilibria and margins together."""
+    """A design compiles its game once and sweeps its profiles once, or
+    twice past ``oracle.STORED_PROFILES``: ``SC(opt)`` first, then
+    equilibria and margins together."""
 
     def count(self, inst, **flags):
         compiled, sweeps = [], []
@@ -188,8 +189,15 @@ class TestOneCompiledGame:
             report = design(inst, **flags)
         return report, len(compiled), len(sweeps)
 
-    def test_two_sweeps_with_smoothness(self):
+    def test_one_sweep_with_smoothness(self):
         report, compiled, sweeps = self.count(parallel_links(6, 3))
+        assert report.smoothness.passed
+        assert (compiled, sweeps) == (1, 1)
+
+    def test_two_sweeps_with_smoothness(self):
+        # 3^6 = 729 profiles, one past the limit.
+        with mock.patch.object(oracle, "STORED_PROFILES", 728):
+            report, compiled, sweeps = self.count(parallel_links(6, 3))
         assert report.smoothness.passed
         assert (compiled, sweeps) == (1, 2)
 
@@ -207,7 +215,7 @@ class TestOneCompiledGame:
                          strategy_size_range=(1, 3), seed=0), [1024, 417]),
     ])
     def test_one_batch_per_chunk_width(self, inst, widths):
-        # Both sweeps and every chunk of a width share one ProfileBatch.
+        # Every chunk of a width shares one ProfileBatch.
         built = []
         init = ProfileBatch.__init__
 
