@@ -421,16 +421,13 @@ def loads_of(instance: GameInstance, choices: Sequence[int]) -> list[int]:
     return loads
 
 
-# Per-thread buffers behind every ProfileBatch, by role. They only grow, so
-# a sweep, and every later sweep on the thread, prices its chunks in memory
-# it has already touched. Fresh arrays per chunk made the allocator trim and
-# re-grow its heap, and whether a run paid hundreds of page faults per call
-# then depended on the heap's history (the checkout path alone moved it).
+# Per-thread buffers behind every ProfileBatch and every oracle block, by
+# role. They only grow, so a sweep, and every later sweep on the thread,
+# prices its chunks in memory it has already touched. Fresh arrays per chunk
+# made the allocator trim and re-grow its heap, and whether a run paid
+# hundreds of page faults per call then depended on the heap's history (the
+# checkout path alone moved it).
 _scratch = threading.local()
-
-# Largest table, in entries, that ProfileBatch.enumerate slices its rows
-# from; a batch whose table would be larger divides instead.
-_ENUMERATION_TABLE_LIMIT = 1 << 16
 
 
 def scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
@@ -442,25 +439,6 @@ def scratch_array(role: str, shape: tuple, dtype) -> np.ndarray:
     if buffer is None or buffer.size < size:
         buffer = buffers[role] = np.empty(max(size, 1), dtype)
     return buffer[:size].reshape(shape)
-
-
-@functools.lru_cache(maxsize=32)
-def _enumeration_table(radices: tuple[int, ...], slow: int, width: int) -> np.ndarray:
-    """Read-only rows ``slow..`` of profiles ``0 .. period + width - 2`` in
-    ``itertools.product`` order, ``period`` being the product of
-    ``radices[slow:]``, as strategy rows (choices plus offsets). It depends
-    on the strategy counts alone, so games of one shape share it, and the
-    cache holds at most 32 tables of ``_ENUMERATION_TABLE_LIMIT`` entries."""
-    rest = radices[slow:]
-    period = math.prod(rest)
-    table = np.empty((len(rest), period + width - 1), np.intp)
-    table[:, :period] = np.indices(rest).reshape(len(rest), period)
-    # The rows repeat every period profiles, and period >= width.
-    table[:, period:] = table[:, :width - 1]
-    offsets = list(accumulate(radices, initial=0))[slow:-1]
-    table += np.array(offsets, np.intp)[:, None]
-    table.flags.writeable = False
-    return table
 
 
 def ordered_sums(rows: Sequence[Sequence]) -> tuple[list[int], list[list]]:
@@ -475,17 +453,21 @@ def ordered_sums(rows: Sequence[Sequence]) -> tuple[list[int], list[list]]:
 
 class CompiledGame:
     """A game's cost tables and strategy sets as numpy arrays, for pricing
-    batches of pure profiles at once.
+    many pure profiles at once.
+
+    Every pure profile the library prices goes through here. The oracle's
+    exhaustive sweeps read the tables (``perceived``, the system costs and
+    ``incidence``) block by block over the profile tensor
+    (``tollkit.oracle``). Chosen profiles, the learning dynamics' and the
+    public cost helpers', go through a ``ProfileBatch`` (``batch``), and
+    ``price`` prices one of them.
 
     Strategies are numbered in one sequence: player ``i``'s strategy ``k``
     is row ``offsets[i] + k``. A batch of ``B`` profiles is a
-    ``(num_players, B)`` array of such rows, one column per profile, priced
-    by a ``ProfileBatch`` (``batch``). Memory is ``B`` times a size of the
-    game.
-
-    ``price`` prices one profile the same way. Every pure profile the
-    library prices goes through here: the oracle's sweeps, the learning
-    dynamics and the public cost helpers.
+    ``(num_players, B)`` array of such rows, one column per profile. Memory
+    is ``B`` times a size of the game. The strategy-cost layout a batch
+    reads is built with the first batch, so a game that is only swept never
+    builds it.
 
     Every sum adds its terms one at a time, resources in index order for
     the social cost and in strategy order for a strategy's cost, as the
@@ -514,42 +496,46 @@ class CompiledGame:
         # and only such a 0 can make a profile, or the optimum, cost 0.
         if not system[:, 1:].min() > 0:
             raise KernelOverflow("a cost of this game underflows to 0")
-        # perceived[r][x] = ell_r(x) + tau_r(x) for loads 0..n.
+        # perceived[r][x] = ell_r(x) + tau_r(x) for loads 0..n. Both tables
+        # are also read flat, at r * (n + 1) + x.
         self.perceived = perceived
-        resource = np.arange(num_r)[:, None]
+        self.strategies = instance.strategies
         self._system = system.ravel()
-        self._system_at = resource * (n + 1)
-        # A mover pays perceived[r][others + 1], others being the load
-        # without them: 0..n-1.
-        self._deviation = perceived[:, 1:].ravel()
-        self._deviation_at = resource * n
+        self._system_at = np.arange(num_r)[:, None] * (n + 1)
 
         self.radices = tuple(map(len, instance.strategies))
-        flat = [strat for strats in instance.strategies for strat in strats]
-        owner = [i for i, strats in enumerate(instance.strategies) for _ in strats]
-        self.owners = np.array(owner)
         bounds = list(accumulate(self.radices, initial=0))
         self.offsets = np.array(bounds[:-1])
         self._spans = list(zip(bounds, bounds[1:]))
-        # Profile k of itertools.product order chooses (k // stride_i) % radix_i.
-        strides = accumulate(reversed(self.radices[1:]), operator.mul, initial=1)
-        self._strides = np.array(list(strides)[::-1])[:, None]
-        self._radix_col = np.array(self.radices)[:, None]
         self._offset_col = self.offsets[:, None]
-        members_t = np.zeros(num_r * len(flat), dtype=np.intp)
-        members_t[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
-        self._members_t = members_t.reshape(num_r, len(flat))
+        # incidence[r, offsets[i] + k] = 1 where player i's strategy k uses r.
+        flat = [strat for strats in instance.strategies for strat in strats]
+        incidence = np.zeros(num_r * len(flat), dtype=np.intp)
+        incidence[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
+        self.incidence = incidence.reshape(num_r, len(flat))
+        self._entries = None
+        self._batches = {}
 
+    def _lay_out(self) -> None:
+        """The strategy-cost layout that ``ProfileBatch.price_strategies``
+        reads."""
+        n = len(self.radices)
+        flat = [strat for strats in self.strategies for strat in strats]
+        owner = [i for i, strats in enumerate(self.strategies) for _ in strats]
+        # A mover pays perceived[r][others + 1], others being the load
+        # without them: 0..n-1.
+        self._deviation = self.perceived[:, 1:].ravel()
+        self._deviation_at = np.arange(len(self.perceived))[:, None] * n
         # Strategy costs are summed position by position (ordered_sums).
         # Each entry names the (resource, player) row, resource * n + player,
         # of the others' loads that ProfileBatch.price_strategies builds.
         order, positions = ordered_sums(flat)
         starts = list(accumulate(map(len, positions), initial=0))
-        self._entries = np.array([r * n + owner[j] for resources in positions
-                                  for r, j in zip(resources, order)])
         self._blocks = list(zip(starts[1:], map(len, positions[1:])))
         self._unsort = None if order == sorted(order) else np.argsort(order)
-        self._batches = {}
+        # Set last: it marks the layout built.
+        self._entries = np.array([r * n + owner[j] for resources in positions
+                                  for r, j in zip(resources, order)])
 
     def price(self, choices: Sequence[int]) -> tuple[float, list[list[float]]]:
         """One profile's untaxed social cost and, per player, the perceived
@@ -569,8 +555,11 @@ class CompiledGame:
     def choices(self, k: int) -> tuple[int, ...]:
         """The strategy indices of profile ``k`` in ``itertools.product``
         order."""
-        return tuple(k // stride % radix for stride, radix
-                     in zip(self._strides[:, 0].tolist(), self.radices))
+        choices = []
+        for radix in reversed(self.radices):
+            k, choice = divmod(k, radix)
+            choices.append(choice)
+        return tuple(reversed(choices))
 
     def batch(self, width: int) -> "ProfileBatch":
         """Arrays for pricing ``width`` profiles at a time; built once per
@@ -581,18 +570,20 @@ class CompiledGame:
         key = (width, threading.get_ident())
         batch = self._batches.get(key)
         if batch is None:
+            if self._entries is None:
+                self._lay_out()
             batch = self._batches[key] = ProfileBatch(self, width)
         return batch
 
 
 class ProfileBatch:
-    """``width`` profiles of one compiled game and their prices.
+    """``width`` chosen profiles of one compiled game and their prices.
 
-    Fill ``rows`` with ``enumerate`` or ``choose``, then call
-    ``price_loads`` before ``price_social`` and ``price_strategies``, and
-    that before ``price_played``. Every array here, results included, is a
-    view of a per-thread buffer that the next chunk overwrites and that all
-    batches on the thread share: use one batch at a time and copy what must
+    Fill ``rows`` with ``choose``, then call ``price_loads`` before
+    ``price_social`` and ``price_strategies``, and that before
+    ``price_played``. Every array here, results included, is a view of a
+    per-thread buffer that the next chunk overwrites and that all batches
+    on the thread share: use one batch at a time and copy what must
     outlive a chunk. Pricing a chunk allocates no array that grows with
     ``width``. ``game`` is a weak proxy of the compiled game: use a batch
     while its game is held.
@@ -600,26 +591,13 @@ class ProfileBatch:
 
     def __init__(self, game: CompiledGame, width: int):
         n = len(game.radices)
-        num_r, num_s = game._members_t.shape
+        num_r, num_s = game.incidence.shape
         self.game = weakref.proxy(game)
         self.width = width
         self._views = {}
         self.columns = scratch_array("columns", (width,), np.intp)
         np.copyto(self.columns, np.arange(width))
-        self._index = scratch_array("index", (width,), np.intp)
         self.rows = scratch_array("rows", (n, width), np.intp)
-        # Profile k chooses (k // stride_i) % radix_i. The first players,
-        # whose stride is at least the width, change choice at most once in
-        # a chunk. The others together repeat every ``period`` profiles, so
-        # their rows for any chunk are a slice of one table of rows.
-        strides = game._strides[:, 0].tolist()
-        slow = sum(stride >= width for stride in strides)
-        period = strides[slow - 1] if slow else math.prod(game.radices)
-        self._table = None
-        if (n - slow) * (period + width) <= _ENUMERATION_TABLE_LIMIT:
-            self._table = _enumeration_table(game.radices, slow, width)
-            self._period = period
-            self._slow = list(zip(strides, game.radices, game.offsets.tolist()))[:slow]
         # The incidence gather of the rows; price_strategies turns it into
         # the others' loads in place.
         self._own = scratch_array("own", (num_r, n, width), np.intp)
@@ -649,26 +627,6 @@ class ProfileBatch:
             view = self._views[role] = scratch_array(role, (rows, self.width), dtype)
         return view
 
-    def enumerate(self, start: int) -> None:
-        """Rows of profiles ``start .. start + width - 1`` in
-        ``itertools.product`` order."""
-        if self._table is None:
-            game = self.game
-            np.add(self.columns, start, out=self._index)
-            np.floor_divide(self._index, game._strides, out=self.rows)
-            np.remainder(self.rows, game._radix_col, out=self.rows)
-            self.rows += game._offset_col
-            return
-        shift = start % self._period
-        np.copyto(self.rows[len(self._slow):],
-                  self._table[:, shift:shift + self.width])
-        for row, (stride, radix, offset) in zip(self.rows, self._slow):
-            choice = start // stride % radix
-            row.fill(offset + choice)
-            change = stride - start % stride
-            if change < self.width:
-                row[change:] = offset + (choice + 1) % radix
-
     def choose(self, choices: np.ndarray) -> None:
         """Rows of a ``(num_players, width)`` array of strategy indices."""
         np.add(choices, self.game._offset_col, out=self.rows)
@@ -676,7 +634,7 @@ class ProfileBatch:
     def price_loads(self) -> np.ndarray:
         """``(num_resources, width)`` users per resource (integer counts,
         so the order of this sum does not matter)."""
-        self.game._members_t.take(self.rows, axis=1, out=self._own, mode="clip")
+        self.game.incidence.take(self.rows, axis=1, out=self._own, mode="clip")
         return self._own.sum(axis=1, out=self.loads)
 
     def price_social(self) -> np.ndarray:

@@ -14,30 +14,41 @@ costs at most ``rho`` times the optimum, and the same bound extends in
 expectation to any distribution over profiles: ``coarse_correlated_check``
 checks it over the play of a learning run.
 
-Every pass is one numpy sweep over a ``CompiledGame``. Profiles are
-numbered in ``itertools.product`` order (the last player's choice varies
-fastest), or given as an array of choices, and priced ``CHUNK_PROFILES``
-at a time, so a sweep's memory is a chunk times a size of the game, never
-the number of profiles: its largest arrays have ``CHUNK_PROFILES`` columns
-and a row per resource and player, or per strategy-resource pair. A chunk costs about the same number of numpy
-calls at any width, so on mid-size games the width sets how many such
-calls a sweep makes; 1024 was the fastest width on 8-player games of 3^8
-profiles. The one exception is ``poa_and_smoothness`` on a game of at most
+Every exhaustive pass is one sweep over the profile tensor of a
+``CompiledGame``, whose axes are the players' strategy counts, in blocks
+(``_Blocks``). A block fixes the choices of the leading players and spans
+every choice of the trailing ones, the longest suffix of players with at
+most ``BLOCK_PROFILES`` profiles (the last player always trails). A
+block's flat C order is ``itertools.product`` order, the last player's
+choice varying fastest, and blocks come in that order. Player ``i``'s cost
+on moving to ``k`` at profile ``a`` is its played cost at ``(k, a_{-i})``:
+a trailing player reads its deviation costs off its own axis of the block,
+so each of its costs is priced once per profile of the others, not once
+per profile. A sweep's memory is a block times a size of the game, never
+the number of profiles: at most about ``32 * num_resources + 16 * R + 60``
+bytes a profile of a block, ``R`` being the largest strategy count of a
+leading player (1 with none), besides numpy's fixed iteration buffers. The
+one exception is ``poa_and_smoothness`` on a multi-block game of at most
 ``STORED_PROFILES`` profiles: to price each profile once, it keeps every
 profile's social cost and certificate left side, and forms the margins
-once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at most
-25 MiB; a larger game is swept twice, ``SC(a_opt)`` first, in chunk memory.
-Each chunk is reduced with first-occurrence
-``argmin``/``argmax`` and chunks are compared strictly, so witnesses are
-the lexicographically first ones, and every sum adds its terms in the
-scalar order, so every value is bit-identical to a profile-by-profile loop.
+once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at
+most 25 MiB; a game of one block keeps them in the block's own arrays, and
+a larger game is swept twice, ``SC(a_opt)`` first, in block memory. Chosen
+profiles, those of ``coarse_correlated_check``, are priced
+``CHUNK_PROFILES`` at a time by a ``ProfileBatch``. Each block or chunk is
+reduced with first-occurrence ``argmin``/``argmax`` and later ones must be
+strictly lower, so witnesses are the lexicographically first ones, and
+every sum adds its terms in the scalar order, so every value is
+bit-identical to a profile-by-profile loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -56,13 +67,18 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # float comparisons would make equilibrium sets depend on rounding noise.
 IMPROVEMENT_THRESHOLD = 1e-12
 
-# Profiles priced per sweep step. A chunk's arrays are this many columns by
-# at most (resources x players) rows, and a ProfileBatch keeps them for the
-# whole sweep: the largest, the incidence gather, is resources x players x
-# 1024 intp, 384 KiB for 6 resources and 8 players. A sweep costs ~40 numpy
-# calls per chunk whatever its width; at 3^8 profiles 1024 took 19-24% less
-# time than 256, while 2048 and one chunk of all 6561 profiles took more.
+# Chosen profiles priced per ProfileBatch call. A chunk's arrays are this
+# many columns by at most (resources x players) rows: the largest, the
+# incidence gather, is resources x players x 1024 intp, 384 KiB for 6
+# resources and 8 players. A chunk costs ~40 numpy calls whatever its width.
 CHUNK_PROFILES = 1024
+
+# Profiles in one block of an exhaustive sweep, at most, unless the last
+# player alone has more strategies. A block costs a few numpy calls per
+# player and strategy whatever its width, and its arrays take at most about
+# 32 * num_resources + 16 * R + 60 bytes a profile (module docstring): 4.2
+# MiB for 6 resources and R = 1.
+BLOCK_PROFILES = 1 << 14
 
 # Games of at most this many profiles get their smoothness margins from the
 # one sweep that finds SC(a_opt): it keeps each profile's social cost and
@@ -81,42 +97,319 @@ def _enumeration_size(instance: GameInstance, cap: int) -> int:
     return size
 
 
-def _profile_chunks(game: CompiledGame, profiles: Union[int, np.ndarray]
-                    ) -> Iterator[ProfileBatch]:
-    """Profiles ``0..profiles-1`` in ``itertools.product`` order, or the
-    columns of a ``(num_players, m)`` array of choices, ``CHUNK_PROFILES``
-    at a time with their loads priced. Every chunk but a shorter last one
-    comes in the same batch, refilled: price it before taking the next."""
-    chosen = isinstance(profiles, np.ndarray)
-    size = profiles.shape[1] if chosen else profiles
+def _profile_chunks(game: CompiledGame, profiles: np.ndarray) -> Iterator[ProfileBatch]:
+    """The columns of a ``(num_players, m)`` array of choices,
+    ``CHUNK_PROFILES`` at a time with their loads priced. Every chunk but a
+    shorter last one comes in the same batch, refilled: price it before
+    taking the next."""
+    size = profiles.shape[1]
     batch = None
     for start in range(0, size, CHUNK_PROFILES):
         width = min(CHUNK_PROFILES, size - start)
         if batch is None or batch.width != width:
             batch = game.batch(width)
-        if chosen:
-            batch.choose(profiles[:, start:start + width])
-        else:
-            batch.enumerate(start)
+        batch.choose(profiles[:, start:start + width])
         batch.price_loads()
         yield batch
+
+
+def _load_table(game: CompiledGame, first: int) -> np.ndarray:
+    """``(num_resources, m)`` rows ``r * (n + 1) + load_r`` over every
+    choice of players ``first..``, in ``itertools.product`` order, the
+    players before ``first`` choosing nothing. Players of one strategy add
+    their resources to every row; the others add theirs as outer sums from
+    the last player out, one ``add`` a player, in this thread's buffer for
+    the role, alternating with the buffer of a block's loads so that no sum
+    writes over its operand."""
+    num_r = len(game.perceived)
+    width = math.prod(game.radices[first:])
+    buffers = scratch_array("block.loads", (2, num_r, width), np.intp)
+    later = game._system_at
+    fixed = [start for start, stop in game._spans[first:] if stop - start == 1]
+    if fixed:
+        later = later + game.incidence[:, fixed].sum(axis=1, keepdims=True)
+    spans = [(start, stop) for start, stop in game._spans[first:] if stop - start > 1]
+    for j, (start, stop) in enumerate(spans[::-1], start=1 - len(spans)):
+        done = later.shape[1]
+        grown = buffers[j % 2][:, :(stop - start) * done]
+        np.add(game.incidence[:, start:stop, None], later[:, None],
+               out=grown.reshape(num_r, stop - start, done))
+        later = grown
+    return later
+
+
+class _Player:
+    """A trailing player's views of a block's buffers: its cost of each
+    strategy, per profile of the others, as a ``(pre, radix, post)``
+    tensor, which is its played cost along its own axis of the block, and
+    the temporaries of its step. ``first`` marks player 0, whose part of
+    the left side starts the sum."""
+
+    def __init__(self, blocks: "_Blocks", shape: tuple[int, int, int],
+                 strategies: tuple[tuple[int, ...], ...],
+                 support: Optional[list[tuple[int, float]]], first: bool):
+        pre, radix, post = shape
+        one = (pre, 1, post)
+        self.costs = blocks._costs[:pre * radix * post].reshape(shape)
+        self.slices = [self.costs[:, k:k + 1] for k in range(radix)]
+        perceived = blocks._perceived.reshape(len(blocks._perceived), *shape)
+        self.sums = [(out, [perceived[r, :, k:k + 1] for r in strat])
+                     for k, (out, strat) in enumerate(zip(self.slices, strategies))]
+        self.least = blocks._least[:pre * post].reshape(one)
+        self.bar = blocks._bar.reshape(shape)
+        self.improving = blocks._improving.reshape(shape)
+        self.any = blocks._any.reshape(shape)
+        self.support = support
+        if support:
+            self.mixed = blocks._mixed[:pre * post].reshape(one)
+            self.step = blocks._step[:pre * post].reshape(one)
+            self.total = blocks.lhs.reshape(shape)
+        self.first = first
+
+    def price(self) -> None:
+        """Mark the block's profiles where the player has an improving
+        move in ``any`` and, given its support, add its part of the left
+        side to ``total``."""
+        for out, rows in self.sums:
+            if len(rows) == 1:
+                np.copyto(out, rows[0])
+                continue
+            np.add(rows[0], rows[1], out=out)
+            for row in rows[2:]:
+                out += row
+        slices, least = self.slices, self.least
+        np.fmin(slices[0], slices[1], out=least)
+        for costs in slices[2:]:
+            np.fmin(least, costs, out=least)
+        # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
+        played, bar = self.costs, self.bar
+        np.abs(played, out=bar)
+        np.maximum(bar, 1.0, out=bar)
+        bar *= IMPROVEMENT_THRESHOLD
+        np.subtract(played, bar, out=bar)
+        np.less(least, bar, out=self.improving)
+        np.logical_or(self.any, self.improving, out=self.any)
+        if self.support:
+            (k, w), *rest = self.support
+            mixed = np.multiply(slices[k], w, out=self.mixed)
+            for k, w in rest:
+                mixed += np.multiply(slices[k], w, out=self.step)
+            if self.first:
+                np.subtract(played, mixed, out=self.total)
+            else:
+                self.total += np.subtract(played, mixed, out=bar)
+
+
+class _Leading:
+    """A leading player, whose choice ``a`` is fixed within a block. Its
+    cost of moving to ``k`` sums, in strategy order, its resources' rows of
+    the block's ``stack``: the perceived cost at the load where strategy
+    ``a`` uses the resource, and one past it elsewhere, the others' load
+    plus one. The strategies are summed position by position
+    (``ordered_sums``), so a block costs a few numpy calls per resource
+    position and per support weight, not per strategy."""
+
+    def __init__(self, blocks: "_Blocks", span: tuple[int, int],
+                 strategies: tuple[tuple[int, ...], ...],
+                 support: Optional[list[tuple[int, float]]], first: bool):
+        width, radix = blocks.width, len(strategies)
+        order, positions = ordered_sums(strategies)
+        self.stack = blocks._stack
+        self.positions = [np.array(rows) for rows in positions]
+        # Strategy k's costs are row row_of[k].
+        self.row_of = np.argsort(order)
+        self.incidence = blocks.game.incidence[:, span[0]:span[1]]
+        self.num_r = len(blocks._perceived)
+        self.costs = blocks._costs[:radix * width].reshape(radix, width)
+        self.terms = blocks._terms[:radix * width].reshape(radix, width)
+        self.least, self.bar = blocks._least, blocks._bar
+        self.improving, self.any = blocks._improving, blocks._any
+        self.support = support
+        if support:
+            self.support_rows = self.row_of[[k for k, _ in support]]
+            self.weights = np.array([[w] for _, w in support])
+            self.total = blocks.lhs
+        self.first = first
+
+    def choose(self, a: int) -> None:
+        """Take choice ``a`` for the next block."""
+        own = self.incidence[:, a] * self.num_r
+        self.rows = [rows + own.take(rows) for rows in self.positions]
+        self.played = self.costs[self.row_of[a]]
+
+    def price(self) -> None:
+        """As ``_Player.price``."""
+        costs, terms = self.costs, self.terms
+        first, *rest = self.rows
+        self.stack.take(first, axis=0, out=costs, mode="clip")
+        for rows in rest:
+            costs[:len(rows)] += self.stack.take(rows, axis=0, out=terms[:len(rows)],
+                                                  mode="clip")
+        least = np.fmin.reduce(costs, axis=0, out=self.least)
+        # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
+        played, bar = self.played, self.bar
+        np.abs(played, out=bar)
+        np.maximum(bar, 1.0, out=bar)
+        bar *= IMPROVEMENT_THRESHOLD
+        np.subtract(played, bar, out=bar)
+        np.less(least, bar, out=self.improving)
+        np.logical_or(self.any, self.improving, out=self.any)
+        if self.support:
+            # The weighted costs, summed row after row.
+            products = costs.take(self.support_rows, axis=0,
+                                  out=terms[:len(self.support_rows)], mode="clip")
+            products *= self.weights
+            mixed, *rest = products
+            for product in rest:
+                mixed += product
+            if self.first:
+                np.subtract(played, mixed, out=self.total)
+            else:
+                self.total += np.subtract(played, mixed, out=bar)
+
+
+class _Fixed:
+    """A player of one strategy, which has no move: its played cost is the
+    sum of its resources' perceived costs at the block's loads, and only
+    the left side reads it."""
+
+    def __init__(self, blocks: "_Blocks", strategy: tuple[int, ...],
+                 support: Optional[list[tuple[int, float]]], first: bool):
+        self.support = support
+        if support:
+            self.rows = [blocks._perceived[r] for r in strategy]
+            self.played, self.mixed = blocks._bar, blocks._mixed
+            self.weight = support[0][1]
+            self.total = blocks.lhs
+            self.first = first
+
+    def price(self) -> None:
+        """Add the player's part of the left side to ``total``."""
+        if not self.support:
+            return
+        rows, played = self.rows, self.rows[0]
+        if len(rows) > 1:
+            played = np.add(rows[0], rows[1], out=self.played)
+            for row in rows[2:]:
+                played += row
+        mixed = np.multiply(played, self.weight, out=self.mixed)
+        if self.first:
+            np.subtract(played, mixed, out=self.total)
+        else:
+            self.total += np.subtract(played, mixed, out=mixed)
+
+
+class _Blocks:
+    """Every profile of a compiled game, a block of the profile tensor at a
+    time (see the module docstring). Iterating fills a block's loads and
+    yields the index of its first profile; ``social`` and ``nash`` then
+    price it. ``supports``, each player's nonzero weights ``(k, y_ik)`` of
+    a ``FractionalProfile`` in strategy order, make ``nash`` also give the
+    certificate's left side."""
+
+    def __init__(self, game: CompiledGame,
+                 supports: Optional[list[list[tuple[int, float]]]] = None):
+        radices = game.radices
+        num_r = len(game.perceived)
+        # suffix[i]: the profiles of players i.. alone.
+        suffix = list(itertools.accumulate(radices[::-1], operator.mul))[::-1]
+        lead = len(radices) - 1
+        while lead and suffix[lead - 1] <= BLOCK_PROFILES:
+            lead -= 1
+        self.game = game
+        self.width = width = suffix[lead]
+        self._lead = lead
+        self.table = _load_table(game, lead)
+        if lead:
+            self.at = scratch_array("block.loads", (2, num_r, width), np.intp)[1]
+        else:
+            self.at = self.table
+        # Social costs first, then the perceived cost one past each load,
+        # which leading players read beside the perceived cost at it: the
+        # stack's rows r and num_resources + r.
+        costs = scratch_array("block.costs", (2, num_r, width), float)
+        self._system = self._next = costs[0]
+        self._perceived = costs[1]
+        self._stack = costs.reshape(2 * num_r, width)
+        # Per profile, and the players' temporaries, one player at a time.
+        self._social, lhs, self._least, self._bar, self._mixed, self._step = (
+            scratch_array("block.values", (6, width), float))
+        self.lhs = None if supports is None else lhs
+        self._any, self._improving = scratch_array("block.flags", (2, width), bool)
+        self._costs, self._terms = scratch_array(
+            "block.strategies", (2, max(radices[:lead], default=1) * width), float)
+        self._players, self._leading = [], []
+        for i, (radix, strategies) in enumerate(zip(radices, game.strategies)):
+            support = supports and supports[i]
+            if radix == 1:
+                player = _Fixed(self, strategies[0], support, i == 0)
+            elif i < lead:
+                player = _Leading(self, game._spans[i], strategies, support, i == 0)
+                self._leading.append((i, player))
+            else:
+                shape = (width // suffix[i], radix, suffix[i] // radix)
+                player = _Player(self, shape, strategies, support, i == 0)
+            self._players.append(player)
+
+    def __iter__(self) -> Iterator[int]:
+        game = self.game
+        spans = game._spans[:self._lead]
+        leading = itertools.product(*map(range, game.radices[:self._lead]))
+        for block, choices in enumerate(leading):
+            if choices:
+                column = sum(game.incidence[:, start + a] for (start, _), a
+                             in zip(spans, choices))
+                np.add(self.table, column[:, None], out=self.at)
+            for i, player in self._leading:
+                player.choose(choices[i])
+            yield block * self.width
+
+    def social(self) -> np.ndarray:
+        """``(width,)`` untaxed system cost of the block's profiles, summed
+        over resources in index order. An unused resource adds an exact
+        zero."""
+        terms = self.game._system.take(self.at, out=self._system, mode="clip")
+        total = self._social
+        np.copyto(total, terms[0])
+        for term in terms[1:]:
+            total += term
+        return total
+
+    def nash(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(width,)`` mask of the block's profiles where no strategy costs
+        its player less than the improvement threshold below their played
+        cost, and, given supports, ``(width,)`` certificate left sides
+
+            lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(k, a_{-i})],
+
+        weights in strategy order and players by index. The played strategy
+        never lies below its own threshold, and NaN never counts as
+        improving (``fmin``). Call ``social`` first, if at all."""
+        flat = self.game.perceived.ravel()
+        flat.take(self.at, out=self._perceived, mode="clip")
+        if self._leading:
+            flat[1:].take(self.at, out=self._next, mode="clip")
+        self._any.fill(False)
+        for player in self._players:
+            player.price()
+        return np.logical_not(self._any, out=self._any), self.lhs
 
 
 @dataclass
 class _Least:
     """The least value offered so far and the first profile, in sweep
-    order, that has it: ``argmin`` takes a chunk's first minimum, and a
-    later chunk must be strictly lower."""
+    order, that has it: ``argmin`` takes a block's first minimum, and a
+    later block must be strictly lower."""
 
     value: float = math.inf
     witness: Optional[Allocation] = None
 
-    def offer(self, batch: ProfileBatch, values: np.ndarray) -> None:
+    def offer(self, game: CompiledGame, start: int, values: np.ndarray) -> None:
+        """Profiles ``start, start + 1, ...`` of ``game`` with ``values``."""
         j = int(values.argmin())
         if values[j] < self.value:
             self.value = float(values[j])
-            self.witness = Allocation(
-                tuple((batch.rows[:, j] - batch.game.offsets).tolist()))
+            self.witness = Allocation(game.choices(start + j))
 
 
 class _Margins:
@@ -138,10 +431,7 @@ class _Margins:
         excess = scratch_array("smooth.excess", costs.shape, float)
         np.subtract(costs, bound, out=excess)
         sides -= excess
-        j = int(sides.argmin())
-        if sides[j] < self.worst.value:
-            self.worst = _Least(float(sides[j]),
-                                Allocation(self.game.choices(start + j)))
+        self.worst.offer(self.game, start, sides)
         if self.passed:
             # -tol * max(1, SC(a)), in the excess's array
             floor = np.maximum(costs, 1.0, out=excess)
@@ -150,10 +440,11 @@ class _Margins:
             self.passed = not np.less(sides, floor, out=below).any()
 
 
-def _min_social_cost(game: CompiledGame, size: int) -> tuple[Allocation, float]:
+def _min_social_cost(game: CompiledGame) -> tuple[Allocation, float]:
     least = _Least()
-    for batch in _profile_chunks(game, size):
-        least.offer(batch, batch.price_social())
+    blocks = _Blocks(game)
+    for start in blocks:
+        least.offer(game, start, blocks.social())
     return least.witness, least.value
 
 
@@ -161,30 +452,8 @@ def brute_force_min_sc(instance: GameInstance,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Allocation, float]:
     """Exact social-cost minimiser from one sweep of social costs; ties go
     to the first profile in lexicographic choice order."""
-    size = _enumeration_size(instance, cap)
-    return _min_social_cost(CompiledGame(instance), size)
-
-
-def _nash(batch: ProfileBatch, costs: np.ndarray, played: np.ndarray) -> np.ndarray:
-    """``(width,)`` mask of the profiles where no strategy costs its player
-    less than the improvement threshold below their current cost, given
-    the batch's ``price_strategies`` and ``price_played``. The current
-    strategy never lies below its own threshold, and NaN never counts as
-    improving."""
-    n = len(played)
-    strategies = len(costs)
-    # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
-    threshold = batch.scratch("nash.threshold", n)
-    np.abs(played, out=threshold)
-    np.maximum(threshold, 1.0, out=threshold)
-    threshold *= IMPROVEMENT_THRESHOLD
-    np.subtract(played, threshold, out=threshold)
-    bar = threshold.take(batch.game.owners, axis=0, mode="clip",
-                         out=batch.scratch("nash.bar", strategies))
-    improving = np.less(costs, bar, out=batch.scratch("nash.improving", strategies, bool))
-    nash = batch.scratch("nash.mask", 1, bool)[0]
-    np.logical_or.reduce(improving, axis=0, out=nash)
-    return np.logical_not(nash, out=nash)
+    _enumeration_size(instance, cap)
+    return _min_social_cost(CompiledGame(instance))
 
 
 def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = None,
@@ -193,13 +462,14 @@ def enumerate_pure_nash(instance: GameInstance, taxes: Optional[TaxProfile] = No
     the perceived costs, from one sweep, in lexicographic choice order.
     Nonempty for every valid instance: the dynamics descend a potential, so
     a minimiser of it is always an equilibrium."""
-    size = _enumeration_size(instance, cap)
+    _enumeration_size(instance, cap)
     game = CompiledGame(instance, taxes)
     out = []
-    for batch in _profile_chunks(game, size):
-        nash = _nash(batch, batch.price_strategies(), batch.price_played())
-        choices = (batch.rows[:, nash] - game.offsets[:, None]).T.tolist()
-        out.extend(Allocation(tuple(c)) for c in choices)
+    blocks = _Blocks(game)
+    for start in blocks:
+        found = np.flatnonzero(blocks.nash()[0]) + start
+        choices = np.unravel_index(found, game.radices)
+        out.extend(map(Allocation, zip(*(c.tolist() for c in choices))))
     return out
 
 
@@ -270,8 +540,8 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile) -> _Lhs:
     order, and players are summed by index.
     """
     n = len(game.radices)
-    supports = [[(int(game.offsets[i]) + a, w) for a, w in enumerate(row) if w]
-                for i, row in enumerate(profile.weights)]
+    supports = [[(int(game.offsets[i]) + a, w) for a, w in row]
+                for i, row in enumerate(_supports(profile))]
     order, positions = ordered_sums(supports)
     steps = [(len(entries), np.array([alt for alt, _ in entries]),
               np.array([[w] for _, w in entries])) for entries in positions]
@@ -300,52 +570,53 @@ def certificate_lhs(game: CompiledGame, profile: FractionalProfile) -> _Lhs:
     return lhs
 
 
-def _sweep(game: CompiledGame, size: int, lhs: Optional[_Lhs] = None,
+def _supports(profile: FractionalProfile) -> list[list[tuple[int, float]]]:
+    """Each player's nonzero weights ``(k, y_ik)`` in strategy order."""
+    return [[(k, w) for k, w in enumerate(row) if w] for row in profile.weights]
+
+
+def _sweep(game: CompiledGame, size: int,
+           supports: Optional[list[list[tuple[int, float]]]] = None,
            rho: float = 0.0, tol: float = 0.0
            ) -> tuple[PoaReport, Optional[SmoothnessResult]]:
     """One pass over every profile for the price of anarchy and, given
-    ``lhs`` (a ``certificate_lhs``), the smoothness certificate, whose
-    margin ``lhs(a) - (SC(a) - rho * SC(a_opt))`` must stay above
-    ``-tol * max(1, SC(a))``. Both read one ``price_strategies`` and
-    ``price_played`` a chunk. Up to ``STORED_PROFILES`` profiles the
+    ``supports`` (``_supports``), the smoothness certificate, whose margin
+    ``lhs(a) - (SC(a) - rho * SC(a_opt))`` must stay above
+    ``-tol * max(1, SC(a))``. Up to ``STORED_PROFILES`` profiles the
     margins are formed after the pass, from the kept ``SC(a)`` and
-    ``lhs(a)``: a game of one chunk keeps them in the chunk's own arrays.
+    ``lhs(a)``: a game of one block keeps them in the block's own arrays.
     A larger game first takes ``SC(a_opt)`` from a sweep of social costs
-    and forms its margins chunk by chunk."""
+    and forms its margins block by block."""
     least, worst_ne = _Least(), _Least()
     num_ne = 0
-    margins = None if lhs is None else _Margins(game, tol)
+    margins = None if supports is None else _Margins(game, tol)
     one_pass = size <= STORED_PROFILES
-    store = None
     if margins is not None and not one_pass:
-        bound = rho * _min_social_cost(game, size)[1]
-    elif margins is not None and size > CHUNK_PROFILES:
+        bound = rho * _min_social_cost(game)[1]
+    blocks = _Blocks(game, supports)
+    store = None
+    if margins is not None and one_pass and blocks.width < size:
         store = (scratch_array("smooth.social", (size,), float),
                  scratch_array("smooth.lhs", (size,), float))
-    start = 0
-    for batch in _profile_chunks(game, size):
-        costs = batch.price_social()
-        least.offer(batch, costs)
-        strategies = batch.price_strategies()
-        played = batch.price_played()
-        nash = _nash(batch, strategies, played)
+    for start in blocks:
+        costs = blocks.social()
+        least.offer(game, start, costs)
+        nash, sides = blocks.nash()
         count = int(np.count_nonzero(nash))
         if count:
             num_ne += count
             # The worst equilibrium has the least negated cost.
-            negated = batch.scratch("poa.ne_costs", 1)[0]
+            negated = scratch_array("poa.ne_costs", costs.shape, float)
             negated.fill(math.inf)
             np.negative(costs, out=negated, where=nash)
-            worst_ne.offer(batch, negated)
+            worst_ne.offer(game, start, negated)
         if margins is not None:
-            sides = lhs(batch, strategies, played)
-            stop = start + batch.width
+            stop = start + blocks.width
             if not one_pass:
                 margins.offer(start, costs, sides, bound)
             elif store is not None:
                 store[0][start:stop] = costs
                 store[1][start:stop] = sides
-            start = stop
     if worst_ne.witness is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     poa = PoaReport(
@@ -386,15 +657,14 @@ def poa_and_smoothness(instance: GameInstance, taxes: TaxProfile,
                        ) -> tuple[PoaReport, SmoothnessResult]:
     """``empirical_poa`` and ``check_smoothness`` from one compiled game and
     one sweep that prices each profile once: equilibria, ``SC(a_opt)`` and
-    the certificate's left sides from the same priced strategies, then the
+    the certificate's left sides from the same priced costs, then the
     margins. Past ``STORED_PROFILES`` profiles a sweep of social costs for
     ``SC(a_opt)`` comes first."""
     require_finite_nonnegative("rho", rho)
     require_finite_nonnegative("smoothness tol", tol)
     size = _enumeration_size(instance, cap)
     check_feasible(instance, profile)
-    game = CompiledGame(instance, taxes)
-    return _sweep(game, size, certificate_lhs(game, profile), rho, tol)
+    return _sweep(CompiledGame(instance, taxes), size, _supports(profile), rho, tol)
 
 
 @dataclass(frozen=True)
@@ -435,11 +705,11 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
     vanishing term.
     """
-    size = _enumeration_size(instance, cap)
+    _enumeration_size(instance, cap)
     check_feasible(instance, profile)
     game = CompiledGame(instance, taxes)
     lhs = certificate_lhs(game, profile)
-    min_cost = _min_social_cost(game, size)[1]
+    min_cost = _min_social_cost(game)[1]
     distribution = trace.empirical_distribution
     visited = np.array(list(distribution), dtype=np.intp).reshape(
         -1, instance.num_players).T

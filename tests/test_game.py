@@ -15,6 +15,7 @@ from tollkit import (Allocation, BasisFunction, GameInstance,
                      GameValidationError, build_tax_profile, player_cost,
                      rosenthal_potential, social_cost)
 from tollkit import game as game_module
+from tollkit import oracle
 from tollkit.game import CompiledGame, loads_of
 
 
@@ -251,6 +252,17 @@ class TestAgainstScalarReference:
 
 
 class TestCompileOnce:
+    def test_the_batch_layout_comes_with_the_first_batch(self):
+        # Exhaustive sweeps read the cost tables alone, so a game that is
+        # only swept never builds the strategy-cost layout of a batch.
+        inst = GameInstance.build([BasisFunction.monomial(2)], [[1.0], [0.5]],
+                                  [[[0], [1]], [[0, 1], [1]], [[0]]])
+        game = CompiledGame(inst)
+        poa = oracle._sweep(game, 4)[0]
+        assert game._entries is None
+        assert game.price(poa.min_witness.choices)[0] == poa.min_cost
+        assert game._entries is not None
+
     def test_helpers_compile_each_game_once(self):
         inst = GameInstance.build([BasisFunction.monomial(2)], [[1.0], [0.5]],
                                   [[[0], [1]], [[0, 1], [1]], [[0]]])

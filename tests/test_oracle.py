@@ -17,8 +17,7 @@ from tollkit import (Allocation, BasisFunction, FractionalProfile,
                      coarse_correlated_check, empirical_poa,
                      enumerate_pure_nash, learning, multiplicative_weights_run,
                      oracle, random_instance, solve_relaxation)
-from tollkit import game as game_module
-from tollkit.game import CompiledGame
+from tollkit.game import CompiledGame, loads_of
 from tollkit.relaxation import fractional_loads
 
 
@@ -236,8 +235,8 @@ class TestCheckSmoothness:
 
 class TestAgainstScalarReference:
     """The sweeps equal the profile-by-profile loops exactly, at the
-    production chunk size and at chunk sizes that split small games, with
-    the smoothness margins from one sweep or from two."""
+    production block and chunk sizes and at sizes that split small games,
+    with the smoothness margins from one sweep or from two."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -247,6 +246,8 @@ class TestAgainstScalarReference:
         taxes = (build_tax_profile(inst, profile.loads)
                  if data.draw(st.booleans()) else None)
         rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
+        # A limit of 1 leaves only the last player trailing.
+        block = data.draw(st.sampled_from([oracle.BLOCK_PROFILES, 1, 3, 7]))
         chunk = data.draw(st.sampled_from([oracle.CHUNK_PROFILES, 1, 3, 7]))
         # One sweep with every margin kept, or SC(a_opt) first.
         size = math.prod(map(len, inst.strategies))
@@ -260,7 +261,8 @@ class TestAgainstScalarReference:
                 reference.check_smoothness(inst, taxes, profile, rho).to_json(),
                 reference.coarse_correlated_check(inst, taxes, profile, rho,
                                                   trace).to_json())
-        with mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
+        with mock.patch.object(oracle, "BLOCK_PROFILES", block), \
+                mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
                 mock.patch.object(oracle, "STORED_PROFILES", stored):
             got = (brute_force_min_sc(inst),
                    enumerate_pure_nash(inst, taxes),
@@ -272,29 +274,31 @@ class TestAgainstScalarReference:
 
 
 class TestChunkBoundaries:
-    """9 players on 3 identical links: 19,683 profiles over many chunks, with
-    every optimum, every equilibrium and every worst margin tied with
-    profiles in later chunks."""
+    """9 players on 3 identical links: 19,683 profiles over many blocks,
+    with every optimum, every equilibrium and every worst margin tied with
+    profiles in later blocks."""
 
     @pytest.fixture(autouse=True)
-    def narrow_chunks(self):
-        # 256 profiles a chunk, so the first balanced profile (index 377)
-        # lies past the first chunk, which a chunk of 1024 would hold.
-        with mock.patch.object(oracle, "CHUNK_PROFILES", 256):
+    def narrow_blocks(self):
+        # Blocks of 3^5 = 243 profiles, the last five players trailing, so
+        # the first balanced profile (index 377) lies past the first block,
+        # which a block of all 19,683 would hold.
+        with mock.patch.object(oracle, "BLOCK_PROFILES", 256):
+            assert oracle._Blocks(CompiledGame(self.inst)).width == self.width
             yield
 
     def setup_method(self):
         self.inst = parallel_links(9, 3)
         self.size = 3 ** 9
-        assert self.size > 4 * oracle.CHUNK_PROFILES
+        self.width = 3 ** 5
 
     def test_min_and_worst_equilibrium_are_first_in_order(self):
         report = empirical_poa(self.inst)
         balanced = (0, 0, 0, 1, 1, 1, 2, 2, 2)
         assert report.min_witness.choices == balanced
         assert report.worst_ne_witness.choices == balanced
-        # The first balanced profile sits past the first chunk.
-        assert int("".join(map(str, balanced)), 3) >= oracle.CHUNK_PROFILES
+        # The first balanced profile sits past the first block.
+        assert int("".join(map(str, balanced)), 3) >= self.width
         assert report.to_json() == reference.empirical_poa(self.inst).to_json()
         assert report.num_pure_ne == math.factorial(9) // math.factorial(3) ** 3
         assert brute_force_min_sc(self.inst) == reference.brute_force_min_sc(self.inst)
@@ -304,28 +308,28 @@ class TestChunkBoundaries:
                                     objective=0.0, gap=0.0, iters=0)
         taxes = build_tax_profile(self.inst, profile.loads)
         want = reference.check_smoothness(self.inst, taxes, profile, rho=1.0)
-        # Margins kept for one pass, and chunk by chunk after SC(a_opt).
+        # Margins kept for one pass, and block by block after SC(a_opt).
         for stored in (oracle.STORED_PROFILES, self.size - 1):
             with mock.patch.object(oracle, "STORED_PROFILES", stored):
                 result = check_smoothness(self.inst, taxes, profile, rho=1.0)
             assert result.to_json() == want.to_json()
         # Relabelling the links gives the same margin to a profile in a
-        # later chunk; the first one must win.
+        # later block; the first one must win.
         lhs = reference.smoothness_lhs(self.inst, taxes, profile)
         _, min_cost = brute_force_min_sc(self.inst)
 
-        def margin_and_chunk(choices):
+        def margin_and_block(choices):
             loads = [choices.count(r) for r in range(3)]
             sc = float(sum(x * x for x in loads))
             index = int("".join(map(str, choices)), 3)
-            return lhs(choices, loads) - (sc - min_cost), index // oracle.CHUNK_PROFILES
+            return lhs(choices, loads) - (sc - min_cost), index // self.width
 
         first = result.witness.choices
         later = tuple((k + 1) % 3 for k in first)
         assert later > first
-        (m_first, c_first), (m_later, c_later) = map(margin_and_chunk, (first, later))
+        (m_first, b_first), (m_later, b_later) = map(margin_and_block, (first, later))
         assert m_first == m_later == result.worst_margin
-        assert c_later > c_first
+        assert b_later > b_first
 
     def test_equilibria_span_chunks_in_order(self):
         got = [ne.choices for ne in enumerate_pure_nash(self.inst)]
@@ -349,18 +353,26 @@ class TestReusedBuffers:
     the memory is reused, and no sweep reads what an earlier one left."""
 
     def test_batches_and_sweeps_share_memory(self):
-        def addresses(batch):
-            return [a.__array_interface__["data"][0]
-                    for a in (batch.rows, batch.loads, batch.social)]
+        def addresses(*arrays):
+            return [a.__array_interface__["data"][0] for a in arrays]
 
-        width = oracle.CHUNK_PROFILES
-        wide = addresses(CompiledGame(parallel_links(8, 3)).batch(width))
-        # Another layout, and a batch after whole sweeps of other games.
+        def batch(inst):
+            batch = CompiledGame(inst).batch(oracle.CHUNK_PROFILES)
+            return addresses(batch.rows, batch.loads, batch.social)
+
+        def blocks(inst):
+            blocks = oracle._Blocks(CompiledGame(inst))
+            return addresses(blocks.table, blocks._system, blocks._social)
+
+        wide = parallel_links(8, 3)
+        wide_batch, wide_blocks = batch(wide), blocks(wide)
+        # Another layout, and a batch or a block after whole sweeps of
+        # other games.
         narrow = parallel_links(7, 2)
-        assert addresses(CompiledGame(narrow).batch(width)) == wide
+        assert (batch(narrow), blocks(narrow)) == (wide_batch, wide_blocks)
         empirical_poa(narrow)
         empirical_poa(parallel_links(6, 3))
-        assert addresses(CompiledGame(narrow).batch(width)) == wide
+        assert (batch(narrow), blocks(narrow)) == (wide_batch, wide_blocks)
 
     def test_outputs_do_not_depend_on_earlier_sweeps(self):
         small = [inst for inst, _ in seeded_instances(6)]
@@ -388,17 +400,18 @@ class TestReusedBuffers:
 
 class TestMarginStore:
     """``poa_and_smoothness`` keeps 16 bytes a profile, plus 9 of margin
-    temporaries, up to ``STORED_PROFILES`` profiles; past it, its memory
-    does not grow with the number of profiles. Both games have 10 players
-    choosing among 12 links with 30 strategies in all, so without the
-    enumeration table, whose size follows the strategy counts, their chunk
-    arrays have the same shapes."""
+    temporaries, up to ``STORED_PROFILES`` profiles; past it, its memory is
+    a block's and does not grow with the number of profiles. Both games
+    have 10 players on 12 links and, at a block limit of 3^6, blocks of
+    3^6 profiles with leading players of at most 3 strategies, so their
+    block arrays have the same shapes."""
 
-    many = [3] * 10                          # 59,049 profiles
-    few = [12, 3, 3, 2, 2, 2, 2, 2, 1, 1]    # 3,456 profiles
+    many = [3] * 10                          # 59,049 profiles, 81 blocks
+    few = [3, 1, 1, 1] + [3] * 6             # 2,187 profiles, 3 blocks
+    block = 3 ** 6
 
-    @staticmethod
-    def peak(radices, stored):
+    @classmethod
+    def peak(cls, radices, stored):
         """Peak traced bytes of one call, in a thread with no buffers yet."""
         b = BasisFunction.monomial(1)
         inst = GameInstance.build([b], [[1.0]] * 12,
@@ -413,7 +426,7 @@ class TestMarginStore:
             tracemalloc.start()
             try:
                 with mock.patch.object(oracle, "STORED_PROFILES", stored), \
-                        mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", -1):
+                        mock.patch.object(oracle, "BLOCK_PROFILES", cls.block):
                     oracle.poa_and_smoothness(inst, taxes, prof, rho=1.0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -426,8 +439,23 @@ class TestMarginStore:
         size = math.prod(self.many)
         swept_twice = self.peak(self.many, 1000)
         assert abs(swept_twice - self.peak(self.few, 1000)) < 16 * 1024
+        # The block bound of the module docstring, 12 resources and R = 3,
+        # with 256 KiB for the compiled game, the tax tables and numpy's
+        # iteration buffers.
+        assert swept_twice <= self.block * (32 * 12 + 16 * 3 + 60) + 256 * 1024
         stored = self.peak(self.many, oracle.STORED_PROFILES) - swept_twice
         assert 16 * size <= stored <= 25 * size
+
+
+def games_of(radices, resources):
+    """Games with the given strategy counts: each strategy a distinct
+    nonempty subset of ``resources`` resources."""
+    subsets = st.frozensets(st.integers(0, resources - 1), min_size=1)
+    players = [st.lists(subsets, min_size=k, max_size=k, unique=True)
+               for k in radices]
+    b = BasisFunction.monomial(1)
+    return st.tuples(*players).map(lambda strategies: GameInstance.build(
+        [b], [[1.0]] * resources, strategies))
 
 
 def strategy_counts(radices):
@@ -438,40 +466,48 @@ def strategy_counts(radices):
                               [[[r] for r in range(k)] for k in radices])
 
 
-class TestEnumerate:
-    """``ProfileBatch.enumerate`` slices and fills the rows that dividing
-    each profile index gives, at every chunk start, with its table and
-    without it."""
+def assert_blocks_follow_product_order(inst):
+    """The trailing players' load table and every block's loads, read as
+    ``r * (n + 1) + load_r``, are ``loads_of`` of the profiles they stand
+    for, in ``itertools.product`` order."""
+    game = CompiledGame(inst)
+    base = np.arange(inst.num_resources)[:, None] * (inst.num_players + 1)
+    profiles = list(itertools.product(*map(range, game.radices)))
+    blocks = oracle._Blocks(game)
+    starts = []
+    for start in blocks:
+        starts.append(start)
+        got = (blocks.at - base).T.tolist()
+        assert got == [loads_of(inst, p) for p in profiles[start:start + blocks.width]]
+    assert starts == list(range(0, len(profiles), blocks.width))
+    table = (oracle._load_table(game, 0) - base).T.tolist()
+    assert table == [loads_of(inst, p) for p in profiles]
 
-    @pytest.mark.parametrize("table_limit", [1 << 16, -1])
-    @settings(max_examples=60, deadline=None)
-    @given(radices=st.lists(st.integers(1, 5), min_size=1, max_size=6),
-           width=st.sampled_from([1, 2, 3, 7, 64, 256]))
-    def test_rows_follow_product_order(self, table_limit, radices, width):
-        with mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", table_limit):
-            game = CompiledGame(strategy_counts(radices))
-            batch = game.batch(width)
-        profiles = list(itertools.product(*map(range, radices)))
-        for start in range(0, len(profiles) - width + 1, max(1, width // 2)):
-            batch.enumerate(start)
-            rows = (batch.rows - game.offsets[:, None]).T.tolist()
-            assert rows == [list(p) for p in profiles[start:start + width]]
+
+class TestEnumerate:
+    """Sweeps visit the profile tensor in ``itertools.product`` order,
+    block by block, with every player leading but the last or with every
+    player trailing."""
+
+    @pytest.mark.parametrize("block_limit", [1 << 16, -1])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(),
+           radices=st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    def test_rows_follow_product_order(self, block_limit, data, radices):
+        inst = data.draw(games_of(radices, data.draw(st.integers(4, 6))))
+        with mock.patch.object(oracle, "BLOCK_PROFILES", block_limit):
+            assert_blocks_follow_product_order(inst)
 
     def test_many_strategies_past_the_chunk(self):
-        radices = [2, 300, 3]
-        game = CompiledGame(strategy_counts(radices))
-        batch = game.batch(oracle.CHUNK_PROFILES)
-        profiles = list(itertools.product(*map(range, radices)))
-        for start in range(0, len(profiles) - batch.width + 1, 97):
-            batch.enumerate(start)
-            assert ((batch.rows - game.offsets[:, None]).T.tolist()
-                    == [list(p) for p in profiles[start:start + batch.width]])
-
-    def test_oracle_outputs_without_a_table(self):
-        inst = parallel_links(6, 3)
-        with mock.patch.object(game_module, "_ENUMERATION_TABLE_LIMIT", -1):
-            got = (brute_force_min_sc(inst), empirical_poa(inst).to_json(),
-                   enumerate_pure_nash(inst))
-        assert got == (reference.brute_force_min_sc(inst),
-                       reference.empirical_poa(inst).to_json(),
-                       reference.enumerate_pure_nash(inst))
+        # A player with more strategies than a block holds profiles leads,
+        # or, last, makes a block of its own.
+        for radices, width in (([2, 40, 3], 3), ([2, 3, 40], 40)):
+            inst = strategy_counts(radices)
+            with mock.patch.object(oracle, "BLOCK_PROFILES", 16):
+                assert oracle._Blocks(CompiledGame(inst)).width == width
+                assert_blocks_follow_product_order(inst)
+                got = (brute_force_min_sc(inst), empirical_poa(inst).to_json(),
+                       enumerate_pure_nash(inst))
+            assert got == (reference.brute_force_min_sc(inst),
+                           reference.empirical_poa(inst).to_json(),
+                           reference.enumerate_pure_nash(inst))

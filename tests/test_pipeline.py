@@ -1,8 +1,10 @@
 """``design`` against the public stage functions it runs."""
 
 import inspect
+import itertools
 import json
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -168,25 +170,32 @@ class TestAgainstComposedStages:
 
 
 class TestOneCompiledGame:
-    """A design compiles its game once and sweeps its profiles once, or
-    twice past ``oracle.STORED_PROFILES``: ``SC(opt)`` first, then
-    equilibria and margins together."""
+    """A design compiles its game once, builds no ``ProfileBatch``, and
+    sweeps its profiles once, or twice past ``oracle.STORED_PROFILES``:
+    ``SC(opt)`` first, then equilibria and margins together."""
 
     def count(self, inst, **flags):
-        compiled, sweeps = [], []
-        init, chunks = CompiledGame.__init__, oracle._profile_chunks
+        compiled, sweeps, batches = [], [], []
+        init, blocks, batch = (CompiledGame.__init__, oracle._Blocks.__init__,
+                               ProfileBatch.__init__)
 
         def counting_init(game, *args, **kwargs):
             compiled.append(args)
             init(game, *args, **kwargs)
 
-        def counting_chunks(game, size):
-            sweeps.append(size)
-            return chunks(game, size)
+        def counting_blocks(sweep, game, *args):
+            sweeps.append(args)
+            blocks(sweep, game, *args)
+
+        def counting_batches(profiles, game, width):
+            batches.append(width)
+            batch(profiles, game, width)
 
         with mock.patch.object(CompiledGame, "__init__", counting_init), \
-                mock.patch.object(oracle, "_profile_chunks", counting_chunks):
+                mock.patch.object(oracle._Blocks, "__init__", counting_blocks), \
+                mock.patch.object(ProfileBatch, "__init__", counting_batches):
             report = design(inst, **flags)
+        assert batches == []
         return report, len(compiled), len(sweeps)
 
     def test_one_sweep_with_smoothness(self):
@@ -215,7 +224,13 @@ class TestOneCompiledGame:
                          strategy_size_range=(1, 3), seed=0), [1024, 417]),
     ])
     def test_one_batch_per_chunk_width(self, inst, widths):
-        # Every chunk of a width shares one ProfileBatch.
+        # design builds no batch; chosen profiles, here a trace that visits
+        # every profile once, share one ProfileBatch per chunk width.
+        report = self.count(inst)[0]
+        profiles = list(itertools.product(*map(range, map(len, inst.strategies))))
+        trace = SimpleNamespace(
+            empirical_distribution=dict.fromkeys(profiles, 1 / len(profiles)),
+            average_regrets=[0.0] * inst.num_players)
         built = []
         init = ProfileBatch.__init__
 
@@ -224,8 +239,8 @@ class TestOneCompiledGame:
             init(batch, game, width)
 
         with mock.patch.object(ProfileBatch, "__init__", counting_init):
-            report = design(inst)
-        assert report.smoothness is not None
+            oracle.coarse_correlated_check(inst, report.taxes, report.relaxation,
+                                           report.rho, trace)
         assert built == widths
 
 
