@@ -9,9 +9,13 @@ under any cost ``c`` with ``c(0) = 0`` (property P1), while a transversal
 that picks one block from each of ``h`` distinct rows should cost at least
 ``(E_{Bin(h, k/h)}[c] - eta) * n`` (property P2). Systems are built by
 balanced random assignment and re-drawn until P2 verifies. P2 is checked
-``P2_BATCH`` transversals at a time: one gather of the batch's blocks, the
-per-element counts as ``h`` adds of whole gathered planes, one cost-table
-lookup and one row sum, as the oracle prices profiles in chunks.
+``P2_BATCH`` transversals at a time on the blocks packed as bitsets of
+64-element words: per word, one gather of the picked blocks, a bit-sliced
+count of how many picked blocks hold each element, and popcounts of the
+``count == x`` masks, which give ``N_x``, the number of elements counted
+``x`` times. A transversal costs ``sum_x c(x) * N_x``, added in increasing
+``x``, which is exact whenever every ``c(x)`` is an integer and ``n *
+c(h) < 2**53``.
 
 The reduction turns a bi-regular label-cover instance into a congestion
 game: one player per left vertex, a fresh copy of one partitioning system
@@ -41,7 +45,8 @@ from .kernel import binomial_expectation
 
 P2_EXHAUSTIVE_LIMIT = 1_000_000
 P2_DEFAULT_SAMPLES = 100_000
-P2_BATCH = 256
+P2_BATCH = 4096   # transversals priced per sweep, a multiple of _DRAW_BLOCK
+_DRAW_BLOCK = 256  # transversals per block of the sampled stream's uniforms
 SWAP_BLOCK = 64
 _CONSTRUCTION_RETRIES = 100
 
@@ -116,8 +121,10 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     Samples a random balanced assignment: shuffle ``k*n/h`` copies of each
     block id, chunk them ``k`` per element, then repair duplicate blocks
     within a chunk by conflict-reducing swaps (swaps preserve the exact
-    block counts). A swap changes only its two chunks, so only those two
-    are re-checked; ``bad`` keeps its order, which the draws index into.
+    block counts). A swap changes only its two chunks, so an attempt counts
+    only their conflicts after the swap, once each, against the counts
+    kept per chunk. ``bad`` keeps its order, which the draws index into,
+    and ``in_bad`` answers membership beside it.
     An attempt maps its four ``_swap_draws`` uniforms ``u`` to indices
     ``int(u * bound)``, which is below ``bound`` for every double ``u < 1``
     and ``bound <= 2**53``, so the draws cost one numpy call per
@@ -130,10 +137,9 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
     rng.shuffle(slots)
     chunks = slots.reshape(n, k).tolist()
 
-    def conflicts(chunk) -> int:
-        return k - len(set(chunk))
-
-    bad = [e for e in range(n) if conflicts(chunks[e])]
+    conflicts = [k - len(set(chunk)) for chunk in chunks]
+    bad = [e for e in range(n) if conflicts[e]]
+    in_bad = set(bad)
     attempts = 0
     limit = 50 * n * k + 1000
     draws = _swap_draws(rng)
@@ -150,18 +156,22 @@ def _balanced_row(n: int, h: int, k: int, rng: Generator) -> list[list[int]]:
         j1 = int(u3 * k)
         j2 = int(u4 * k)
         a, b = chunks[e], chunks[e2]
-        before = conflicts(a) + conflicts(b)
         a[j1], b[j2] = b[j2], a[j1]
-        if conflicts(a) + conflicts(b) > before:
+        after_a, after_b = k - len(set(a)), k - len(set(b))
+        if after_a + after_b > conflicts[e] + conflicts[e2]:
             a[j1], b[j2] = b[j2], a[j1]
             continue
-        if not conflicts(a):
+        conflicts[e], conflicts[e2] = after_a, after_b
+        if not after_a:
             bad.remove(e)
-        if conflicts(b):
-            if e2 not in bad:
+            in_bad.remove(e)
+        if after_b:
+            if e2 not in in_bad:
                 bad.append(e2)
-        elif e2 in bad:
+                in_bad.add(e2)
+        elif e2 in in_bad:
             bad.remove(e2)
+            in_bad.remove(e2)
 
     blocks: list[list[int]] = [[] for _ in range(h)]
     for e in range(n):
@@ -176,7 +186,12 @@ def transversal_cost(system: PartitioningSystem, rows, picks,
 
     ``rows`` must name ``h`` distinct rows and ``picks`` one block index per
     row; anything else (e.g. a whole row, or repeated rows) is not a valid
-    transversal and is rejected.
+    transversal and is rejected. The cost is ``sum_x c_table[x] * N_x``,
+    ``N_x`` the number of elements in exactly ``x`` of the picked blocks,
+    added from ``0.0`` in increasing ``x``. ``build_partitioning_system``
+    prices transversals the same way without the ``x = 0`` term, which
+    adds ``0.0`` when ``c_table[0] = 0``, so its ``p2_margin`` is
+    reproduced exactly.
     """
     rows = list(rows)
     picks = list(picks)
@@ -193,7 +208,11 @@ def transversal_cost(system: PartitioningSystem, rows, picks,
     for j, i in zip(rows, picks):
         for e in system.blocks[j][i]:
             counts[e] += 1
-    return sum(c_table[cnt] for cnt in counts)
+    histogram = Counter(counts)
+    total = 0.0
+    for x in range(system.h + 1):
+        total += c_table[x] * histogram[x]
+    return total
 
 
 def _all_transversals(beta: int, h: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -231,10 +250,15 @@ def _drawn_transversals(beta: int, h: int, samples: int, rng: Generator
                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``samples`` uniform transversals as batches of ``P2_BATCH`` rows.
 
-    Each batch takes one ``(2h, m)`` block of uniforms ``u``, so the draw
-    costs ``O(h)`` numpy calls whatever ``beta`` is. A transversal's rows
-    are ``h`` distinct rows by Floyd's algorithm, run down the batch at
-    once: its ``j``-th row is ``t = int(u[j] * (beta - h + j + 1))``, or
+    Transversal ``t`` reads column ``t % _DRAW_BLOCK`` of uniform block
+    ``t // _DRAW_BLOCK``, a ``(2h, _DRAW_BLOCK)`` draw; the last block is
+    ``(2h, rest)`` when ``samples`` is not a multiple. A batch draws its
+    full blocks in one ``(blocks, 2h, _DRAW_BLOCK)`` call, which returns
+    the same doubles in the same order as one call per block, so the
+    transversals do not depend on ``P2_BATCH``, and the draw costs ``O(h)``
+    numpy calls per batch whatever ``beta`` is. A transversal's rows are
+    ``h`` distinct rows by Floyd's algorithm, run down the batch at once:
+    its ``j``-th row is ``t = int(u[j] * (beta - h + j + 1))``, or
     ``beta - h + j`` if ``t`` is already taken, so every set of ``h`` rows
     is equally likely. The order of the rows within a transversal is not a
     uniform permutation, and need not be: a transversal's cost does not
@@ -243,58 +267,120 @@ def _drawn_transversals(beta: int, h: int, samples: int, rng: Generator
     bounds = np.concatenate((np.arange(beta - h + 1, beta + 1), np.full(h, h)))
     for start in range(0, samples, P2_BATCH):
         m = min(P2_BATCH, samples - start)
-        draws = (rng.random((2 * h, m)) * bounds[:, None]).astype(np.intp)
+        blocks, rest = divmod(m, _DRAW_BLOCK)
+        u = np.empty((2 * h, m))
+        if blocks:
+            u[:, :m - rest] = rng.random((blocks, 2 * h, _DRAW_BLOCK)).transpose(
+                1, 0, 2).reshape(2 * h, m - rest)
+        if rest:
+            u[:, m - rest:] = rng.random((2 * h, rest))
+        draws = (u * bounds[:, None]).astype(np.intp)
         for j in range(1, h):
             taken = (draws[:j] == draws[j]).any(axis=0)
             np.putmask(draws[j], taken, beta - h + j)
         yield draws[:h].T, draws[h:].T
 
 
-def _transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
+def _packed_blocks(membership: np.ndarray) -> np.ndarray:
+    """The blocks of ``membership`` (``membership[j, i, e]`` nonzero when
+    element ``e`` lies in block ``i`` of row ``j``) as bitsets of ``W =
+    ceil(n / 64)`` words, laid out word-major: bit ``e % 64`` of
+    ``packed[e // 64, j * h + i]`` is element ``e`` of block ``(j, i)``."""
+    beta, h, n = membership.shape
+    words = -(-n // 64)
+    bits = np.zeros((beta * h, 8 * words), dtype=np.uint8)
+    bits[:, :-(-n // 8)] = np.packbits(membership.reshape(beta * h, n),
+                                       axis=1, bitorder="little")
+    return np.ascontiguousarray(bits.view(np.uint64).T)
+
+
+def _transversal_costs(packed: np.ndarray, c_arr: np.ndarray,
                        rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Cost of transversal ``t``, which takes block ``picks[t, j]`` of row
-    ``rows[t, j]`` for each ``j``. Each cost is a sum over the elements in
-    element order, as ``c_arr[counts].sum()`` of one transversal adds it.
+    ``rows[t, j]`` for each ``j``, from the ``_packed_blocks`` bitsets.
 
-    The gather is laid out ``(h, m, n)``, so pick ``j`` of every
-    transversal is one contiguous plane, and the counts are the sum of the
-    ``h`` planes, added whole in ``int8`` (``intp`` from ``h = 128`` on,
-    where ``int8`` would wrap), then copied to ``intp`` for the lookup:
-    integer adds, so the counts are exact in any order. The gather, the
-    counts and the terms go to this thread's reused buffers: fresh ones per
-    batch made the allocator hand pages back and fault them in again, as
-    often as the heap's history decided."""
-    (m, h), (_, blocks, n) = rows.shape, membership.shape
-    planes = membership.reshape(-1, n).take(
-        rows.T * blocks + picks.T, axis=0, mode="clip",
-        out=scratch_array("p2.gathered", (h, m, n), np.int8))
-    counts = scratch_array("p2.counts", (m, n), np.intp)
-    total = (counts if h > np.iinfo(np.int8).max
-             else scratch_array("p2.counts8", (m, n), np.int8))
-    np.copyto(total, planes[0])
-    for plane in planes[1:]:
-        total += plane
-    if total is not counts:
-        np.copyto(counts, total)
-    terms = c_arr.take(counts, mode="clip",
-                       out=scratch_array("p2.terms", (m, n), float))
-    return terms.sum(axis=1)
+    ``N_x`` is the number of elements that lie in exactly ``x`` of the
+    picked blocks, and the cost is ``sum_{x=1..h} c(x) * N_x``, added from
+    ``0.0`` in increasing ``x``. ``c(0) = 0`` by construction (``c(x) = x *
+    b(x)``), so no ``N_0`` term is needed. The counts and ``N_x`` are
+    integers, so only the ``h`` products and sums round: when every
+    ``c(x)`` is an integer and ``n * c(h) < 2**53`` the cost is exact.
+
+    Word by word, one ``take`` gathers the picked blocks' words, ``(h, m)``.
+    A bit-sliced counter of ``h.bit_length()`` planes adds them with carry,
+    an AND and an XOR a plane, and a decoder that shares prefixes across
+    the planes, from the top plane down, turns the planes into the masks of
+    ``count == x``, about ``2(h + 1)`` ANDs; ``np.bitwise_count`` of the
+    masks adds to ``N_x``. Every array goes to this thread's reused
+    buffers, but the returned costs: fresh ones per batch made the
+    allocator hand pages back and fault them in again, as often as the
+    heap's history decided."""
+    m, h = rows.shape
+    planes = h.bit_length()
+    picked = scratch_array("p2.picked", (h, m), np.intp)
+    np.multiply(rows.T, h, out=picked)
+    picked += picks.T
+    gathered = scratch_array("p2.gathered", (h, m), np.uint64)
+    count = scratch_array("p2.count", (planes, m), np.uint64)
+    spare = scratch_array("p2.carry", (m,), np.uint64)
+    flipped = scratch_array("p2.flipped", (planes, m), np.uint64)
+    prefixes = scratch_array("p2.prefixes", (2, (h >> 1) + 1, m), np.uint64)
+    # count == 1 is plane 0 itself when there is one plane.
+    masks = count if h == 1 else scratch_array("p2.masks", (h, m), np.uint64)
+    popcounts = scratch_array("p2.popcounts", (h, m), np.uint8)
+    histogram = scratch_array("p2.histogram", (h, m), np.intp)
+    histogram.fill(0)
+    for word in packed:
+        word.take(picked, mode="clip", out=gathered)
+        for p, carry in enumerate(gathered, start=1):
+            top = p.bit_length() - 1
+            free = spare
+            for bit in count[:top]:
+                np.bitwise_and(bit, carry, out=free)
+                bit ^= carry
+                carry, free = free, carry
+            if p & (p - 1):
+                count[top] ^= carry
+            else:   # the first count to reach 2**top
+                np.copyto(count[top], carry)
+        np.invert(count, out=flipped)
+        level = (flipped[-1], count[-1])   # masks of the top plane's values
+        for plane in range(planes - 2, -1, -1):
+            # Prefix q (the bits above ``plane`` included) is reachable only
+            # while q <= h >> plane; the last level skips count == 0.
+            low = 1 if plane == 0 else 0
+            nodes = masks if plane == 0 else prefixes[plane % 2]
+            for q in range(low, (h >> plane) + 1):
+                np.bitwise_and(level[q >> 1],
+                               (count if q & 1 else flipped)[plane],
+                               out=nodes[q - low])
+            level = nodes
+        np.bitwise_count(masks, out=popcounts)
+        histogram += popcounts
+    costs = np.zeros(m)
+    term = scratch_array("p2.term", (m,), float)
+    for x in range(1, h + 1):
+        np.multiply(histogram[x - 1], c_arr[x], out=term)
+        costs += term
+    return costs
 
 
 def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
                c_table, mode: str, samples: int, seed: int) -> tuple[float, int]:
     """``(worst margin, transversals checked)`` of P2 in ``mode``
     (``"exhaustive"`` or ``"sampled"``), priced ``P2_BATCH`` transversals
-    per numpy sweep. The margin is the minimum of cost minus threshold.
-    A threshold past the double range raises ``KernelOverflow``; a cost
-    past it is ``inf``, which clears any threshold."""
+    per sweep on the blocks packed once as bitsets (``_transversal_costs``).
+    The margin is the minimum of cost minus threshold. A threshold past the
+    double range raises ``KernelOverflow``; a cost past it is ``inf``, which
+    clears any threshold."""
     threshold = (binomial_expectation(c_table, h, k) - eta) * n
     if not math.isfinite(threshold):
         raise KernelOverflow(f"P2 threshold leaves the double range at n = {n}")
-    membership = np.zeros((beta, h, n), dtype=np.int8)
+    membership = np.zeros((beta, h, n), dtype=bool)
     for j in range(beta):
         for i in range(h):
-            membership[j, i, list(blocks[j][i])] = 1
+            membership[j, i, list(blocks[j][i])] = True
+    packed = _packed_blocks(membership)
     c_arr = np.asarray(c_table[:h + 1], dtype=float)
 
     if mode == "exhaustive":
@@ -305,7 +391,7 @@ def _verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,
     checked = 0
     with np.errstate(over="ignore"):
         for rows, picks in batches:
-            costs = _transversal_costs(membership, c_arr, rows, picks)
+            costs = _transversal_costs(packed, c_arr, rows, picks)
             worst = min(worst, float((costs - threshold).min()))
             checked += len(costs)
     return worst, checked

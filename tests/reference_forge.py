@@ -7,16 +7,22 @@ after every accepted swap. It takes an attempt's four draws from a row of
 a ``(SWAP_BLOCK, 4)`` block of uniforms, as the library does, so the two
 consume one stream alike. ``verify_p2`` is the P2 check it ran before the
 check became a batched numpy sweep: it gathers one transversal at a time
-and counts its elements with one ``sum`` over the picked blocks. The
-library walks the exhaustive transversals in the same order and sums each
-one's costs in the same order, so the tests require exact equality. In
-sampled mode the reference draws each transversal with ``rng.choice``, an
-ordered draw of distinct rows. The library draws rows by Floyd's algorithm
-from blocks of uniforms, whose order within a transversal is not uniform,
-from another stream. A transversal's cost does not depend on the order of
-its rows, so both draw the same distribution of costs, but not the same
-transversals: sampled margins are compared against the exhaustive one,
-not against each other.
+and counts its elements with one ``sum`` over the picked blocks. It prices
+a transversal as the library does, ``sum_x c(x) * N_x`` over the number
+``N_x`` of elements counted ``x`` times, added from ``0.0`` in increasing
+``x``; ``element_order_costs`` keeps the earlier sum of ``c(count)`` over
+the elements in element order as a witness, which the histogram sum
+equals bit for bit on integer-valued cost tables. The library walks the
+exhaustive transversals in the same order, so the tests require exact
+equality. In sampled mode the reference draws each transversal with
+``rng.choice``, an ordered draw of distinct rows. The library draws rows
+by Floyd's algorithm from blocks of uniforms, whose order within a
+transversal is not uniform, from another stream. A transversal's cost
+does not depend on the order of its rows, so both draw the same
+distribution of costs, but not the same transversals: sampled margins are
+compared against the exhaustive one, not against each other.
+``drawn_transversals`` is the library's stream of Floyd draws taken one
+``(2h, 256)`` block of uniforms at a time.
 """
 
 from __future__ import annotations
@@ -92,12 +98,46 @@ def membership_of(blocks, n: int, beta: int, h: int) -> np.ndarray:
 
 def transversal_costs(membership: np.ndarray, c_arr: np.ndarray,
                       transversals) -> list[float]:
-    """The cost of each ``(rows, picks)`` transversal, one gather each."""
+    """The cost of each ``(rows, picks)`` transversal, one gather each:
+    ``sum_x c(x) * N_x`` from ``0.0`` in increasing ``x >= 1``."""
+    costs = []
+    for rows, picks in transversals:
+        counts = membership[rows, picks, :].sum(axis=0)
+        histogram = np.bincount(counts, minlength=len(c_arr))
+        cost = 0.0
+        for x in range(1, len(c_arr)):
+            cost += float(c_arr[x]) * int(histogram[x])
+        costs.append(cost)
+    return costs
+
+
+def element_order_costs(membership: np.ndarray, c_arr: np.ndarray,
+                        transversals) -> list[float]:
+    """The cost of each ``(rows, picks)`` transversal as ``c(count)``
+    summed over the elements in element order."""
     costs = []
     for rows, picks in transversals:
         counts = membership[rows, picks, :].sum(axis=0)
         costs.append(float(c_arr[counts].sum()))
     return costs
+
+
+def drawn_transversals(beta: int, h: int, samples: int, rng: Generator
+                       ) -> list[tuple[list[int], list[int]]]:
+    """``samples`` Floyd draws as ``(rows, picks)``, each block of 256
+    transversals from its own ``(2h, 256)`` draw of uniforms (the last
+    from ``(2h, rest)``), one transversal at a time within it."""
+    bounds = [beta - h + j + 1 for j in range(h)] + [h] * h
+    transversals = []
+    for start in range(0, samples, 256):
+        block = rng.random((2 * h, min(256, samples - start)))
+        for u in block.T.tolist():
+            draws = [int(x * bound) for x, bound in zip(u, bounds)]
+            rows = []
+            for j, t in enumerate(draws[:h]):
+                rows.append(beta - h + j if t in rows else t)
+            transversals.append((rows, draws[h:]))
+    return transversals
 
 
 def verify_p2(blocks, n: int, beta: int, h: int, k: int, eta: float,

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def draw_blocks(n, beta, h, k, seed):
     rng = seeded_rng(seed)
     return tuple(tuple(tuple(sorted(b)) for b in forge._balanced_row(n, h, k, rng))
                  for _ in range(beta))
+
+
+def draw_transversals(data, beta, h):
+    """1-40 transversals of ``h`` distinct rows as ``(rows, picks)``."""
+    transversal = st.tuples(st.permutations(range(beta)),
+                            st.lists(st.integers(0, h - 1), min_size=h,
+                                     max_size=h))
+    batch = data.draw(st.lists(transversal, min_size=1, max_size=40))
+    return (np.array([r[:h] for r, _ in batch]),
+            np.array([p for _, p in batch]))
 
 
 class CountedDraws:
@@ -128,7 +139,7 @@ class TestTransversalProperty:
             transversal_cost(ps, rows, picks, c) - threshold
             for rows in itertools.combinations(range(4), 3)
             for picks in itertools.product(range(3), repeat=3))
-        assert ps.p2_margin == pytest.approx(worst)
+        assert ps.p2_margin == worst
 
     def test_transversal_rejects_malformed_selections(self):
         ps = build_partitioning_system(n=30, beta=4, h=3, k=2, eta=0.9,
@@ -193,8 +204,9 @@ class TestSweepAgainstReference:
 
     @pytest.mark.parametrize("n", [7, 120, 129, 1000, 5000])
     def test_row_sums_add_like_one_dimensional_sums(self, n):
-        # The sweep's margins equal the reference's only if summing each row
-        # of a C-contiguous (m, n) array adds in the order a 1-D sum does.
+        # The element-order witness sums one transversal's terms as a 1-D
+        # sum; a sweep summing each row of a C-contiguous (m, n) batch adds
+        # in the same order, so the witness is the cost such a sweep gives.
         rng = np.random.default_rng(n)
         values = rng.random((40, n)) * 10.0 ** rng.integers(-3, 4, size=(40, 1))
         sums = values.sum(axis=1)
@@ -212,8 +224,8 @@ class TestSweepAgainstReference:
                                                      picks.tolist())] == expected
 
     def test_drawn_transversals_are_valid(self):
-        batches = list(forge._drawn_transversals(6, 3, 600, seeded_rng(0)))
-        assert [len(rows) for rows, _ in batches] == [256, 256, 88]
+        batches = list(forge._drawn_transversals(6, 3, 9000, seeded_rng(0)))
+        assert [len(rows) for rows, _ in batches] == [4096, 4096, 808]
         for rows, picks in batches:
             assert all(len(set(r)) == 3 for r in rows.tolist())
             assert rows.min() >= 0 and rows.max() < 6
@@ -223,11 +235,23 @@ class TestSweepAgainstReference:
     def test_draws_do_not_grow_with_the_row_count(self, beta):
         draws = CountedDraws(0)
         batches = list(forge._drawn_transversals(beta, 3, 600, draws))
-        # One block of 2h uniforms per transversal, per batch.
-        assert (draws.blocks, draws.uniforms) == (len(batches), 600 * 2 * 3)
+        # 2h uniforms per transversal: one draw for the batch's two full
+        # blocks of 256 transversals and one for the short last block.
+        assert len(batches) == 1
+        assert (draws.blocks, draws.uniforms) == (2, 600 * 2 * 3)
         for rows, picks in batches:
             assert all(len(set(r)) == 3 for r in rows.tolist())
             assert rows.min() >= 0 and rows.max() < beta
+
+    @pytest.mark.parametrize("samples", [1, 255, 600, 4097, 20000])
+    def test_grouped_draws_follow_the_block_stream(self, samples):
+        # A batch draws its full (2h, 256) blocks in one call; the doubles
+        # and so the transversals are those of one draw per block.
+        beta, h = 6, 3
+        rows, picks = (np.concatenate(parts).tolist() for parts in zip(
+            *forge._drawn_transversals(beta, h, samples, seeded_rng(0))))
+        assert list(zip(rows, picks)) == reference.drawn_transversals(
+            beta, h, samples, seeded_rng(0))
 
     @pytest.mark.parametrize("top", [0.0, 1.0 - 2.0 ** -53])
     def test_extreme_uniforms_draw_distinct_rows_in_range(self, top):
@@ -277,22 +301,53 @@ class TestSweepAgainstReference:
         blocks = draw_blocks(n, beta, h, k, data.draw(st.integers(0, 10**6)))
         membership = reference.membership_of(blocks, n, beta, h)
         c_arr = np.asarray(basis.cost_table(h)[:h + 1], dtype=float)
-        transversal = st.tuples(st.permutations(range(beta)),
-                                st.lists(st.integers(0, h - 1), min_size=h,
-                                         max_size=h))
-        batch = data.draw(st.lists(transversal, min_size=1, max_size=40))
-        rows = np.array([r[:h] for r, _ in batch])
-        picks = np.array([p for _, p in batch])
-        costs = forge._transversal_costs(membership, c_arr, rows, picks)
+        rows, picks = draw_transversals(data, beta, h)
+        costs = forge._transversal_costs(forge._packed_blocks(membership),
+                                         c_arr, rows, picks)
         assert costs.tolist() == reference.transversal_costs(
             membership, c_arr, zip(rows, picks))
 
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 6), degree=st.integers(0, 3), data=st.data())
+    def test_integer_tables_cost_the_element_order_sum(self, h, degree, data):
+        # Every term and partial sum is an integer below 2**53, so summing
+        # the histogram changes no bit of the element-order sum.
+        k = data.draw(st.integers(1, h))
+        n = h // math.gcd(k, h) * data.draw(st.integers(1, 200))
+        beta = h + data.draw(st.integers(0, 2))
+        blocks = draw_blocks(n, beta, h, k, data.draw(st.integers(0, 10**6)))
+        membership = reference.membership_of(blocks, n, beta, h)
+        c_arr = np.asarray(BasisFunction.monomial(degree).cost_table(h),
+                           dtype=float)
+        rows, picks = draw_transversals(data, beta, h)
+        costs = forge._transversal_costs(forge._packed_blocks(membership),
+                                         c_arr, rows, picks)
+        assert costs.tolist() == reference.element_order_costs(
+            membership, c_arr, zip(rows, picks))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes(), basis=basis_functions(), data=st.data())
+    def test_table_costs_are_near_the_exact_sum(self, shape, basis, data):
+        # h products and h sums of non-negative terms, each rounded once:
+        # at most 2h roundings of 2**-53 relative to the exact cost.
+        n, beta, h, k = shape
+        blocks = draw_blocks(n, beta, h, k, data.draw(st.integers(0, 10**6)))
+        membership = reference.membership_of(blocks, n, beta, h)
+        c_arr = np.asarray(basis.cost_table(h)[:h + 1], dtype=float)
+        rows, picks = draw_transversals(data, beta, h)
+        costs = forge._transversal_costs(forge._packed_blocks(membership),
+                                         c_arr, rows, picks)
+        for cost, r, p in zip(costs.tolist(), rows, picks):
+            counts = membership[r, p, :].sum(axis=0).tolist()
+            exact = sum(Fraction(float(c_arr[x])) for x in counts)
+            assert abs(Fraction(cost) - exact) <= 2 * h * 2 ** -53 * exact
+
     def test_batches_reuse_their_buffers(self):
-        # A fresh gather, count and term array per batch made whether a
-        # check paid page faults depend on the heap's history.
+        # A fresh gather, counter, mask and histogram array per batch made
+        # whether a check paid page faults depend on the heap's history.
         n, beta, h = 120, 6, 3
-        membership = reference.membership_of(draw_blocks(n, beta, h, 2, 0),
-                                             n, beta, h)
+        membership = forge._packed_blocks(reference.membership_of(
+            draw_blocks(n, beta, h, 2, 0), n, beta, h))
         c_arr = np.asarray(BasisFunction.monomial(1).cost_table(h), dtype=float)
         rng = seeded_rng(0)
         rows = np.argsort(rng.random((forge.P2_BATCH, beta)), axis=1)[:, :h]
@@ -305,21 +360,27 @@ class TestSweepAgainstReference:
         finally:
             tracemalloc.stop()
         assert costs.tolist() == want.tolist()
-        # One (P2_BATCH, n) array of counts would take 8 * P2_BATCH * n bytes.
-        assert peak < forge.P2_BATCH * n
+        # The returned costs and numpy's cast of one histogram row to
+        # doubles take 8 bytes a transversal each; fresh buffers would take
+        # 179 bytes a transversal at h = 3.
+        assert peak < 3 * 8 * forge.P2_BATCH
 
-    def test_counts_past_int8_then_small_again(self):
-        # Every picked block holds element 0, so its count is h: past 127 an
-        # int8 count would wrap. Then h = 3 runs in the same buffers.
+    def test_counts_at_every_plane_count_change(self):
+        # Every picked block holds element 0, so its count is h and sets the
+        # counter's top plane; h = 2**p - 1 fills p planes and h = 2**p adds
+        # one. The shapes run largest to smallest in one thread's buffers,
+        # and n = 70 spans two words.
         rng = seeded_rng(0)
-        for beta, h, n in ((131, 130, 5), (128, 128, 3), (6, 3, 120)):
+        for h in (130, 128, 127, 8, 7, 4, 3, 2, 1):
+            beta, n = h + 1, 70
             membership = (rng.random((beta, h, n)) < 0.5).astype(np.int8)
             membership[:, :, 0] = 1
             c_arr = np.asarray(BasisFunction.monomial(1).cost_table(h),
                                dtype=float)
             rows = np.argsort(rng.random((40, beta)), axis=1)[:, :h]
             picks = rng.integers(h, size=(40, h))
-            costs = forge._transversal_costs(membership, c_arr, rows, picks)
+            costs = forge._transversal_costs(forge._packed_blocks(membership),
+                                             c_arr, rows, picks)
             assert costs.tolist() == reference.transversal_costs(
                 membership, c_arr, zip(rows, picks))
             assert min(costs) >= c_arr[h]
