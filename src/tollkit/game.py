@@ -18,7 +18,6 @@ import json
 import math
 import operator
 import threading
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -421,9 +420,9 @@ def loads_of(instance: GameInstance, choices: Sequence[int]) -> list[int]:
     return loads
 
 
-# Per-thread buffers behind every ProfileBatch and every oracle block, by
+# Per-thread buffers behind every oracle block and every forge P2 batch, by
 # role. They only grow, so a sweep, and every later sweep on the thread,
-# prices its chunks in memory it has already touched. Fresh arrays per chunk
+# prices its blocks in memory it has already touched. Fresh arrays per block
 # made the allocator trim and re-grow its heap, and whether a run paid
 # hundreds of page faults per call then depended on the heap's history (the
 # checkout path alone moved it).
@@ -451,6 +450,13 @@ def ordered_sums(rows: Sequence[Sequence]) -> tuple[list[int], list[list]]:
                    for p in range(len(rows[order[0]]))]
 
 
+# Chosen profiles priced together by CompiledGame.price_many, at most: a
+# call over more prices them in chunks of this many, so its arrays stay a
+# chunk times a size of the game (the largest, the incidence gather, is
+# resources x players x 64 intp).
+PRICE_WIDTH = 64
+
+
 class CompiledGame:
     """A game's cost tables and strategy sets as numpy arrays, for pricing
     many pure profiles at once.
@@ -458,16 +464,16 @@ class CompiledGame:
     Every pure profile the library prices goes through here. The oracle's
     exhaustive sweeps read the tables (``perceived``, the system costs and
     ``incidence``) block by block over the profile tensor
-    (``tollkit.oracle``). Chosen profiles, the learning dynamics' and the
-    public cost helpers', go through a ``ProfileBatch`` (``batch``), and
-    ``price`` prices one of them.
+    (``tollkit.oracle``). Chosen profiles, those of the learning dynamics,
+    of ``oracle.coarse_correlated_check`` and of the public cost helpers,
+    go through ``price_many``, and ``price`` prices one of them.
 
     Strategies are numbered in one sequence: player ``i``'s strategy ``k``
-    is row ``offsets[i] + k``. A batch of ``B`` profiles is a
-    ``(num_players, B)`` array of such rows, one column per profile. Memory
-    is ``B`` times a size of the game. The strategy-cost layout a batch
-    reads is built with the first batch, so a game that is only swept never
-    builds it.
+    is row ``offsets[i] + k``. ``price_many`` prices ``PRICE_WIDTH``
+    profiles at a time in fresh arrays, so its memory is that width times a
+    size of the game. The strategy-cost layout it reads is built with its
+    first call, so a game that is only swept never builds it; nothing else
+    about the game changes after construction.
 
     Every sum adds its terms one at a time, resources in index order for
     the social cost and in strategy order for a strategy's cost, as the
@@ -514,11 +520,9 @@ class CompiledGame:
         incidence[[r * len(flat) + j for j, strat in enumerate(flat) for r in strat]] = 1
         self.incidence = incidence.reshape(num_r, len(flat))
         self._entries = None
-        self._batches = {}
 
     def _lay_out(self) -> None:
-        """The strategy-cost layout that ``ProfileBatch.price_strategies``
-        reads."""
+        """The strategy-cost layout that ``price_many`` reads."""
         n = len(self.radices)
         flat = [strat for strats in self.strategies for strat in strats]
         owner = [i for i, strats in enumerate(self.strategies) for _ in strats]
@@ -528,7 +532,7 @@ class CompiledGame:
         self._deviation_at = np.arange(len(self.perceived))[:, None] * n
         # Strategy costs are summed position by position (ordered_sums).
         # Each entry names the (resource, player) row, resource * n + player,
-        # of the others' loads that ProfileBatch.price_strategies builds.
+        # of the others' loads that price_many builds.
         order, positions = ordered_sums(flat)
         starts = list(accumulate(map(len, positions), initial=0))
         self._blocks = list(zip(starts[1:], map(len, positions[1:])))
@@ -537,19 +541,50 @@ class CompiledGame:
         self._entries = np.array([r * n + owner[j] for resources in positions
                                   for r, j in zip(resources, order)])
 
+    def price_many(self, profiles: np.ndarray) -> tuple[list[float], list[list[float]]]:
+        """The untaxed social cost and the strategy costs of each column of
+        a ``(num_players, m)`` array of strategy indices, as plain floats.
+        A profile's strategy costs are one flat row: entry ``offsets[i] +
+        a`` is the perceived cost player ``i`` pays on moving to ``a``
+        against the others' play, their current cost when ``a`` is the
+        strategy they play. The indices are not validated."""
+        if self._entries is None:
+            self._lay_out()
+        num_s = self.incidence.shape[1]
+        social, costs = [], []
+        for start in range(0, profiles.shape[1], PRICE_WIDTH):
+            rows = profiles[:, start:start + PRICE_WIDTH] + self._offset_col
+            # own[r, i, j] = 1 where profile j's player i uses resource r;
+            # loads are integer counts, so the order of their sum does not
+            # matter.
+            own = self.incidence.take(rows, axis=1, mode="clip")
+            loads = own.sum(axis=1)
+            # sum_r load_r * ell_r(load_r), resources in index order; an
+            # unused resource adds an exact zero.
+            terms = self._system.take(loads + self._system_at, mode="clip")
+            total = terms[0].copy()
+            for term in terms[1:]:
+                total += term
+            social += total.tolist()
+            # Row r * n + i: resource r's load without player i.
+            others = np.subtract((loads + self._deviation_at)[:, None], own, out=own)
+            picked = others.reshape(-1, rows.shape[1]).take(self._entries, axis=0,
+                                                            mode="clip")
+            terms = self._deviation.take(picked, mode="clip")
+            sums = terms[:num_s]
+            for at, count in self._blocks:
+                sums[:count] += terms[at:at + count]
+            if self._unsort is not None:
+                sums = sums.take(self._unsort, axis=0, mode="clip")
+            costs += sums.T.tolist()
+        return social, costs
+
     def price(self, choices: Sequence[int]) -> tuple[float, list[list[float]]]:
-        """One profile's untaxed social cost and, per player, the perceived
-        cost of each own strategy against the others' play (the profile's
-        column of ``ProfileBatch.price_strategies``), as plain floats:
+        """One profile's ``price_many``, its strategy costs split by player:
         ``costs[i][a]`` is what player ``i`` pays on moving to ``a``, their
         current cost when ``a == choices[i]``. The indices are not
-        validated. It fills this thread's batch buffers, so call it between
-        sweeps, not inside one."""
-        batch = self.batch(1)
-        batch.choose(np.reshape(choices, (-1, 1)))
-        batch.price_loads()
-        social = float(batch.price_social()[0])
-        flat = batch.price_strategies()[:, 0].tolist()
+        validated."""
+        (social,), (flat,) = self.price_many(np.reshape(choices, (-1, 1)))
         return social, [flat[start:stop] for start, stop in self._spans]
 
     def choices(self, k: int) -> tuple[int, ...]:
@@ -560,119 +595,6 @@ class CompiledGame:
             k, choice = divmod(k, radix)
             choices.append(choice)
         return tuple(reversed(choices))
-
-    def batch(self, width: int) -> "ProfileBatch":
-        """Arrays for pricing ``width`` profiles at a time; built once per
-        width and thread, so further sweeps of this game skip building its
-        views, and threads sharing the game never share a batch. The game
-        keeps its batches and a batch holds the game weakly, so a game
-        nobody else holds is freed at once, not by the cyclic collector."""
-        key = (width, threading.get_ident())
-        batch = self._batches.get(key)
-        if batch is None:
-            if self._entries is None:
-                self._lay_out()
-            batch = self._batches[key] = ProfileBatch(self, width)
-        return batch
-
-
-class ProfileBatch:
-    """``width`` chosen profiles of one compiled game and their prices.
-
-    Fill ``rows`` with ``choose``, then call ``price_loads`` before
-    ``price_social`` and ``price_strategies``, and that before
-    ``price_played``. Every array here, results included, is a view of a
-    per-thread buffer that the next chunk overwrites and that all batches
-    on the thread share: use one batch at a time and copy what must
-    outlive a chunk. Pricing a chunk allocates no array that grows with
-    ``width``. ``game`` is a weak proxy of the compiled game: use a batch
-    while its game is held.
-    """
-
-    def __init__(self, game: CompiledGame, width: int):
-        n = len(game.radices)
-        num_r, num_s = game.incidence.shape
-        self.game = weakref.proxy(game)
-        self.width = width
-        self._views = {}
-        self.columns = scratch_array("columns", (width,), np.intp)
-        np.copyto(self.columns, np.arange(width))
-        self.rows = scratch_array("rows", (n, width), np.intp)
-        # The incidence gather of the rows; price_strategies turns it into
-        # the others' loads in place.
-        self._own = scratch_array("own", (num_r, n, width), np.intp)
-        self._others = self._own.reshape(num_r * n, width)
-        self.loads = scratch_array("loads", (num_r, width), np.intp)
-        self._at = scratch_array("at", (num_r, width), np.intp)
-        self._system = scratch_array("system", (num_r, width), float)
-        self._system_terms = list(self._system)
-        self.social = scratch_array("social", (width,), float)
-        self._picked = scratch_array("picked", (len(game._entries), width), np.intp)
-        terms = scratch_array("terms", (len(game._entries), width), float)
-        self._terms = terms
-        self._costs = terms[:num_s]
-        self._blocks = [(self._costs[:count], terms[start:start + count])
-                        for start, count in game._blocks]
-        self.costs = self._costs
-        if game._unsort is not None:
-            self.costs = scratch_array("costs", (num_s, width), float)
-        self._played_at = scratch_array("played.at", (n, width), np.intp)
-        self.played = scratch_array("played", (n, width), float)
-
-    def scratch(self, role: str, rows: int, dtype=float) -> np.ndarray:
-        """A ``(rows, width)`` array for a caller's temporaries under
-        ``role``, the same one on every call with this batch."""
-        view = self._views.get(role)
-        if view is None:
-            view = self._views[role] = scratch_array(role, (rows, self.width), dtype)
-        return view
-
-    def choose(self, choices: np.ndarray) -> None:
-        """Rows of a ``(num_players, width)`` array of strategy indices."""
-        np.add(choices, self.game._offset_col, out=self.rows)
-
-    def price_loads(self) -> np.ndarray:
-        """``(num_resources, width)`` users per resource (integer counts,
-        so the order of this sum does not matter)."""
-        self.game.incidence.take(self.rows, axis=1, out=self._own, mode="clip")
-        return self._own.sum(axis=1, out=self.loads)
-
-    def price_social(self) -> np.ndarray:
-        """``(width,)`` untaxed system cost ``sum_r load_r * ell_r(load_r)``,
-        summed over resources in index order. An unused resource adds an
-        exact zero."""
-        game = self.game
-        np.add(self.loads, game._system_at, out=self._at)
-        game._system.take(self._at, out=self._system, mode="clip")
-        total = self.social
-        np.copyto(total, self._system_terms[0])
-        for term in self._system_terms[1:]:
-            total += term
-        return total
-
-    def price_strategies(self) -> np.ndarray:
-        """``(strategies, width)`` perceived cost of every strategy to its
-        player against the others' play: row ``offsets[i] + a`` is what
-        player ``i`` pays on moving to ``a`` (its current cost when ``a`` is
-        the strategy it plays), summed in strategy order. Call once per
-        ``price_loads``."""
-        game = self.game
-        np.add(self.loads, game._deviation_at, out=self._at)
-        np.subtract(self._at[:, None, :], self._own, out=self._own)
-        self._others.take(game._entries, axis=0, out=self._picked, mode="clip")
-        game._deviation.take(self._picked, out=self._terms, mode="clip")
-        for costs, terms in self._blocks:
-            costs += terms
-        if game._unsort is None:
-            return self.costs
-        return self._costs.take(game._unsort, axis=0, out=self.costs, mode="clip")
-
-    def price_played(self) -> np.ndarray:
-        """``(num_players, width)`` perceived cost of the strategy each
-        player plays: its row of ``price_strategies``, which comes first."""
-        np.multiply(self.rows, self.width, out=self._played_at)
-        self._played_at += self.columns
-        return self.costs.take(self._played_at, out=self.played, mode="clip")
 
 
 @functools.lru_cache(maxsize=16)

@@ -171,8 +171,6 @@ WINDOW_COST = 16
 # Windows end where weights renormalise; renormalising more often than
 # every this many rounds, they hardly pay.
 RENORM_SPACING = 2 * WINDOW_COST
-# Profiles priced in one ProfileBatch call.
-PRICE_WIDTH = 64
 
 # A player's weights are divided by the largest once that falls below this,
 # so later products stay representable.
@@ -216,8 +214,9 @@ class _PricedProfiles:
     """Every profile a run has priced, numbered in order of pricing.
 
     A profile's costs and update factors depend on the profile alone, so
-    each is priced once per run. Per profile it keeps the choices, the
-    untaxed social cost, one row of every player's own-strategy costs
+    each is priced once per run, with the other new profiles of its call
+    (``CompiledGame.price_many``). Per profile it keeps the choices, the
+    untaxed social cost, the flat row of every player's own-strategy costs
     followed by the played costs (``rows``, summed over the rounds by
     ``_totals_in_round_order``), and every player's update factors
     ``exp(-rate * cost)``, as lists for the round loop and, for windows,
@@ -244,24 +243,15 @@ class _PricedProfiles:
         self._filled = 0
 
     def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
-        """The numbers of ``profiles``, pricing the new ones together:
-        ``PRICE_WIDTH`` at a time, or one alone."""
+        """The numbers of ``profiles``, pricing the new ones in one
+        ``price_many`` call."""
         index = self.index
         new = [p for p in profiles if p not in index]
         if new:
             new = list(dict.fromkeys(new))
-            width = 1 if len(new) == 1 else PRICE_WIDTH
-            batch = self.game.batch(width)
-            choices = np.zeros((len(self.game.radices), width), dtype=np.intp)
-            for start in range(0, len(new), width):
-                chunk = new[start:start + width]
-                choices[:, :len(chunk)] = np.array(chunk).T
-                batch.choose(choices)
-                batch.price_loads()
-                social = batch.price_social()[:len(chunk)].tolist()
-                costs = batch.price_strategies()[:, :len(chunk)].T.tolist()
-                for profile, sc, flat in zip(chunk, social, costs):
-                    self._add(profile, sc, flat)
+            social, costs = self.game.price_many(np.array(new).T)
+            for profile, sc, flat in zip(new, social, costs):
+                self._add(profile, sc, flat)
         return [index[p] for p in profiles]
 
     def _add(self, profile: tuple[int, ...], social: float, costs: list[float]) -> None:

@@ -34,28 +34,29 @@ profile's social cost and certificate left side, and forms the margins
 once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at
 most 25 MiB; a game of one block keeps them in the block's own arrays, and
 a larger game is swept twice, ``SC(a_opt)`` first, in block memory. Chosen
-profiles, those of ``coarse_correlated_check``, are priced
-``CHUNK_PROFILES`` at a time by a ``ProfileBatch``. Each block or chunk is
-reduced with first-occurrence ``argmin``/``argmax`` and later ones must be
-strictly lower, so witnesses are the lexicographically first ones, and
-every sum adds its terms in the scalar order, so every value is
+profiles, those of ``coarse_correlated_check``, are priced by
+``CompiledGame.price_many``, and their left sides formed in Python. Each
+block is reduced with first-occurrence ``argmin``/``argmax`` and later ones
+must be strictly lower, so witnesses are the lexicographically first ones,
+and every sum adds its terms in the scalar order, so every value is
 bit-identical to a profile-by-profile loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
 from .errors import (GameValidationError, KernelOverflow, TooLarge,
                      require_finite_nonnegative)
-from .game import (Allocation, CompiledGame, GameInstance, ProfileBatch,
-                   TaxProfile, ordered_sums, scratch_array)
+from .game import (Allocation, CompiledGame, GameInstance, TaxProfile,
+                   ordered_sums, scratch_array)
 from .relaxation import FractionalProfile, check_feasible
 
 if TYPE_CHECKING:
@@ -66,12 +67,6 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # A deviation counts as improving only past this relative threshold; exact
 # float comparisons would make equilibrium sets depend on rounding noise.
 IMPROVEMENT_THRESHOLD = 1e-12
-
-# Chosen profiles priced per ProfileBatch call. A chunk's arrays are this
-# many columns by at most (resources x players) rows: the largest, the
-# incidence gather, is resources x players x 1024 intp, 384 KiB for 6
-# resources and 8 players. A chunk costs ~40 numpy calls whatever its width.
-CHUNK_PROFILES = 1024
 
 # Profiles in one block of an exhaustive sweep, at most, unless the last
 # player alone has more strategies. A block costs a few numpy calls per
@@ -86,31 +81,12 @@ BLOCK_PROFILES = 1 << 14
 # profile of temporaries. Larger games are swept twice, SC(a_opt) first.
 STORED_PROFILES = 1 << 20
 
-# A certificate's left side on a batch, from its strategy and played costs.
-_Lhs = Callable[[ProfileBatch, np.ndarray, np.ndarray], np.ndarray]
-
 
 def _enumeration_size(instance: GameInstance, cap: int) -> int:
     size = math.prod(map(len, instance.strategies))
     if size > cap:
         raise TooLarge(size, cap)
     return size
-
-
-def _profile_chunks(game: CompiledGame, profiles: np.ndarray) -> Iterator[ProfileBatch]:
-    """The columns of a ``(num_players, m)`` array of choices,
-    ``CHUNK_PROFILES`` at a time with their loads priced. Every chunk but a
-    shorter last one comes in the same batch, refilled: price it before
-    taking the next."""
-    size = profiles.shape[1]
-    batch = None
-    for start in range(0, size, CHUNK_PROFILES):
-        width = min(CHUNK_PROFILES, size - start)
-        if batch is None or batch.width != width:
-            batch = game.batch(width)
-        batch.choose(profiles[:, start:start + width])
-        batch.price_loads()
-        yield batch
 
 
 def _load_table(game: CompiledGame, first: int) -> np.ndarray:
@@ -136,6 +112,29 @@ def _load_table(game: CompiledGame, first: int) -> np.ndarray:
                out=grown.reshape(num_r, stop - start, done))
         later = grown
     return later
+
+
+def _mark_improving(played: np.ndarray, least: np.ndarray, bar: np.ndarray,
+                    improving: np.ndarray, any_: np.ndarray) -> None:
+    """Add to ``any_`` the profiles where the player's ``least`` cost lies
+    below its improvement bar, ``played - IMPROVEMENT_THRESHOLD * max(1,
+    |played|)``, formed in ``bar``."""
+    np.abs(played, out=bar)
+    np.maximum(bar, 1.0, out=bar)
+    bar *= IMPROVEMENT_THRESHOLD
+    np.subtract(played, bar, out=bar)
+    np.less(least, bar, out=improving)
+    np.logical_or(any_, improving, out=any_)
+
+
+def _add_net(total: np.ndarray, played: np.ndarray, mixed: np.ndarray,
+             out: np.ndarray, first: bool) -> None:
+    """Add a player's part of the left side, ``played - mixed`` formed in
+    ``out``, to ``total``; player 0's part starts it."""
+    if first:
+        np.subtract(played, mixed, out=total)
+    else:
+        total += np.subtract(played, mixed, out=out)
 
 
 class _Player:
@@ -181,23 +180,13 @@ class _Player:
         np.fmin(slices[0], slices[1], out=least)
         for costs in slices[2:]:
             np.fmin(least, costs, out=least)
-        # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
-        played, bar = self.costs, self.bar
-        np.abs(played, out=bar)
-        np.maximum(bar, 1.0, out=bar)
-        bar *= IMPROVEMENT_THRESHOLD
-        np.subtract(played, bar, out=bar)
-        np.less(least, bar, out=self.improving)
-        np.logical_or(self.any, self.improving, out=self.any)
+        _mark_improving(self.costs, least, self.bar, self.improving, self.any)
         if self.support:
             (k, w), *rest = self.support
             mixed = np.multiply(slices[k], w, out=self.mixed)
             for k, w in rest:
                 mixed += np.multiply(slices[k], w, out=self.step)
-            if self.first:
-                np.subtract(played, mixed, out=self.total)
-            else:
-                self.total += np.subtract(played, mixed, out=bar)
+            _add_net(self.total, self.costs, mixed, self.bar, self.first)
 
 
 class _Leading:
@@ -246,14 +235,7 @@ class _Leading:
             costs[:len(rows)] += self.stack.take(rows, axis=0, out=terms[:len(rows)],
                                                   mode="clip")
         least = np.fmin.reduce(costs, axis=0, out=self.least)
-        # played - IMPROVEMENT_THRESHOLD * max(1, |played|)
-        played, bar = self.played, self.bar
-        np.abs(played, out=bar)
-        np.maximum(bar, 1.0, out=bar)
-        bar *= IMPROVEMENT_THRESHOLD
-        np.subtract(played, bar, out=bar)
-        np.less(least, bar, out=self.improving)
-        np.logical_or(self.any, self.improving, out=self.any)
+        _mark_improving(self.played, least, self.bar, self.improving, self.any)
         if self.support:
             # The weighted costs, summed row after row.
             products = costs.take(self.support_rows, axis=0,
@@ -262,10 +244,7 @@ class _Leading:
             mixed, *rest = products
             for product in rest:
                 mixed += product
-            if self.first:
-                np.subtract(played, mixed, out=self.total)
-            else:
-                self.total += np.subtract(played, mixed, out=bar)
+            _add_net(self.total, self.played, mixed, self.bar, self.first)
 
 
 class _Fixed:
@@ -293,10 +272,7 @@ class _Fixed:
             for row in rows[2:]:
                 played += row
         mixed = np.multiply(played, self.weight, out=self.mixed)
-        if self.first:
-            np.subtract(played, mixed, out=self.total)
-        else:
-            self.total += np.subtract(played, mixed, out=mixed)
+        _add_net(self.total, played, mixed, mixed, self.first)
 
 
 class _Blocks:
@@ -530,46 +506,6 @@ class SmoothnessResult:
                    witness=Allocation.of(data["witness"]))
 
 
-def certificate_lhs(game: CompiledGame, profile: FractionalProfile) -> _Lhs:
-    """The certificate's left side on a batch, given the batch, its
-    ``price_strategies`` and its ``price_played``:
-
-        lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(a'_{i,k}, a_{-i})].
-
-    Only strategies with nonzero weight in ``profile`` are priced, in weight
-    order, and players are summed by index.
-    """
-    n = len(game.radices)
-    supports = [[(int(game.offsets[i]) + a, w) for a, w in row]
-                for i, row in enumerate(_supports(profile))]
-    order, positions = ordered_sums(supports)
-    steps = [(len(entries), np.array([alt for alt, _ in entries]),
-              np.array([[w] for _, w in entries])) for entries in positions]
-    # Player i's weighted sum is row position[i] of the sums in ``order``.
-    position = np.argsort(order)
-
-    def lhs(batch: ProfileBatch, costs: np.ndarray, played: np.ndarray) -> np.ndarray:
-        _, first, weight = steps[0]
-        mixed = costs.take(first, axis=0, mode="clip",
-                           out=batch.scratch("lhs.mixed", n))
-        mixed *= weight
-        product = batch.scratch("lhs.product", n)
-        for count, alts, weight in steps[1:]:
-            step = costs.take(alts, axis=0, out=product[:count], mode="clip")
-            step *= weight
-            mixed[:count] += step
-        net = mixed.take(position, axis=0, out=batch.scratch("lhs.net", n),
-                         mode="clip")
-        np.subtract(played, net, out=net)
-        total = batch.scratch("lhs.total", 1)[0]
-        np.copyto(total, net[0])
-        for row in net[1:]:
-            total += row
-        return total
-
-    return lhs
-
-
 def _supports(profile: FractionalProfile) -> list[list[tuple[int, float]]]:
     """Each player's nonzero weights ``(k, y_ik)`` in strategy order."""
     return [[(k, w) for k, w in enumerate(row) if w] for row in profile.weights]
@@ -708,21 +644,27 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     _enumeration_size(instance, cap)
     check_feasible(instance, profile)
     game = CompiledGame(instance, taxes)
-    lhs = certificate_lhs(game, profile)
     min_cost = _min_social_cost(game)[1]
     distribution = trace.empirical_distribution
     visited = np.array(list(distribution), dtype=np.intp).reshape(
         -1, instance.num_players).T
-    weights = list(distribution.values())
+    starts = game.offsets.tolist()
+    # Each player's weights (row of its strategy, y_ik) in strategy order.
+    supports = [[(start + k, w) for k, w in row]
+                for start, row in zip(starts, _supports(profile))]
+    social, costs = game.price_many(visited)
     expected_sc = expected_lhs = 0.0
-    start = 0
-    for batch in _profile_chunks(game, visited):
-        costs = batch.price_social().tolist()
-        sides = lhs(batch, batch.price_strategies(), batch.price_played()).tolist()
-        for weight, sc, side in zip(weights[start:start + batch.width], costs, sides):
-            expected_sc += weight * sc
-            expected_lhs += weight * side
-        start += batch.width
+    for (choices, weight), sc, row in zip(distribution.items(), social, costs):
+        # lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(k, a_{-i})],
+        # weights in strategy order and players by index.
+        nets = []
+        for start, k, ((alt, w), *rest) in zip(starts, choices, supports):
+            mixed = row[alt] * w
+            for alt, w in rest:
+                mixed += row[alt] * w
+            nets.append(row[start + k] - mixed)
+        expected_sc += weight * sc
+        expected_lhs += weight * functools.reduce(operator.add, nets)
 
     rho_bound = rho * min_cost
     slack = expected_lhs - (expected_sc - rho_bound)

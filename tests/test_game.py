@@ -1,6 +1,8 @@
 import gc
 import itertools
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,8 @@ from tollkit import (Allocation, BasisFunction, GameInstance,
                      rosenthal_potential, social_cost)
 from tollkit import game as game_module
 from tollkit import oracle
-from tollkit.game import CompiledGame, loads_of
+from tollkit.forge import random_instance
+from tollkit.game import PRICE_WIDTH, CompiledGame, loads_of
 
 
 def two_by_two_symmetric():
@@ -222,8 +225,9 @@ class TestRosenthalPotential:
 
 
 class TestAgainstScalarReference:
-    """``CompiledGame.price`` and the public cost helpers built on it equal
-    the scalar reference pricing exactly."""
+    """``CompiledGame.price``, ``price_many`` on lists of profiles that fill
+    its chunks partly, exactly or past one, and the public cost helpers
+    built on them equal the scalar reference pricing exactly."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -250,11 +254,25 @@ class TestAgainstScalarReference:
             assert (player_cost(inst, taxes, a, i)
                     == reference.player_cost(inst, taxes, a, i))
 
+        count = data.draw(st.sampled_from(
+            [1, PRICE_WIDTH - 1, PRICE_WIDTH, PRICE_WIDTH + 1, 2 * PRICE_WIDTH + 3]))
+        profile = st.tuples(*(st.integers(0, s - 1) for s in map(len, inst.strategies)))
+        profiles = data.draw(st.lists(profile, min_size=count, max_size=count))
+        social, costs = CompiledGame(inst, taxes).price_many(np.array(profiles).T)
+        sc_tables = reference.system_cost_tables(inst)
+        want_social, want_costs = [], []
+        for choices in profiles:
+            loads = loads_of(inst, choices)
+            want_social.append(reference.system_cost(sc_tables, loads))
+            want_costs.append([reference.move_cost(tables, loads, move)
+                               for i, k in enumerate(choices) for move in moves[i][k]])
+        assert (social, costs) == (want_social, want_costs)
+
 
 class TestCompileOnce:
     def test_the_batch_layout_comes_with_the_first_batch(self):
         # Exhaustive sweeps read the cost tables alone, so a game that is
-        # only swept never builds the strategy-cost layout of a batch.
+        # only swept never builds the strategy-cost layout of price_many.
         inst = GameInstance.build([BasisFunction.monomial(2)], [[1.0], [0.5]],
                                   [[[0], [1]], [[0, 1], [1]], [[0]]])
         game = CompiledGame(inst)
@@ -286,13 +304,13 @@ class TestCompileOnce:
                             == reference.player_cost(inst, t, a, 1))
         assert compiled == [(inst, None), (inst, taxes)]
 
-    @pytest.mark.parametrize("width", [1, 64])
-    def test_game_that_priced_a_profile_dies_without_the_collector(self, width):
-        # The game caches its batches, so a batch holding the game strongly
-        # would make a cycle that only the cyclic collector frees.
+    @pytest.mark.parametrize("count", [1, PRICE_WIDTH, PRICE_WIDTH + 1])
+    def test_game_that_priced_a_profile_dies_without_the_collector(self, count):
+        # Pricing keeps nothing that points back at the game, so a game
+        # nobody holds is freed at once, not by the cyclic collector.
         game = CompiledGame(two_by_two_symmetric())
         game.price([0, 1])
-        game.batch(width).choose(np.zeros((2, width), dtype=np.intp))
+        game.price_many(np.zeros((2, count), dtype=np.intp))
         dead = weakref.ref(game)
         gc.disable()
         try:
@@ -300,6 +318,26 @@ class TestCompileOnce:
             assert dead() is None
         finally:
             gc.enable()
+
+    def test_threads_sharing_an_unpriced_game_price_alike(self):
+        # The first calls on a shared game build its strategy-cost layout
+        # concurrently; every thread still gets the single-thread prices.
+        inst = random_instance(8, 6, [BasisFunction.monomial(1)],
+                               strategy_count_range=(3, 3),
+                               strategy_size_range=(1, 3), seed=0)
+        profiles = np.array(list(itertools.product(range(3), repeat=8))).T
+        want = CompiledGame(inst).price_many(profiles)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                game = CompiledGame(inst)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    calls = [pool.submit(game.price_many, profiles) for _ in range(4)]
+                    got = [call.result(timeout=60) for call in calls]
+                assert got == [want] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestJson:

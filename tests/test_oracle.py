@@ -234,9 +234,10 @@ class TestCheckSmoothness:
 
 
 class TestAgainstScalarReference:
-    """The sweeps equal the profile-by-profile loops exactly, at the
-    production block and chunk sizes and at sizes that split small games,
-    with the smoothness margins from one sweep or from two."""
+    """The sweeps and the coarse correlated check equal the
+    profile-by-profile loops exactly, at the production block size and at
+    sizes that split small games, with the smoothness margins from one
+    sweep or from two."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -248,7 +249,6 @@ class TestAgainstScalarReference:
         rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
         # A limit of 1 leaves only the last player trailing.
         block = data.draw(st.sampled_from([oracle.BLOCK_PROFILES, 1, 3, 7]))
-        chunk = data.draw(st.sampled_from([oracle.CHUNK_PROFILES, 1, 3, 7]))
         # One sweep with every margin kept, or SC(a_opt) first.
         size = math.prod(map(len, inst.strategies))
         stored = data.draw(st.sampled_from([oracle.STORED_PROFILES, 0, size - 1]))
@@ -262,7 +262,6 @@ class TestAgainstScalarReference:
                 reference.coarse_correlated_check(inst, taxes, profile, rho,
                                                   trace).to_json())
         with mock.patch.object(oracle, "BLOCK_PROFILES", block), \
-                mock.patch.object(oracle, "CHUNK_PROFILES", chunk), \
                 mock.patch.object(oracle, "STORED_PROFILES", stored):
             got = (brute_force_min_sc(inst),
                    enumerate_pure_nash(inst, taxes),
@@ -349,30 +348,22 @@ def oracle_outputs(inst):
 
 
 class TestReusedBuffers:
-    """Sweeps price their chunks in per-thread buffers that outlive them:
+    """Sweeps price their blocks in per-thread buffers that outlive them:
     the memory is reused, and no sweep reads what an earlier one left."""
 
-    def test_batches_and_sweeps_share_memory(self):
-        def addresses(*arrays):
-            return [a.__array_interface__["data"][0] for a in arrays]
-
-        def batch(inst):
-            batch = CompiledGame(inst).batch(oracle.CHUNK_PROFILES)
-            return addresses(batch.rows, batch.loads, batch.social)
-
+    def test_sweeps_share_memory(self):
         def blocks(inst):
             blocks = oracle._Blocks(CompiledGame(inst))
-            return addresses(blocks.table, blocks._system, blocks._social)
+            return [a.__array_interface__["data"][0]
+                    for a in (blocks.table, blocks._system, blocks._social)]
 
-        wide = parallel_links(8, 3)
-        wide_batch, wide_blocks = batch(wide), blocks(wide)
-        # Another layout, and a batch or a block after whole sweeps of
-        # other games.
+        wide = blocks(parallel_links(8, 3))
+        # Another layout, and a block after whole sweeps of other games.
         narrow = parallel_links(7, 2)
-        assert (batch(narrow), blocks(narrow)) == (wide_batch, wide_blocks)
+        assert blocks(narrow) == wide
         empirical_poa(narrow)
         empirical_poa(parallel_links(6, 3))
-        assert (batch(narrow), blocks(narrow)) == (wide_batch, wide_blocks)
+        assert blocks(narrow) == wide
 
     def test_outputs_do_not_depend_on_earlier_sweeps(self):
         small = [inst for inst, _ in seeded_instances(6)]
@@ -388,14 +379,6 @@ class TestReusedBuffers:
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = list(pool.map(oracle_outputs, games + games))
         assert got == want + want
-
-    def test_threads_sharing_a_compiled_game_get_their_own_batches(self):
-        game = CompiledGame(parallel_links(8, 3))
-        width = oracle.CHUNK_PROFILES
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(game.batch, width).result()
-        assert game.batch(width) is game.batch(width)
-        assert not np.shares_memory(game.batch(width).rows, other.rows)
 
 
 class TestMarginStore:

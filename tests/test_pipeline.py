@@ -18,7 +18,7 @@ from tollkit import (BasisFunction, GameInstance, KernelNonConvergent,
                      empirical_poa, oracle, pipeline, random_instance,
                      rho_factor, solve_relaxation)
 from test_acceptance import design_family
-from tollkit.game import CompiledGame, ProfileBatch
+from tollkit.game import CompiledGame
 
 STAGES = ["relaxation", "taxes", "audit", "rho", "poa", "smoothness"]
 
@@ -170,14 +170,26 @@ class TestAgainstComposedStages:
 
 
 class TestOneCompiledGame:
-    """A design compiles its game once, builds no ``ProfileBatch``, and
-    sweeps its profiles once, or twice past ``oracle.STORED_PROFILES``:
-    ``SC(opt)`` first, then equilibria and margins together."""
+    """A design compiles its game once, prices no chosen profile
+    (``CompiledGame.price_many``), and sweeps its profiles once, or twice
+    past ``oracle.STORED_PROFILES``: ``SC(opt)`` first, then equilibria and
+    margins together."""
+
+    @staticmethod
+    def counting_prices(calls):
+        """A patch of ``CompiledGame.price_many`` that appends the number of
+        profiles of each call to ``calls``."""
+        price_many = CompiledGame.price_many
+
+        def counting(game, profiles):
+            calls.append(profiles.shape[1])
+            return price_many(game, profiles)
+
+        return mock.patch.object(CompiledGame, "price_many", counting)
 
     def count(self, inst, **flags):
-        compiled, sweeps, batches = [], [], []
-        init, blocks, batch = (CompiledGame.__init__, oracle._Blocks.__init__,
-                               ProfileBatch.__init__)
+        compiled, sweeps, priced = [], [], []
+        init, blocks = CompiledGame.__init__, oracle._Blocks.__init__
 
         def counting_init(game, *args, **kwargs):
             compiled.append(args)
@@ -187,15 +199,11 @@ class TestOneCompiledGame:
             sweeps.append(args)
             blocks(sweep, game, *args)
 
-        def counting_batches(profiles, game, width):
-            batches.append(width)
-            batch(profiles, game, width)
-
         with mock.patch.object(CompiledGame, "__init__", counting_init), \
                 mock.patch.object(oracle._Blocks, "__init__", counting_blocks), \
-                mock.patch.object(ProfileBatch, "__init__", counting_batches):
+                self.counting_prices(priced):
             report = design(inst, **flags)
-        assert batches == []
+        assert priced == []
         return report, len(compiled), len(sweeps)
 
     def test_one_sweep_with_smoothness(self):
@@ -215,33 +223,27 @@ class TestOneCompiledGame:
         assert report.rho is None and report.poa is not None
         assert (compiled, sweeps) == (1, 1)
 
-    @pytest.mark.parametrize("inst,widths", [
-        (design_family(0)[0], [4]),
-        (design_family(7)[0], [12]),
-        # 3^8 = 6561 profiles: six full chunks of 1024 and one of 417.
-        (random_instance(8, 6, [BasisFunction.monomial(1)],
-                         strategy_count_range=(3, 3),
-                         strategy_size_range=(1, 3), seed=0), [1024, 417]),
+    @pytest.mark.parametrize("inst", [
+        design_family(0)[0],
+        design_family(7)[0],
+        # 3^8 = 6561 profiles.
+        random_instance(8, 6, [BasisFunction.monomial(1)],
+                        strategy_count_range=(3, 3),
+                        strategy_size_range=(1, 3), seed=0),
     ])
-    def test_one_batch_per_chunk_width(self, inst, widths):
-        # design builds no batch; chosen profiles, here a trace that visits
-        # every profile once, share one ProfileBatch per chunk width.
+    def test_chosen_profiles_are_priced_in_one_call(self, inst):
+        # design prices no chosen profile; a trace that visits every
+        # profile once is priced in one call.
         report = self.count(inst)[0]
         profiles = list(itertools.product(*map(range, map(len, inst.strategies))))
         trace = SimpleNamespace(
             empirical_distribution=dict.fromkeys(profiles, 1 / len(profiles)),
             average_regrets=[0.0] * inst.num_players)
-        built = []
-        init = ProfileBatch.__init__
-
-        def counting_init(batch, game, width):
-            built.append(width)
-            init(batch, game, width)
-
-        with mock.patch.object(ProfileBatch, "__init__", counting_init):
+        priced = []
+        with self.counting_prices(priced):
             oracle.coarse_correlated_check(inst, report.taxes, report.relaxation,
                                            report.rho, trace)
-        assert built == widths
+        assert priced == [len(profiles)]
 
 
 class TestCommandLine:

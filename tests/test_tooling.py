@@ -1,6 +1,7 @@
 """The benchmark's tracer patches tollkit's layer boundaries from outside:
 installing and removing it must leave every patched name as it was. And no
-module of the package imports another's private names."""
+module of the package imports another's private names, or a name it never
+uses."""
 
 import ast
 import importlib.util
@@ -41,3 +42,51 @@ def test_no_module_imports_private_names_of_another():
                             f"import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, including those inside string
+    annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "tollkit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        statements = []
+        for node in tree.body:
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                statements += node.body
+            else:
+                statements.append(node)
+        used = used_names(tree)
+        for node in statements:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
