@@ -470,10 +470,11 @@ class CompiledGame:
 
     Strategies are numbered in one sequence: player ``i``'s strategy ``k``
     is row ``offsets[i] + k``. ``price_many`` prices ``PRICE_WIDTH``
-    profiles at a time in fresh arrays, so its memory is that width times a
-    size of the game. The strategy-cost layout it reads is built with its
-    first call, so a game that is only swept never builds it; nothing else
-    about the game changes after construction.
+    profiles at a time in fresh arrays, so its memory, past the costs it
+    returns, is that width times a size of the game. The strategy-cost
+    layout it reads is built with its first call, so a game that is only
+    swept never builds it; nothing else about the game changes after
+    construction.
 
     Every sum adds its terms one at a time, resources in index order for
     the social cost and in strategy order for a strategy's cost, as the
@@ -541,19 +542,22 @@ class CompiledGame:
         self._entries = np.array([r * n + owner[j] for resources in positions
                                   for r, j in zip(resources, order)])
 
-    def price_many(self, profiles: np.ndarray) -> tuple[list[float], list[list[float]]]:
+    def price_many(self, profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The untaxed social cost and the strategy costs of each column of
-        a ``(num_players, m)`` array of strategy indices, as plain floats.
-        A profile's strategy costs are one flat row: entry ``offsets[i] +
-        a`` is the perceived cost player ``i`` pays on moving to ``a``
-        against the others' play, their current cost when ``a`` is the
-        strategy they play. The indices are not validated."""
+        a ``(num_players, m)`` array of strategy indices, as new arrays of
+        shape ``(m,)`` and ``(m, num_strategies)``. A profile's strategy
+        costs are one row: entry ``offsets[i] + a`` is the perceived cost
+        player ``i`` pays on moving to ``a`` against the others' play, their
+        current cost when ``a`` is the strategy they play. The indices are
+        not validated."""
         if self._entries is None:
             self._lay_out()
         num_s = self.incidence.shape[1]
-        social, costs = [], []
-        for start in range(0, profiles.shape[1], PRICE_WIDTH):
-            rows = profiles[:, start:start + PRICE_WIDTH] + self._offset_col
+        size = profiles.shape[1]
+        social, costs = np.empty(size), np.empty((size, num_s))
+        for start in range(0, size, PRICE_WIDTH):
+            chunk = slice(start, start + PRICE_WIDTH)
+            rows = profiles[:, chunk] + self._offset_col
             # own[r, i, j] = 1 where profile j's player i uses resource r;
             # loads are integer counts, so the order of their sum does not
             # matter.
@@ -562,10 +566,10 @@ class CompiledGame:
             # sum_r load_r * ell_r(load_r), resources in index order; an
             # unused resource adds an exact zero.
             terms = self._system.take(loads + self._system_at, mode="clip")
-            total = terms[0].copy()
+            total = social[chunk]
+            np.copyto(total, terms[0])
             for term in terms[1:]:
                 total += term
-            social += total.tolist()
             # Row r * n + i: resource r's load without player i.
             others = np.subtract((loads + self._deviation_at)[:, None], own, out=own)
             picked = others.reshape(-1, rows.shape[1]).take(self._entries, axis=0,
@@ -576,7 +580,7 @@ class CompiledGame:
                 sums[:count] += terms[at:at + count]
             if self._unsort is not None:
                 sums = sums.take(self._unsort, axis=0, mode="clip")
-            costs += sums.T.tolist()
+            costs[chunk] = sums.T
         return social, costs
 
     def price(self, choices: Sequence[int]) -> tuple[float, list[list[float]]]:
@@ -584,8 +588,9 @@ class CompiledGame:
         ``costs[i][a]`` is what player ``i`` pays on moving to ``a``, their
         current cost when ``a == choices[i]``. The indices are not
         validated."""
-        (social,), (flat,) = self.price_many(np.reshape(choices, (-1, 1)))
-        return social, [flat[start:stop] for start, stop in self._spans]
+        social, costs = self.price_many(np.reshape(choices, (-1, 1)))
+        flat = costs[0].tolist()
+        return social.item(), [flat[start:stop] for start, stop in self._spans]
 
     def choices(self, k: int) -> tuple[int, ...]:
         """The strategy indices of profile ``k`` in ``itertools.product``

@@ -250,7 +250,7 @@ class _PricedProfiles:
         if new:
             new = list(dict.fromkeys(new))
             social, costs = self.game.price_many(np.array(new).T)
-            for profile, sc, flat in zip(new, social, costs):
+            for profile, sc, flat in zip(new, social.tolist(), costs.tolist()):
                 self._add(profile, sc, flat)
         return [index[p] for p in profiles]
 

@@ -35,16 +35,15 @@ once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at
 most 25 MiB; a game of one block keeps them in the block's own arrays, and
 a larger game is swept twice, ``SC(a_opt)`` first, in block memory. Chosen
 profiles, those of ``coarse_correlated_check``, are priced by
-``CompiledGame.price_many``, and their left sides formed in Python. Each
-block is reduced with first-occurrence ``argmin``/``argmax`` and later ones
-must be strictly lower, so witnesses are the lexicographically first ones,
-and every sum adds its terms in the scalar order, so every value is
+``CompiledGame.price_many``, and their left sides formed over its arrays.
+Each block is reduced with first-occurrence ``argmin``/``argmax`` and later
+ones must be strictly lower, so witnesses are the lexicographically first
+ones, and every sum adds its terms in the scalar order, so every value is
 bit-identical to a profile-by-profile loop.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -127,16 +126,6 @@ def _mark_improving(played: np.ndarray, least: np.ndarray, bar: np.ndarray,
     np.logical_or(any_, improving, out=any_)
 
 
-def _add_net(total: np.ndarray, played: np.ndarray, mixed: np.ndarray,
-             out: np.ndarray, first: bool) -> None:
-    """Add a player's part of the left side, ``played - mixed`` formed in
-    ``out``, to ``total``; player 0's part starts it."""
-    if first:
-        np.subtract(played, mixed, out=total)
-    else:
-        total += np.subtract(played, mixed, out=out)
-
-
 class _Player:
     """A trailing player's views of a block's buffers: its cost of each
     strategy, per profile of the others, as a ``(pre, radix, post)``
@@ -186,7 +175,10 @@ class _Player:
             mixed = np.multiply(slices[k], w, out=self.mixed)
             for k, w in rest:
                 mixed += np.multiply(slices[k], w, out=self.step)
-            _add_net(self.total, self.costs, mixed, self.bar, self.first)
+            if self.first:
+                np.subtract(self.costs, mixed, out=self.total)
+            else:
+                self.total += np.subtract(self.costs, mixed, out=self.bar)
 
 
 class _Leading:
@@ -244,7 +236,10 @@ class _Leading:
             mixed, *rest = products
             for product in rest:
                 mixed += product
-            _add_net(self.total, self.played, mixed, self.bar, self.first)
+            if self.first:
+                np.subtract(self.played, mixed, out=self.total)
+            else:
+                self.total += np.subtract(self.played, mixed, out=self.bar)
 
 
 class _Fixed:
@@ -272,7 +267,10 @@ class _Fixed:
             for row in rows[2:]:
                 played += row
         mixed = np.multiply(played, self.weight, out=self.mixed)
-        _add_net(self.total, played, mixed, mixed, self.first)
+        if self.first:
+            np.subtract(played, mixed, out=self.total)
+        else:
+            self.total += np.subtract(played, mixed, out=mixed)
 
 
 class _Blocks:
@@ -649,22 +647,25 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     visited = np.array(list(distribution), dtype=np.intp).reshape(
         -1, instance.num_players).T
     starts = game.offsets.tolist()
-    # Each player's weights (row of its strategy, y_ik) in strategy order.
+    # Each player's weights (column of its strategy in ``costs``, y_ik) in
+    # strategy order.
     supports = [[(start + k, w) for k, w in row]
                 for start, row in zip(starts, _supports(profile))]
     social, costs = game.price_many(visited)
+    rows = np.arange(len(social))
+    # lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(k, a_{-i})],
+    # weights in strategy order and players by index.
+    nets = []
+    for start, played, ((alt, w), *rest) in zip(starts, visited, supports):
+        mixed = costs[:, alt] * w
+        for alt, w in rest:
+            mixed += costs[:, alt] * w
+        nets.append(costs[rows, start + played] - mixed)
+    sides = sum(nets[1:], nets[0])
     expected_sc = expected_lhs = 0.0
-    for (choices, weight), sc, row in zip(distribution.items(), social, costs):
-        # lhs(a) = sum_i [Cbar_i(a) - sum_k y_{i,k} * Cbar_i(k, a_{-i})],
-        # weights in strategy order and players by index.
-        nets = []
-        for start, k, ((alt, w), *rest) in zip(starts, choices, supports):
-            mixed = row[alt] * w
-            for alt, w in rest:
-                mixed += row[alt] * w
-            nets.append(row[start + k] - mixed)
+    for weight, sc, side in zip(distribution.values(), social.tolist(), sides.tolist()):
         expected_sc += weight * sc
-        expected_lhs += weight * functools.reduce(operator.add, nets)
+        expected_lhs += weight * side
 
     rho_bound = rho * min_cost
     slack = expected_lhs - (expected_sc - rho_bound)

@@ -266,7 +266,7 @@ class TestAgainstScalarReference:
             want_social.append(reference.system_cost(sc_tables, loads))
             want_costs.append([reference.move_cost(tables, loads, move)
                                for i, k in enumerate(choices) for move in moves[i][k]])
-        assert (social, costs) == (want_social, want_costs)
+        assert (social.tolist(), costs.tolist()) == (want_social, want_costs)
 
 
 class TestCompileOnce:
@@ -326,7 +326,7 @@ class TestCompileOnce:
                                strategy_count_range=(3, 3),
                                strategy_size_range=(1, 3), seed=0)
         profiles = np.array(list(itertools.product(range(3), repeat=8))).T
-        want = CompiledGame(inst).price_many(profiles)
+        want = [prices.tolist() for prices in CompiledGame(inst).price_many(profiles)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -334,7 +334,8 @@ class TestCompileOnce:
                 game = CompiledGame(inst)
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     calls = [pool.submit(game.price_many, profiles) for _ in range(4)]
-                    got = [call.result(timeout=60) for call in calls]
+                    got = [[prices.tolist() for prices in call.result(timeout=60)]
+                           for call in calls]
                 assert got == [want] * 4
         finally:
             sys.setswitchinterval(interval)
