@@ -27,13 +27,11 @@ so each of its costs is priced once per profile of the others, not once
 per profile. A sweep's memory is a block times a size of the game, never
 the number of profiles: at most about ``32 * num_resources + 16 * R + 60``
 bytes a profile of a block, ``R`` being the largest strategy count of a
-leading player (1 with none), besides numpy's fixed iteration buffers. The
-one exception is ``poa_and_smoothness`` on a multi-block game of at most
-``STORED_PROFILES`` profiles: to price each profile once, it keeps every
-profile's social cost and certificate left side, and forms the margins
-once the sweep has found ``SC(a_opt)``. That is 25 bytes a profile, at
-most 25 MiB; a game of one block keeps them in the block's own arrays, and
-a larger game is swept twice, ``SC(a_opt)`` first, in block memory. Chosen
+leading player (1 with none), besides numpy's fixed iteration buffers.
+``poa_and_smoothness`` sweeps once in that memory at every size: a
+profile's margin ``(lhs(a) - SC(a)) + rho * SC(a_opt)`` is its excess
+``lhs(a) - SC(a)`` plus one constant, so the blocks offer excesses and the
+constant is added once the sweep has found ``SC(a_opt)``. Chosen
 profiles, those of ``coarse_correlated_check``, are priced by
 ``CompiledGame.price_many``, and their left sides formed over its arrays.
 Each block is reduced with first-occurrence ``argmin``/``argmax`` and later
@@ -73,12 +71,6 @@ IMPROVEMENT_THRESHOLD = 1e-12
 # 32 * num_resources + 16 * R + 60 bytes a profile (module docstring): 4.2
 # MiB for 6 resources and R = 1.
 BLOCK_PROFILES = 1 << 14
-
-# Games of at most this many profiles get their smoothness margins from the
-# one sweep that finds SC(a_opt): it keeps each profile's social cost and
-# certificate left side (16 bytes), and the margin step adds 9 bytes a
-# profile of temporaries. Larger games are swept twice, SC(a_opt) first.
-STORED_PROFILES = 1 << 20
 
 
 def _enumeration_size(instance: GameInstance, cap: int) -> int:
@@ -386,34 +378,6 @@ class _Least:
             self.witness = Allocation(game.choices(start + j))
 
 
-class _Margins:
-    """The smoothness margins ``lhs(a) - (SC(a) - bound)`` of enumerated
-    profiles, offered in sweep order: the least one and the first profile
-    that has it, and whether every margin stayed above
-    ``-tol * max(1, SC(a))``."""
-
-    def __init__(self, game: CompiledGame, tol: float):
-        self.game = game
-        self.tol = tol
-        self.worst = _Least()
-        self.passed = True
-
-    def offer(self, start: int, costs: np.ndarray, sides: np.ndarray,
-              bound: float) -> None:
-        """Profiles ``start, start + 1, ...`` given their social costs and
-        left sides, which become their margins."""
-        excess = scratch_array("smooth.excess", costs.shape, float)
-        np.subtract(costs, bound, out=excess)
-        sides -= excess
-        self.worst.offer(self.game, start, sides)
-        if self.passed:
-            # -tol * max(1, SC(a)), in the excess's array
-            floor = np.maximum(costs, 1.0, out=excess)
-            floor *= -self.tol
-            below = scratch_array("smooth.below", costs.shape, bool)
-            self.passed = not np.less(sides, floor, out=below).any()
-
-
 def _min_social_cost(game: CompiledGame) -> tuple[Allocation, float]:
     least = _Least()
     blocks = _Blocks(game)
@@ -515,23 +479,17 @@ def _sweep(game: CompiledGame, size: int,
            ) -> tuple[PoaReport, Optional[SmoothnessResult]]:
     """One pass over every profile for the price of anarchy and, given
     ``supports`` (``_supports``), the smoothness certificate, whose margin
-    ``lhs(a) - (SC(a) - rho * SC(a_opt))`` must stay above
-    ``-tol * max(1, SC(a))``. Up to ``STORED_PROFILES`` profiles the
-    margins are formed after the pass, from the kept ``SC(a)`` and
-    ``lhs(a)``: a game of one block keeps them in the block's own arrays.
-    A larger game first takes ``SC(a_opt)`` from a sweep of social costs
-    and forms its margins block by block."""
-    least, worst_ne = _Least(), _Least()
+    ``(lhs(a) - SC(a)) + rho * SC(a_opt)`` must stay above
+    ``-tol * max(1, SC(a))``. Each block offers its excesses ``lhs(a) -
+    SC(a)``, whose least is the worst margin's, and its floors ``excess +
+    tol * max(1, SC(a))``; ``rho * SC(a_opt)`` is added to both least
+    values after the pass. Float addition of one constant is monotone, so
+    the certificate passes exactly when every profile's ``floor + rho *
+    SC(a_opt)`` is nonnegative."""
+    least, worst_ne, excess, floor = _Least(), _Least(), _Least(), _Least()
     num_ne = 0
-    margins = None if supports is None else _Margins(game, tol)
-    one_pass = size <= STORED_PROFILES
-    if margins is not None and not one_pass:
-        bound = rho * _min_social_cost(game)[1]
     blocks = _Blocks(game, supports)
-    store = None
-    if margins is not None and one_pass and blocks.width < size:
-        store = (scratch_array("smooth.social", (size,), float),
-                 scratch_array("smooth.lhs", (size,), float))
+    spare = scratch_array("sweep.values", (blocks.width,), float)
     for start in blocks:
         costs = blocks.social()
         least.offer(game, start, costs)
@@ -540,17 +498,16 @@ def _sweep(game: CompiledGame, size: int,
         if count:
             num_ne += count
             # The worst equilibrium has the least negated cost.
-            negated = scratch_array("poa.ne_costs", costs.shape, float)
-            negated.fill(math.inf)
-            np.negative(costs, out=negated, where=nash)
-            worst_ne.offer(game, start, negated)
-        if margins is not None:
-            stop = start + blocks.width
-            if not one_pass:
-                margins.offer(start, costs, sides, bound)
-            elif store is not None:
-                store[0][start:stop] = costs
-                store[1][start:stop] = sides
+            spare.fill(math.inf)
+            np.negative(costs, out=spare, where=nash)
+            worst_ne.offer(game, start, spare)
+        if sides is not None:
+            sides -= costs
+            excess.offer(game, start, sides)
+            np.maximum(costs, 1.0, out=spare)
+            spare *= tol
+            spare += sides
+            floor.offer(game, start, spare)
     if worst_ne.witness is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     poa = PoaReport(
@@ -559,12 +516,11 @@ def _sweep(game: CompiledGame, size: int,
         poa=-worst_ne.value / least.value, num_pure_ne=num_ne,
         enumerated_profiles=size)
     smoothness = None
-    if margins is not None:
-        if one_pass:
-            margins.offer(0, *(store or (costs, sides)), rho * least.value)
-        smoothness = SmoothnessResult(passed=margins.passed,
-                                      worst_margin=margins.worst.value,
-                                      witness=margins.worst.witness)
+    if supports is not None:
+        bound = rho * least.value
+        smoothness = SmoothnessResult(passed=floor.value + bound >= 0,
+                                      worst_margin=excess.value + bound,
+                                      witness=excess.witness)
     # Costs are finite (CompiledGame); their ratio and rho * SC(a_opt) need not be.
     if not math.isfinite(poa.poa) or smoothness and not math.isfinite(smoothness.worst_margin):
         raise KernelOverflow("the PoA or the smoothness margin leaves the double range")
@@ -590,10 +546,9 @@ def poa_and_smoothness(instance: GameInstance, taxes: TaxProfile,
                        cap: int = DEFAULT_ENUMERATION_CAP, tol: float = 1e-7
                        ) -> tuple[PoaReport, SmoothnessResult]:
     """``empirical_poa`` and ``check_smoothness`` from one compiled game and
-    one sweep that prices each profile once: equilibria, ``SC(a_opt)`` and
-    the certificate's left sides from the same priced costs, then the
-    margins. Past ``STORED_PROFILES`` profiles a sweep of social costs for
-    ``SC(a_opt)`` comes first."""
+    one sweep that prices each profile once, at every size: equilibria,
+    ``SC(a_opt)`` and the certificate's excesses from the same priced
+    costs, in block memory."""
     require_finite_nonnegative("rho", rho)
     require_finite_nonnegative("smoothness tol", tol)
     size = _enumeration_size(instance, cap)
@@ -639,6 +594,8 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
     vanishing term.
     """
+    require_finite_nonnegative("rho", rho)
+    require_finite_nonnegative("slack_factor", slack_factor)
     _enumeration_size(instance, cap)
     check_feasible(instance, profile)
     game = CompiledGame(instance, taxes)

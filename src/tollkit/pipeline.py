@@ -73,8 +73,8 @@ def design(instance: GameInstance, *, tol_gap: float = 1e-8,
     ``infinite-rho`` (a factor past the double range raises
     ``KernelOverflow``); the price of anarchy and smoothness ``ok`` or
     ``too-large``. A stage whose input is missing is ``skipped``. The last
-    two stages share one compiled game and one sweep of its profiles, two
-    past ``oracle.STORED_PROFILES``.
+    two stages share one compiled game and one sweep of its profiles, at
+    every size.
     """
     require_finite_nonnegative("audit tol", audit_tol)
     status: dict[str, str] = {}

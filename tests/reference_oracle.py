@@ -225,19 +225,20 @@ def check_smoothness(instance: GameInstance, taxes: Optional[TaxProfile],
     _, min_cost = brute_force_min_sc(instance, cap)
     bound = rho * min_cost
 
-    worst_margin = math.inf
+    # A profile's margin is its excess lhs(a) - SC(a) plus the bound.
+    least_excess = math.inf
     witness = None
     passed = True
     for choices in iter_profiles(instance):
         loads = loads_of(instance, choices)
         sc = system_cost(sc_tables, loads)
-        margin = lhs(choices, loads) - (sc - bound)
-        if margin < worst_margin:
-            worst_margin = margin
+        excess = lhs(choices, loads) - sc
+        if excess < least_excess:
+            least_excess = excess
             witness = choices
-        if margin < -tol * max(1.0, sc):
+        if (excess + tol * max(1.0, sc)) + bound < 0:
             passed = False
-    return SmoothnessResult(passed=passed, worst_margin=worst_margin,
+    return SmoothnessResult(passed=passed, worst_margin=least_excess + bound,
                             witness=Allocation(witness))
 
 

@@ -477,3 +477,17 @@ class TestCoarseCorrelatedCheck:
         report = coarse_correlated_check(inst, taxes, prof, 2.0, trace)
         assert report.passed
         assert report.expected_sc <= 2.0 * report.min_sc + report.eps_regret + 1e-9
+
+    @pytest.mark.parametrize("rho,slack_factor", [
+        (math.inf, 0.05), (math.nan, 0.05), (-1.0, 0.05),
+        (1.5, math.nan), (1.5, -1.0),
+    ])
+    def test_rejects_non_finite_or_negative_rho_and_slack(self, rho, slack_factor):
+        # An infinite rho passed with an infinite slack; NaN gave NaN reports.
+        inst = random_instance(3, 3, [BasisFunction.monomial(1)], seed=0)
+        prof = solve_relaxation(inst)
+        taxes = build_tax_profile(inst, prof.loads)
+        trace = multiplicative_weights_run(inst, taxes, rounds=20, seed=0)
+        with pytest.raises(InvalidParams):
+            coarse_correlated_check(inst, taxes, prof, rho, trace,
+                                    slack_factor=slack_factor)

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -236,8 +237,7 @@ class TestCheckSmoothness:
 class TestAgainstScalarReference:
     """The sweeps and the coarse correlated check equal the
     profile-by-profile loops exactly, at the production block size and at
-    sizes that split small games, with the smoothness margins from one
-    sweep or from two."""
+    sizes that split small games."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -249,9 +249,6 @@ class TestAgainstScalarReference:
         rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
         # A limit of 1 leaves only the last player trailing.
         block = data.draw(st.sampled_from([oracle.BLOCK_PROFILES, 1, 3, 7]))
-        # One sweep with every margin kept, or SC(a_opt) first.
-        size = math.prod(map(len, inst.strategies))
-        stored = data.draw(st.sampled_from([oracle.STORED_PROFILES, 0, size - 1]))
         trace = multiplicative_weights_run(inst, taxes, rounds=40,
                                            seed=data.draw(st.integers(0, 9)))
 
@@ -261,8 +258,7 @@ class TestAgainstScalarReference:
                 reference.check_smoothness(inst, taxes, profile, rho).to_json(),
                 reference.coarse_correlated_check(inst, taxes, profile, rho,
                                                   trace).to_json())
-        with mock.patch.object(oracle, "BLOCK_PROFILES", block), \
-                mock.patch.object(oracle, "STORED_PROFILES", stored):
+        with mock.patch.object(oracle, "BLOCK_PROFILES", block):
             got = (brute_force_min_sc(inst),
                    enumerate_pure_nash(inst, taxes),
                    empirical_poa(inst, taxes).to_json(),
@@ -270,6 +266,92 @@ class TestAgainstScalarReference:
                    coarse_correlated_check(inst, taxes, profile, rho,
                                            trace).to_json())
         assert got == want
+
+
+def exact_margins(inst, taxes, profile, rho, tol):
+    """Per profile, in product order, from the float tables, weights,
+    ``rho`` and ``tol`` read as exact rationals: the margin ``(lhs(a) -
+    SC(a)) + rho * SC(a_opt)``, the floor term ``tol * max(1, SC(a))``,
+    and the magnitude of every term the float margin and floor sum."""
+    tables = [[Fraction(c) for c in row]
+              for row in reference.perceived_tables(inst, taxes)]
+    sc_tables = [[Fraction(c) for c in row]
+                 for row in reference.system_cost_tables(inst)]
+    supports = [[(k, Fraction(w)) for k, w in enumerate(row) if w]
+                for row in profile.weights]
+    profiles = [(choices, loads_of(inst, choices))
+                for choices in reference.iter_profiles(inst)]
+    costs = [sum(sc_tables[r][x] for r, x in enumerate(loads))
+             for _, loads in profiles]
+    bound = Fraction(rho) * min(costs)
+    out = []
+    for (choices, loads), sc in zip(profiles, costs):
+        lhs = size = 0
+        for i, k in enumerate(choices):
+            strategies = inst.strategies[i]
+            own = set(strategies[k])
+
+            def cost(alt):
+                terms = [tables[r][loads[r] + (r not in own)] for r in strategies[alt]]
+                return sum(terms), sum(map(abs, terms))
+
+            played, played_size = cost(k)
+            lhs += played
+            size += played_size
+            for alt, w in supports[i]:
+                alt_cost, alt_size = cost(alt)
+                lhs -= w * alt_cost
+                size += w * alt_size
+        floor = Fraction(tol) * max(1, sc)
+        out.append((lhs - sc + bound, floor, size + sc + bound + floor))
+    return out
+
+
+class TestExactMargins:
+    """``check_smoothness`` against the certificate in exact arithmetic.
+
+    A margin sums 2n + 1 costs, n players' played costs, their n mixed
+    costs ``sum_k y_ik * Cbar_i(k, a_-i)`` and ``SC(a)``, and the bound
+    ``rho * SC(a_opt)``; the floor adds ``tol * max(1, SC(a))``. Each term
+    of those sums, a table entry, a weight times a table entry, or ``rho``
+    or ``tol`` times a social cost, passes through at most D = n + 10
+    roundings: 3 in a strategy's sum of at most 4 entries, 1 weighting it,
+    3 in a mixed cost of at most 4 strategies, 1 in the player's net cost,
+    n - 1 in the sum over players, 1 for the excess ``lhs - SC``, 1 for the
+    floor and 1 for the bound. ``SC(a)`` sums at most 6 entries, and both
+    ``SC(a_opt)`` and ``max(1, SC(a))`` are within a relative 5 roundings
+    of their exact values, so their terms take fewer. Every float margin
+    or floor then lies within ``gamma_D * A(a)`` of the exact one, where
+    ``gamma_D = D * u / (1 - D * u)``, ``u = 2^-53`` and ``A(a)`` sums the
+    magnitudes of its terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1). With ``E = gamma_D * max_a A(a)``:
+    ``worst_margin`` is the least float margin, so it lies within ``E`` of
+    the exact least margin; its witness's exact margin lies within ``2E``
+    of it; and ``passed`` is the exact decision wherever the exact worst
+    slack, margin plus floor term, lies farther than ``E`` from 0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_margins_are_within_rounding_of_exact(self, data):
+        inst = data.draw(small_games())
+        profile = data.draw(fractional_profiles(inst))
+        taxes = (build_tax_profile(inst, profile.loads)
+                 if data.draw(st.booleans()) else None)
+        rho = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0]))
+        tol = data.draw(st.sampled_from([0.0, 1e-7, 0.1, 1.0]))
+        result = check_smoothness(inst, taxes, profile, rho, tol=tol)
+
+        exact = exact_margins(inst, taxes, profile, rho, tol)
+        depth = inst.num_players + 10
+        error = Fraction(depth, 2 ** 53 - depth) * max(size for *_, size in exact)
+        least = min(margin for margin, *_ in exact)
+        assert abs(Fraction(result.worst_margin) - least) <= error
+        index = int(np.ravel_multi_index(result.witness.choices,
+                                         tuple(map(len, inst.strategies))))
+        assert exact[index][0] - least <= 2 * error
+        slack = min(margin + floor for margin, floor, _ in exact)
+        if abs(slack) > error:
+            assert result.passed == (slack >= 0)
 
 
 class TestChunkBoundaries:
@@ -288,7 +370,6 @@ class TestChunkBoundaries:
 
     def setup_method(self):
         self.inst = parallel_links(9, 3)
-        self.size = 3 ** 9
         self.width = 3 ** 5
 
     def test_min_and_worst_equilibrium_are_first_in_order(self):
@@ -306,12 +387,9 @@ class TestChunkBoundaries:
         profile = FractionalProfile(weights=((1 / 3,) * 3,) * 9, loads=(3.0,) * 3,
                                     objective=0.0, gap=0.0, iters=0)
         taxes = build_tax_profile(self.inst, profile.loads)
+        result = check_smoothness(self.inst, taxes, profile, rho=1.0)
         want = reference.check_smoothness(self.inst, taxes, profile, rho=1.0)
-        # Margins kept for one pass, and block by block after SC(a_opt).
-        for stored in (oracle.STORED_PROFILES, self.size - 1):
-            with mock.patch.object(oracle, "STORED_PROFILES", stored):
-                result = check_smoothness(self.inst, taxes, profile, rho=1.0)
-            assert result.to_json() == want.to_json()
+        assert result.to_json() == want.to_json()
         # Relabelling the links gives the same margin to a profile in a
         # later block; the first one must win.
         lhs = reference.smoothness_lhs(self.inst, taxes, profile)
@@ -321,7 +399,7 @@ class TestChunkBoundaries:
             loads = [choices.count(r) for r in range(3)]
             sc = float(sum(x * x for x in loads))
             index = int("".join(map(str, choices)), 3)
-            return lhs(choices, loads) - (sc - min_cost), index // self.width
+            return (lhs(choices, loads) - sc) + min_cost, index // self.width
 
         first = result.witness.choices
         later = tuple((k + 1) % 3 for k in first)
@@ -381,20 +459,19 @@ class TestReusedBuffers:
         assert got == want + want
 
 
-class TestMarginStore:
-    """``poa_and_smoothness`` keeps 16 bytes a profile, plus 9 of margin
-    temporaries, up to ``STORED_PROFILES`` profiles; past it, its memory is
-    a block's and does not grow with the number of profiles. Both games
-    have 10 players on 12 links and, at a block limit of 3^6, blocks of
-    3^6 profiles with leading players of at most 3 strategies, so their
-    block arrays have the same shapes."""
+class TestSweepMemory:
+    """``poa_and_smoothness`` sweeps in block memory at every size: its
+    peak does not grow with the number of profiles. Both games have 10
+    players on 12 links and, at a block limit of 3^6, blocks of 3^6
+    profiles with leading players of at most 3 strategies, so their block
+    arrays have the same shapes."""
 
     many = [3] * 10                          # 59,049 profiles, 81 blocks
     few = [3, 1, 1, 1] + [3] * 6             # 2,187 profiles, 3 blocks
     block = 3 ** 6
 
     @classmethod
-    def peak(cls, radices, stored):
+    def peak(cls, radices):
         """Peak traced bytes of one call, in a thread with no buffers yet."""
         b = BasisFunction.monomial(1)
         inst = GameInstance.build([b], [[1.0]] * 12,
@@ -408,8 +485,7 @@ class TestMarginStore:
         def call():
             tracemalloc.start()
             try:
-                with mock.patch.object(oracle, "STORED_PROFILES", stored), \
-                        mock.patch.object(oracle, "BLOCK_PROFILES", cls.block):
+                with mock.patch.object(oracle, "BLOCK_PROFILES", cls.block):
                     oracle.poa_and_smoothness(inst, taxes, prof, rho=1.0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -418,16 +494,14 @@ class TestMarginStore:
         with ThreadPoolExecutor(max_workers=1) as pool:
             return pool.submit(call).result()
 
-    def test_memory_follows_the_store_limit(self):
-        size = math.prod(self.many)
-        swept_twice = self.peak(self.many, 1000)
-        assert abs(swept_twice - self.peak(self.few, 1000)) < 16 * 1024
+    def test_memory_does_not_grow_with_the_profiles(self):
+        many, few = self.peak(self.many), self.peak(self.few)
+        assert abs(many - few) < 16 * 1024
         # The block bound of the module docstring, 12 resources and R = 3,
         # with 256 KiB for the compiled game, the tax tables and numpy's
         # iteration buffers.
-        assert swept_twice <= self.block * (32 * 12 + 16 * 3 + 60) + 256 * 1024
-        stored = self.peak(self.many, oracle.STORED_PROFILES) - swept_twice
-        assert 16 * size <= stored <= 25 * size
+        bound = self.block * (32 * 12 + 16 * 3 + 60) + 256 * 1024
+        assert many <= bound and few <= bound
 
 
 def games_of(radices, resources):

@@ -171,9 +171,8 @@ class TestAgainstComposedStages:
 
 class TestOneCompiledGame:
     """A design compiles its game once, prices no chosen profile
-    (``CompiledGame.price_many``), and sweeps its profiles once, or twice
-    past ``oracle.STORED_PROFILES``: ``SC(opt)`` first, then equilibria and
-    margins together."""
+    (``CompiledGame.price_many``), and sweeps its profiles once at every
+    size: equilibria, ``SC(opt)`` and margins together."""
 
     @staticmethod
     def counting_prices(calls):
@@ -206,17 +205,13 @@ class TestOneCompiledGame:
         assert priced == []
         return report, len(compiled), len(sweeps)
 
-    def test_one_sweep_with_smoothness(self):
-        report, compiled, sweeps = self.count(parallel_links(6, 3))
-        assert report.smoothness.passed
-        assert (compiled, sweeps) == (1, 1)
-
-    def test_two_sweeps_with_smoothness(self):
-        # 3^6 = 729 profiles, one past the limit.
-        with mock.patch.object(oracle, "STORED_PROFILES", 728):
+    # 3^6 = 729 profiles in one block, or in 27 blocks of 27.
+    @pytest.mark.parametrize("block", [oracle.BLOCK_PROFILES, 27])
+    def test_one_sweep_with_smoothness(self, block):
+        with mock.patch.object(oracle, "BLOCK_PROFILES", block):
             report, compiled, sweeps = self.count(parallel_links(6, 3))
         assert report.smoothness.passed
-        assert (compiled, sweeps) == (1, 2)
+        assert (compiled, sweeps) == (1, 1)
 
     def test_one_sweep_without_rho(self, tiny_term_cap):
         report, compiled, sweeps = self.count(steep(40.5, 2, 2))

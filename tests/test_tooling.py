@@ -1,7 +1,8 @@
 """The benchmark's tracer patches tollkit's layer boundaries from outside:
 installing and removing it must leave every patched name as it was. And no
-module of the package imports another's private names, or a name it never
-uses."""
+module of the package imports another's private names, imports a name it
+never uses, or defines a private name that neither the package nor its
+tests read."""
 
 import ast
 import importlib.util
@@ -50,7 +51,7 @@ def used_names(tree: ast.Module) -> set[str]:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation:
             annotations.append(node.annotation)
@@ -89,4 +90,28 @@ def test_no_unused_module_imports():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
+
+
+def test_no_unused_private_names():
+    package = sorted((ROOT / "src" / "tollkit").glob("*.py"))
+    read = set()
+    for path in package + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = []
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read]
     assert unused == []
