@@ -5,10 +5,13 @@ Multiplicative-weights play is the no-regret route: players sample from
 private weight vectors, observe the perceived cost of each own strategy
 against the realised play of the others (full-information feedback), and
 exponentiate. The trace keeps everything needed to compute external regret
-afterwards, the cheapest profile encountered, and the empirical distribution
-over visited profiles, which approximates a coarse correlated equilibrium
-as regret decays; ``oracle.coarse_correlated_check`` checks the smoothness
-certificate in expectation over it.
+afterwards, the cheapest profile encountered, and the play itself as the
+distinct profiles visited, in first-visit order, plus each round's number
+among them. That index gives the empirical distribution over visited
+profiles, which approximates a coarse correlated equilibrium as regret
+decays; ``oracle.coarse_correlated_check`` checks the smoothness
+certificate in expectation over it. Trace files are written from the index
+too: each distinct profile is serialised once.
 
 A run plays its rounds in speculative windows: it guesses a block of
 rounds' profiles, plays them in numpy, and keeps the rounds up to the first
@@ -27,7 +30,6 @@ import json
 import math
 import operator
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Optional
@@ -99,22 +101,38 @@ def best_response_dynamics(instance: GameInstance, taxes: Optional[TaxProfile] =
 class RunTrace:
     """Everything a multiplicative-weights run produced.
 
+    The play is kept as the distinct profiles the run visited, in
+    first-visit order, with their untaxed social costs, and one number a
+    round: ``index[t]`` is round ``t``'s profile in ``distinct_profiles``.
+    ``profiles``, ``social_costs`` and ``empirical_distribution`` are
+    derived from them; the distribution's keys are in first-visit order.
+
     ``strategy_costs_total[i][k]`` accumulates what player ``i`` would have
     paid by playing ``k`` in every round against the realised play of the
     others; external regret is the gap between the incurred total and the
     best fixed strategy in hindsight, all measured on perceived costs.
-    ``social_costs`` are untaxed.
     """
 
     seed: int
     rounds: int
     eta: tuple[float, ...]
-    profiles: tuple[tuple[int, ...], ...]
-    social_costs: tuple[float, ...]
+    distinct_profiles: tuple[tuple[int, ...], ...]
+    distinct_social_costs: tuple[float, ...]
+    index: tuple[int, ...]
     incurred_total: tuple[float, ...]
     strategy_costs_total: tuple[tuple[float, ...], ...]
     best_profile: Allocation
     best_sc: float
+
+    @property
+    def profiles(self) -> tuple[tuple[int, ...], ...]:
+        """Each round's profile."""
+        return tuple(map(self.distinct_profiles.__getitem__, self.index))
+
+    @property
+    def social_costs(self) -> tuple[float, ...]:
+        """Each round's untaxed social cost."""
+        return tuple(map(self.distinct_social_costs.__getitem__, self.index))
 
     @property
     def regrets(self) -> tuple[float, ...]:
@@ -127,27 +145,26 @@ class RunTrace:
 
     @property
     def empirical_distribution(self) -> dict[tuple[int, ...], float]:
-        counts = Counter(self.profiles)
-        return {profile: c / self.rounds for profile, c in counts.items()}
+        counts = np.bincount(self.index, minlength=len(self.distinct_profiles))
+        return {profile: c / self.rounds
+                for profile, c in zip(self.distinct_profiles, counts.tolist())}
 
     def save_jsonl(self, path) -> None:
         """One round per line plus a summary footer.
 
-        A round's line differs from another's with the same profile and
-        social cost only in ``"t"``, so each distinct pair is serialised
-        once and the rounds go out in one write.
+        A round's line differs from another's with the same profile only in
+        ``"t"``, so each distinct profile's rest of the line is serialised
+        once, and a round's line is its ``t`` and its profile's rest, read
+        through the index. The lines are joined in one pass with each
+        line's ``{"t": `` head as the separator.
         """
-        tails = {}
-        lines = []
-        for t, key in enumerate(zip(self.profiles, self.social_costs)):
-            tail = tails.get(key)
-            if tail is None:
-                profile, sc = key
-                tail = tails[key] = (f', "profile": {json.dumps(list(profile))}'
-                                     f', "sc": {json.dumps(sc)}}}\n')
-            lines.append('{"t": %d' % t + tail)
+        head = '{"t": '
+        tails = [f', "profile": {json.dumps(list(profile))}, "sc": {json.dumps(sc)}}}\n'
+                 for profile, sc in zip(self.distinct_profiles, self.distinct_social_costs)]
+        lines = [str(t) + tails[j] for t, j in enumerate(self.index)]
         with open(path, "w") as fh:
-            fh.write("".join(lines))
+            fh.write(head)
+            fh.write(head.join(lines))
             fh.write(json.dumps({
                 "seed": self.seed, "rounds": self.rounds, "eta": list(self.eta),
                 "regrets": list(self.regrets),
@@ -496,7 +513,7 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     wrong, with the weights, sums and picks of the round-by-round loop to
     the last bit. A window also ends where weights must be renormalised.
     The memo therefore also holds profiles that were guessed and never
-    played; only played ones reach ``profiles`` and ``best_profile``. It
+    played; only played ones reach ``distinct_profiles``. It
     grows with the distinct profiles guessed or played (typically a few
     dozen), not with the game's profile count. Where weights renormalise
     every few rounds (a high ``eta``) or guesses keep missing, windows play
@@ -555,23 +572,29 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
             t += len(played)
             pace.window(draws.shape[1], len(played), ahead.shape[1], renormalised)
 
-    # The first strict minimum over the rounds played; a trace shares its
-    # profiles and costs with the memo.
+    # Memo numbers in first-visit order, and each round's place among them.
+    # The first strict minimum over the rounds is the first distinct profile
+    # with the least cost; a trace shares its profiles and costs with the
+    # memo. (numpy's sorts would fault in a few hundred KB of code pages
+    # that nothing else in a run touches, hence no np.unique.)
     totals = iter(_totals_in_round_order(memo.rows, order))
     order = order.tolist()
-    social = memo.social
-    round_costs = tuple([social[j] for j in order])
-    best_sc = min(round_costs)
+    visited = list(dict.fromkeys(order))
+    place = [0] * len(memo.profiles)
+    for k, j in enumerate(visited):
+        place[j] = k
+    distinct = tuple([memo.profiles[j] for j in visited])
+    costs = tuple([memo.social[j] for j in visited])
+    best_sc = min(costs)
     alt_totals = tuple(tuple(islice(totals, instance.num_strategies(i)))
                        for i in range(n))
-    profiles = memo.profiles
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
-        profiles=tuple([profiles[j] for j in order]),
-        social_costs=round_costs,
+        distinct_profiles=distinct, distinct_social_costs=costs,
+        index=tuple(map(place.__getitem__, order)),
         incurred_total=tuple(totals),
         strategy_costs_total=alt_totals,
-        best_profile=Allocation(profiles[order[round_costs.index(best_sc)]]),
+        best_profile=Allocation(distinct[costs.index(best_sc)]),
         best_sc=best_sc)
 
 
@@ -583,7 +606,7 @@ def best_profile_approximation(instance: GameInstance, taxes: Optional[TaxProfil
     The ratio is omitted (None) when the instance is too large to
     enumerate.
     """
-    if not trace.profiles:
+    if not trace.index:
         raise InvalidParams("empty trace")
     best = trace.best_profile
     try:

@@ -50,8 +50,8 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from .errors import (GameValidationError, KernelOverflow, TooLarge,
-                     require_finite_nonnegative)
+from .errors import (GameValidationError, InvalidParams, KernelOverflow,
+                     TooLarge, require_finite_nonnegative)
 from .game import (Allocation, CompiledGame, GameInstance, TaxProfile,
                    ordered_sums, scratch_array)
 from .relaxation import FractionalProfile, check_feasible
@@ -363,26 +363,32 @@ class _Blocks:
 
 @dataclass
 class _Least:
-    """The least value offered so far and the first profile, in sweep
-    order, that has it: ``argmin`` takes a block's first minimum, and a
-    later block must be strictly lower."""
+    """The least value offered so far over the profiles of ``game`` and
+    the number of the first profile, in sweep order, that has it:
+    ``argmin`` takes a block's first minimum, and a later block must be
+    strictly lower. The witness is built when it is read."""
 
+    game: CompiledGame
     value: float = math.inf
-    witness: Optional[Allocation] = None
+    at: Optional[int] = None
 
-    def offer(self, game: CompiledGame, start: int, values: np.ndarray) -> None:
-        """Profiles ``start, start + 1, ...`` of ``game`` with ``values``."""
+    def offer(self, start: int, values: np.ndarray) -> None:
+        """Profiles ``start, start + 1, ...`` with ``values``."""
         j = int(values.argmin())
         if values[j] < self.value:
             self.value = float(values[j])
-            self.witness = Allocation(game.choices(start + j))
+            self.at = start + j
+
+    @property
+    def witness(self) -> Optional[Allocation]:
+        return None if self.at is None else Allocation(self.game.choices(self.at))
 
 
 def _min_social_cost(game: CompiledGame) -> tuple[Allocation, float]:
-    least = _Least()
+    least = _Least(game)
     blocks = _Blocks(game)
     for start in blocks:
-        least.offer(game, start, blocks.social())
+        least.offer(start, blocks.social())
     return least.witness, least.value
 
 
@@ -486,13 +492,13 @@ def _sweep(game: CompiledGame, size: int,
     values after the pass. Float addition of one constant is monotone, so
     the certificate passes exactly when every profile's ``floor + rho *
     SC(a_opt)`` is nonnegative."""
-    least, worst_ne, excess, floor = _Least(), _Least(), _Least(), _Least()
+    least, worst_ne, excess, floor = (_Least(game) for _ in range(4))
     num_ne = 0
     blocks = _Blocks(game, supports)
     spare = scratch_array("sweep.values", (blocks.width,), float)
     for start in blocks:
         costs = blocks.social()
-        least.offer(game, start, costs)
+        least.offer(start, costs)
         nash, sides = blocks.nash()
         count = int(np.count_nonzero(nash))
         if count:
@@ -500,15 +506,15 @@ def _sweep(game: CompiledGame, size: int,
             # The worst equilibrium has the least negated cost.
             spare.fill(math.inf)
             np.negative(costs, out=spare, where=nash)
-            worst_ne.offer(game, start, spare)
+            worst_ne.offer(start, spare)
         if sides is not None:
             sides -= costs
-            excess.offer(game, start, sides)
+            excess.offer(start, sides)
             np.maximum(costs, 1.0, out=spare)
             spare *= tol
             spare += sides
-            floor.offer(game, start, spare)
-    if worst_ne.witness is None:
+            floor.offer(start, spare)
+    if worst_ne.at is None:
         raise GameValidationError("no pure equilibrium found; instance invalid")
     poa = PoaReport(
         min_cost=least.value, min_witness=least.witness,
@@ -578,6 +584,29 @@ class CoarseCorrelatedReport:
         return cls(bool(data["passed"]), *(float(data[f.name]) for f in fields(cls)[1:]))
 
 
+def _play(instance: GameInstance, trace: RunTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The trace's distinct profiles as a ``(players, distinct)`` array and
+    how many rounds played each. Raises ``InvalidParams`` unless every
+    profile is a valid choice for every player and the index numbers a
+    distinct profile for each of ``rounds >= 1`` rounds."""
+    n = instance.num_players
+    distinct = trace.distinct_profiles
+    if any(len(profile) != n for profile in distinct):
+        raise InvalidParams(f"every trace profile must have {n} choices")
+    visited = np.array(distinct).reshape(-1, n).T
+    radices = np.array(list(map(len, instance.strategies)))[:, None]
+    if visited.size and (visited.dtype.kind not in "iu"
+                         or ((visited < 0) | (visited >= radices)).any()):
+        raise InvalidParams("a trace profile has a choice not an integer in 0..s_i-1")
+    index = np.array(trace.index)
+    if trace.rounds < 1 or len(index) != trace.rounds:
+        raise InvalidParams(f"the trace index must number the profile of each of "
+                            f"rounds >= 1 rounds, got {len(index)} for {trace.rounds}")
+    if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= len(distinct):
+        raise InvalidParams(f"the trace index must hold integers in 0..{len(distinct) - 1}")
+    return visited.astype(np.intp), np.bincount(index, minlength=len(distinct))
+
+
 def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
                             profile: FractionalProfile, rho: float,
                             trace: RunTrace, slack_factor: float = 0.05,
@@ -592,17 +621,17 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
     ``eps_regret`` reports the summed positive average regrets, which upper
     bound ``E[lhs]`` for the trace's own distribution; as regret decays the
     certificate therefore pins ``E[SC]`` below ``rho * SC(a_opt)`` plus a
-    vanishing term.
+    vanishing term. The trace's profiles and index are validated
+    (``_play``) and the profiles re-priced: no cost stored in the trace is
+    read.
     """
     require_finite_nonnegative("rho", rho)
     require_finite_nonnegative("slack_factor", slack_factor)
     _enumeration_size(instance, cap)
     check_feasible(instance, profile)
+    visited, counts = _play(instance, trace)
     game = CompiledGame(instance, taxes)
     min_cost = _min_social_cost(game)[1]
-    distribution = trace.empirical_distribution
-    visited = np.array(list(distribution), dtype=np.intp).reshape(
-        -1, instance.num_players).T
     starts = game.offsets.tolist()
     # Each player's weights (column of its strategy in ``costs``, y_ik) in
     # strategy order.
@@ -620,7 +649,8 @@ def coarse_correlated_check(instance: GameInstance, taxes: TaxProfile,
         nets.append(costs[rows, start + played] - mixed)
     sides = sum(nets[1:], nets[0])
     expected_sc = expected_lhs = 0.0
-    for weight, sc, side in zip(distribution.values(), social.tolist(), sides.tolist()):
+    weights = (counts / trace.rounds).tolist()
+    for weight, sc, side in zip(weights, social.tolist(), sides.tolist()):
         expected_sc += weight * sc
         expected_lhs += weight * side
 

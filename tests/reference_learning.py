@@ -165,9 +165,17 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
                 for k in range(len(row)):
                     row[k] /= top
 
+    # The distinct profiles in first-visit order, each with its first
+    # visit's cost, and each round's place among them.
+    first_visits = {}
+    for choices, sc in zip(profiles, social_costs):
+        first_visits.setdefault(choices, sc)
+    place = {choices: j for j, choices in enumerate(first_visits)}
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
-        profiles=tuple(profiles), social_costs=tuple(social_costs),
+        distinct_profiles=tuple(first_visits),
+        distinct_social_costs=tuple(first_visits.values()),
+        index=tuple(place[choices] for choices in profiles),
         incurred_total=tuple(incurred),
         strategy_costs_total=tuple(tuple(row) for row in alt_totals),
         best_profile=Allocation(best_profile), best_sc=best_sc)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import statistics
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -433,6 +435,50 @@ class TestAgainstRoundByRoundReference:
         assert 0 < len(spans) <= 40
 
 
+class TestTraceEdgeCases:
+    """Traces at the edges of the distinct-profile index equal the
+    reference's, field by field and in the bytes of their files."""
+
+    # "t" gains a digit from round 10, 100 and 1000 on.
+    @pytest.mark.parametrize("rounds", [1, 9, 10, 99, 100, 999, 1000])
+    def test_round_counts_around_a_wider_t(self, rounds, tmp_path):
+        inst, taxes = taxed_two_by_two()
+        trace = TestAgainstRoundByRoundReference.assert_matches(
+            inst, taxes, rounds, "auto", seed=5, block=learning.ROUND_BLOCK,
+            out_dir=tmp_path)
+        assert len(trace.index) == rounds
+
+    def test_one_profile_in_every_round(self, tmp_path):
+        b = BasisFunction.monomial(1)
+        inst = GameInstance.build([b], [[1.0]], [[[0]], [[0]]])
+        trace = TestAgainstRoundByRoundReference.assert_matches(
+            inst, None, 300, "auto", seed=0, block=learning.ROUND_BLOCK,
+            out_dir=tmp_path)
+        assert trace.distinct_profiles == ((0, 0),)
+        assert trace.index == (0,) * 300
+
+    def test_tied_costs_keep_the_first_rounds_profile(self, tmp_path):
+        # Uniform play on two untaxed links: (1, 0) in round 0 and (0, 1)
+        # later both cost 2, the least.
+        trace = TestAgainstRoundByRoundReference.assert_matches(
+            parallel_links(2, 2), None, 50, 0.0, seed=3,
+            block=learning.ROUND_BLOCK, out_dir=tmp_path)
+        assert trace.profiles[0] == (1, 0)
+        assert (0, 1) in trace.distinct_profiles
+        assert trace.best_profile.choices == (1, 0) and trace.best_sc == 2.0
+
+    # On seeds 4 and 8 a window prices a profile before one played earlier,
+    # so the memo's numbering differs from first-visit order.
+    @pytest.mark.parametrize("seed", [0, 1, 4, 8])
+    def test_distribution_in_first_visit_order(self, seed):
+        inst, taxes = learn_family(seed)
+        got = multiplicative_weights_run(inst, taxes, rounds=400, seed=seed)
+        want = reference.multiplicative_weights_run(inst, taxes, 400, seed=seed)
+        counts = Counter(want.profiles)
+        assert list(got.empirical_distribution.items()) == \
+            [(profile, c / 400) for profile, c in counts.items()]
+
+
 class TestBestProfileApproximation:
     def test_single_profile_trace(self):
         inst, taxes = taxed_two_by_two()
@@ -477,6 +523,31 @@ class TestCoarseCorrelatedCheck:
         report = coarse_correlated_check(inst, taxes, prof, 2.0, trace)
         assert report.passed
         assert report.expected_sc <= 2.0 * report.min_sc + report.eps_regret + 1e-9
+
+    # On this game player 0 has one strategy: a choice of -1 read the
+    # previous player's cost column and passed, and 9 raised IndexError.
+    @pytest.mark.parametrize("fields", [
+        {"distinct_profiles": ((-1, 0, 0),), "index": (0,) * 20},
+        {"distinct_profiles": ((9, 0, 0),), "index": (0,) * 20},
+        {"distinct_profiles": ((0, 0.5, 0),), "index": (0,) * 20},
+        {"distinct_profiles": ((0, 0, 0), (0, 0)), "index": (0, 1) * 10},
+        {"distinct_profiles": ((0, 0, 0),), "index": (0,) * 19 + (1,)},
+        {"distinct_profiles": ((0, 0, 0),), "index": (-1,) * 20},
+        {"distinct_profiles": ((0, 0, 0),), "index": (0.5,) * 20},
+        {"distinct_profiles": ((0, 0, 0),), "index": (0,) * 19},
+        {"distinct_profiles": ((0, 0, 0),), "index": (0,) * 21},
+    ], ids=["negative-choice", "choice-past-strategies", "fractional-choice",
+            "short-profile", "index-past-profiles", "negative-index",
+            "fractional-index", "short-index", "long-index"])
+    def test_rejects_malformed_traces(self, fields):
+        inst = random_instance(3, 3, [BasisFunction.monomial(1)], seed=0)
+        assert inst.num_strategies(0) == 1
+        report = design(inst)
+        args = (inst, report.taxes, report.relaxation, report.rho)
+        trace = multiplicative_weights_run(inst, report.taxes, rounds=20, seed=0)
+        assert coarse_correlated_check(*args, trace).passed
+        with pytest.raises(InvalidParams):
+            coarse_correlated_check(*args, dataclasses.replace(trace, **fields))
 
     @pytest.mark.parametrize("rho,slack_factor", [
         (math.inf, 0.05), (math.nan, 0.05), (-1.0, 0.05),

@@ -232,7 +232,8 @@ class TestOneCompiledGame:
         report = self.count(inst)[0]
         profiles = list(itertools.product(*map(range, map(len, inst.strategies))))
         trace = SimpleNamespace(
-            empirical_distribution=dict.fromkeys(profiles, 1 / len(profiles)),
+            rounds=len(profiles), distinct_profiles=tuple(profiles),
+            index=tuple(range(len(profiles))),
             average_regrets=[0.0] * inst.num_players)
         priced = []
         with self.counting_prices(priced):

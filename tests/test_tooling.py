@@ -34,6 +34,33 @@ def test_install_then_uninstall_restores_every_original():
         assert vars(owner)[attr] is original, attr
 
 
+def test_tracer_times_each_trace_write(capsys, tmp_path):
+    """``learning.trace_write_s`` comes from one ``RunTrace.save_jsonl``
+    span per seed of a ``learn`` call."""
+    from tollkit import BasisFunction, GameInstance, build_tax_profile, cli
+    b = BasisFunction.monomial(1)
+    inst = GameInstance.build([b], [[1.0], [1.0]], [[[0], [1]], [[0], [1]]])
+    inst.save(tmp_path / "game.json")
+    build_tax_profile(inst, [1.0, 1.0]).save(tmp_path / "taxes.json")
+    tracer = load_tracer()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        code = cli.main(["learn", str(tmp_path / "game.json"),
+                         "--taxes", str(tmp_path / "taxes.json"), "--rounds", "200",
+                         "--seeds", "0,1", "--out", str(tmp_path / "runs")])
+    finally:
+        traced.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    spans, counters, rho_bases = traced.take()
+    writes = [s for s in spans if s[tracer.NAME] == "RunTrace.save_jsonl"]
+    assert len(writes) == 2
+    assert all(s[tracer.END] > s[tracer.START] for s in writes)
+    metrics = tracer.layer_metrics(spans, counters, rho_bases, items=1)
+    assert metrics["learning.trace_write_s"] > 0
+
+
 def test_no_module_imports_private_names_of_another():
     private = []
     for path in sorted((ROOT / "src" / "tollkit").glob("*.py")):
