@@ -25,7 +25,7 @@ from .errors import (ConstructionFailed, GameValidationError,
                      InfeasibleParams, InvalidParams, KernelNonConvergent,
                      KernelOverflow, TollkitError, TooLarge, UnsupportedBasis)
 from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
-                   save_json, save_json_text)
+                   save_json, save_json_text, seeded_rng)
 from .kernel import bell_fractional, mu_factor, rho_factor
 # ``best_profile_approximation`` stays importable here: perfbench's tracer
 # wraps the learning entry points at the names ``cli`` holds.
@@ -146,16 +146,24 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """``--seeds``: comma-separated integers, blank entries skipped, at
-    least one seed."""
+def _parse_seeds(text: str, offset: int) -> list[int]:
+    """``--seeds`` plus the ``--seed`` offset: comma-separated integers,
+    blank entries skipped, at least one seed. Every offset seed is checked
+    before the first run, so a bad one writes no trace: each must be a
+    Philox key and named once, as each names its own trace file."""
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) + offset for s in text.split(",") if s.strip()]
     except ValueError:
         raise InvalidParams(
             f"--seeds must be comma-separated integers, got {text!r}") from None
     if not seeds:
         raise InvalidParams(f"--seeds names no seed: {text!r}")
+    seen = set()
+    for seed in seeds:
+        seeded_rng(seed)  # raises InvalidParams outside Philox's key range
+        if seed in seen:
+            raise InvalidParams(f"--seeds names seed {seed} more than once")
+        seen.add(seed)
     return seeds
 
 
@@ -175,7 +183,7 @@ def _parse_eta(text: str) -> float | str:
 def cmd_learn(args) -> int:
     instance = GameInstance.load(args.instance)
     taxes = TaxProfile.load(args.taxes)
-    seeds = [s + args.seed for s in _parse_seeds(args.seeds)]
+    seeds = _parse_seeds(args.seeds, args.seed)
     eta = _parse_eta(args.eta)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

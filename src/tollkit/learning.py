@@ -20,19 +20,29 @@ to the last bit, so the window length changes speed only, never a trace.
 Where windows would play too few rounds to pay, rounds are stepped one at a
 time instead (``_Pace``).
 
+Runs of one game share their pricing. Each thread keeps its last run's
+compiled game and memo of priced profiles (``_LastRun``). A run on the
+same ``instance`` and ``taxes`` objects reuses the game, and at the same
+per-player rates also the memo, so the seeds of one ``learn`` call price
+each profile once between them. A profile's prices do not depend on
+which run priced it, so this changes speed only, never a trace. Trace
+files of one round count share their per-round line heads (``_heads``).
+
 Randomness comes from numpy's counter-based Philox generator keyed by the
 seed, so identical inputs reproduce traces bit-exactly within one build.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -154,17 +164,18 @@ class RunTrace:
 
         A round's line differs from another's with the same profile only in
         ``"t"``, so each distinct profile's rest of the line is serialised
-        once, and a round's line is its ``t`` and its profile's rest, read
-        through the index. The lines are joined in one pass with each
-        line's ``{"t": `` head as the separator.
+        once, and a round's line is its ``{"t": <t>`` head (``_heads``,
+        shared by every trace of that many rounds) and its profile's rest,
+        read through the index. Heads and rests are interleaved in one list
+        and joined once.
         """
-        head = '{"t": '
         tails = [f', "profile": {json.dumps(list(profile))}, "sc": {json.dumps(sc)}}}\n'
                  for profile, sc in zip(self.distinct_profiles, self.distinct_social_costs)]
-        lines = [str(t) + tails[j] for t, j in enumerate(self.index)]
+        parts = [""] * (2 * len(self.index))
+        parts[0::2] = _heads(len(self.index))
+        parts[1::2] = map(tails.__getitem__, self.index)
         with open(path, "w") as fh:
-            fh.write(head)
-            fh.write(head.join(lines))
+            fh.write("".join(parts))
             fh.write(json.dumps({
                 "seed": self.seed, "rounds": self.rounds, "eta": list(self.eta),
                 "regrets": list(self.regrets),
@@ -173,6 +184,15 @@ class RunTrace:
                 "best_sc": self.best_sc,
             }))
             fh.write("\n")
+
+
+@functools.lru_cache(maxsize=1)
+def _heads(rounds: int) -> list[str]:
+    """Each round's ``{"t": <t>`` line head, for a trace of ``rounds``
+    rounds. The seeds of one ``learn`` call share a round count, so the
+    last list built is kept: ``rounds`` short strings, about 60 bytes a
+    round."""
+    return [f'{{"t": {t}' for t in range(rounds)]
 
 
 # Rounds whose uniforms are drawn at once, whose cost rows are summed at
@@ -228,17 +248,19 @@ def _renormalised(row: list[float]) -> list[float]:
 
 
 class _PricedProfiles:
-    """Every profile a run has priced, numbered in order of pricing.
+    """Every profile the runs sharing it have priced, numbered in order of
+    pricing.
 
-    A profile's costs and update factors depend on the profile alone, so
-    each is priced once per run, with the other new profiles of its call
-    (``CompiledGame.price_many``). Per profile it keeps the choices, the
-    untaxed social cost, the flat row of every player's own-strategy costs
-    followed by the played costs (``rows``, summed over the rounds by
-    ``_totals_in_round_order``), and every player's update factors
-    ``exp(-rate * cost)``, as lists for the round loop and, for windows,
-    as column ``j`` of ``factors()``. Windows price profiles they only
-    guessed, so it holds profiles never played too.
+    A profile's costs and update factors depend on the profile and the
+    rates alone, so each is priced once per memo, however many runs of one
+    game at one set of rates share it (``_LastRun``), with the other new
+    profiles of its call (``CompiledGame.price_many``). Per profile it
+    keeps the choices, the untaxed social cost, the flat row of every
+    player's own-strategy costs followed by the played costs (``rows``,
+    summed over the rounds by ``_totals_in_round_order``), and every
+    player's update factors ``exp(-rate * cost)``, as lists for the round
+    loop and, for windows, as column ``j`` of ``factors()``. Windows price
+    profiles they only guessed, so it holds profiles never played too.
     """
 
     def __init__(self, game: CompiledGame, rates: list[float]):
@@ -484,6 +506,27 @@ class _Pace:
         self.renormalised = self.short = 0
 
 
+class _LastRun(NamedTuple):
+    """What a thread's last multiplicative-weights run built, for the next
+    run on the same ``instance`` and ``taxes`` objects (matched by
+    identity; the entry keeps them alive) and, for the memo, the same
+    per-player rates ``eta_i / K_i``. Window buffers are not kept: a run's
+    windows are a few numpy allocations, and keeping them past the run
+    raised the process's peak memory."""
+
+    instance: GameInstance
+    taxes: Optional[TaxProfile]
+    game: CompiledGame
+    scale: list[float]  # K_i per player
+    rates: list[float]
+    memo: _PricedProfiles
+
+
+# Per thread, the last run's entry, or none while a run is in progress and
+# after one raised.
+_last_run = threading.local()
+
+
 def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
                                rounds: int, eta: float | str = "auto",
                                seed: int = 0) -> RunTrace:
@@ -504,41 +547,55 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     not from ``sum``, which compensates its additions from Python 3.12 on,
     keeps picks the same on every Python version.
 
-    A profile's costs and update factors depend on the profile alone, so
-    each distinct profile is priced once per run and later visits reuse
-    the result (``_PricedProfiles``). Rounds are played in windows
-    (``_Windows``) of up to ``ROUND_BLOCK`` rounds and ``WINDOW_ENTRIES``
-    doubles: a window guesses its rounds' profiles, prices the new ones
-    together, and plays in numpy the rounds up to the first one guessed
-    wrong, with the weights, sums and picks of the round-by-round loop to
-    the last bit. A window also ends where weights must be renormalised.
-    The memo therefore also holds profiles that were guessed and never
-    played; only played ones reach ``distinct_profiles``. It
-    grows with the distinct profiles guessed or played (typically a few
+    A profile's costs and update factors depend on the profile and the
+    rates alone, so each distinct profile is priced once, and later
+    visits, in this run or a later one sharing its memo, reuse the result
+    (``_PricedProfiles``). Rounds are played in windows (``_Windows``) of
+    up to ``ROUND_BLOCK`` rounds and ``WINDOW_ENTRIES`` doubles: a window
+    guesses its rounds' profiles, prices the new ones together, and plays
+    in numpy the rounds up to the first one guessed wrong, with the
+    weights, sums and picks of the round-by-round loop to the last bit. A
+    window also ends where weights must be renormalised. The memo
+    therefore also holds profiles that were guessed and never played; only
+    played ones reach ``distinct_profiles``. It grows with the distinct
+    profiles guessed or played by the runs sharing it (typically a few
     dozen), not with the game's profile count. Where weights renormalise
     every few rounds (a high ``eta``) or guesses keep missing, windows play
     too few rounds to pay; the run then steps rounds one at a time in
     stretches that double, so its worst case costs about what the
     round-by-round loop costs (``_Pace``).
+
+    After a run returns, its thread keeps the compiled game and the memo,
+    with strong references to ``instance`` and ``taxes``, until the
+    thread's next run. That run reuses the game if it is handed the same
+    two objects (by identity; equal copies compile their own), and the
+    memo too if its rates ``eta_i / K_i`` are equal, so later seeds price
+    only profiles no earlier seed priced. A run that raises keeps nothing.
+    Threads share nothing, so concurrent runs need no coordination.
     """
+    last = getattr(_last_run, "entry", None)
+    _last_run.entry = None  # kept again only if this run returns
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
-    game = CompiledGame(instance, taxes)
     n = instance.num_players
-
-    # A player faces perceived costs at loads 1..N only. K_i is the largest
-    # a strategy can carry: every resource at the all-player load.
-    reachable = game.perceived[:, 1:]
-    if (reachable < 0).any():
-        raise InvalidParams(
-            f"perceived costs at loads 1..{n} must be >= 0, "
-            f"got {reachable.min()}")
-    full = game.perceived[:, n].tolist()
-    scale = [max(sum(full[r] for r in strat) for strat in strats)
-             for strats in instance.strategies]
-    if 0.0 in scale:
-        raise InvalidParams(f"player {scale.index(0.0)}: every strategy "
-                            "costs 0 at the all-player load")
+    if last is not None and last.instance is instance and last.taxes is taxes:
+        game, scale = last.game, last.scale
+    else:
+        last = None
+        game = CompiledGame(instance, taxes)
+        # A player faces perceived costs at loads 1..N only. K_i is the
+        # largest a strategy can carry: every resource at the all-player load.
+        reachable = game.perceived[:, 1:]
+        if (reachable < 0).any():
+            raise InvalidParams(
+                f"perceived costs at loads 1..{n} must be >= 0, "
+                f"got {reachable.min()}")
+        full = game.perceived[:, n].tolist()
+        scale = [max(sum(full[r] for r in strat) for strat in strats)
+                 for strats in instance.strategies]
+        if 0.0 in scale:
+            raise InvalidParams(f"player {scale.index(0.0)}: every strategy "
+                                "costs 0 at the all-player load")
     if eta == "auto":
         etas = [math.sqrt(8.0 * math.log(instance.num_strategies(i)) / rounds)
                 for i in range(n)]
@@ -548,7 +605,11 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
 
     rng = seeded_rng(seed)
-    memo = _PricedProfiles(game, [e / s for e, s in zip(etas, scale)])
+    rates = [e / s for e, s in zip(etas, scale)]
+    if last is not None and last.rates == rates:
+        memo = last.memo
+    else:
+        memo = _PricedProfiles(game, rates)
     windows = _Windows(memo)
     weights = np.zeros((max(game.radices), n))
     for i, s in enumerate(game.radices):
@@ -588,6 +649,7 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     best_sc = min(costs)
     alt_totals = tuple(tuple(islice(totals, instance.num_strategies(i)))
                        for i in range(n))
+    _last_run.entry = _LastRun(instance, taxes, game, scale, rates, memo)
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
         distinct_profiles=distinct, distinct_social_costs=costs,

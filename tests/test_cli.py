@@ -230,6 +230,30 @@ class TestLearn:
         assert (code, out) == (2, "")
         assert err.startswith("error: seed must be in [0, 2**128)")
 
+    # Every offset seed is checked before the first run: a later bad seed
+    # must not leave the earlier seeds' trace files behind.
+    @pytest.mark.parametrize("flags,message", [
+        (["--seeds", "0,0"], "--seeds names seed 0 more than once"),
+        (["--seeds", "1,2,1", "--seed", "3"], "--seeds names seed 4 more than once"),
+        (["--seeds", "0, 00"], "--seeds names seed 0 more than once"),
+        (["--seeds", "1,0", "--seed", "-1"], "seed must be in [0, 2**128), got -1"),
+        (["--seeds", f"0,{2 ** 128 - 1}", "--seed", "1"],
+         f"seed must be in [0, 2**128), got {2 ** 128}"),
+    ], ids=["repeated", "repeated-after-offset", "repeated-spelling",
+            "negative-after-offset", "past-2**128-after-offset"])
+    def test_bad_later_seed_exits_two_before_any_run(self, capsys, tmp_path,
+                                                     flags, message):
+        inst, path = write_two_by_two(tmp_path)
+        taxes_path = tmp_path / "taxes.json"
+        build_tax_profile(inst, [1.0, 1.0]).save(taxes_path)
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(capsys, "learn", str(path), "--taxes", str(taxes_path),
+                                 "--rounds", "5", *flags, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert not (out_dir / "learn_summary.csv").exists()
+        assert not list(out_dir.glob("trace-*.jsonl"))
+
     def test_cost_totals_past_the_double_range_exit_three(self, capsys, tmp_path):
         """Each round's costs are finite; 50 rounds of them are not."""
         _, path = write_two_by_two(tmp_path)

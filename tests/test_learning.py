@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import statistics
+import sys
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -14,7 +16,7 @@ from game_strategies import (fractional_profiles, negated_taxes, parallel_links,
                              small_games)
 
 from tollkit import (Allocation, BasisFunction, GameInstance, InvalidParams,
-                     NotConverged, TaxProfile, bell_fractional,
+                     KernelOverflow, NotConverged, TaxProfile, bell_fractional,
                      best_profile_approximation, best_response_dynamics,
                      brute_force_min_sc, build_tax_profile,
                      coarse_correlated_check, design, enumerate_pure_nash,
@@ -477,6 +479,147 @@ class TestTraceEdgeCases:
         counts = Counter(want.profiles)
         assert list(got.empirical_distribution.items()) == \
             [(profile, c / 400) for profile, c in counts.items()]
+
+
+def assert_run_matches(inst, taxes, rounds, eta, seed, out_dir):
+    """The run equals the reference, field by field and in the bytes of
+    its trace file, or both raise the same ``InvalidParams``."""
+    return TestAgainstRoundByRoundReference.assert_matches(
+        inst, taxes, rounds, eta, seed, block=learning.ROUND_BLOCK, out_dir=out_dir)
+
+
+def last_entry():
+    return getattr(learning._last_run, "entry", None)
+
+
+def equal_copy(obj):
+    """An object equal to ``obj`` but not ``obj`` itself."""
+    return None if obj is None else dataclasses.replace(obj)
+
+
+class TestRunsShareTheLastEntry:
+    """A run reuses the compiled game and memo of its thread's last run on the same instance and taxes objects at the same rates. Whatever
+    ran before it on its thread, a trace equals the reference's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_sequence_equals_the_reference(self, data, tmp_path_factory):
+        games = []
+        for _ in range(2):
+            inst = data.draw(small_games())
+            taxes = (build_tax_profile(inst, data.draw(fractional_profiles(inst)).loads)
+                     if data.draw(st.booleans()) else None)
+            games.append((inst, taxes))
+        (a, a_taxes), (b, b_taxes) = games
+        rounds = data.draw(st.integers(1, 300))
+        other_rounds = data.draw(st.integers(1, 300).filter(lambda r: r != rounds))
+        eta = data.draw(st.sampled_from(["auto", 0.0, 0.3, 2.0, 700.0]))
+        out_dir = tmp_path_factory.mktemp("trace")
+        a_copy, a_taxes_copy = equal_copy(a), equal_copy(a_taxes)
+        for inst, taxes, run_rounds, seed in [
+                (a, a_taxes, rounds, 0), (a, a_taxes, rounds, 1), (b, b_taxes, rounds, 0),
+                (a, a_taxes, rounds, 2), (a_copy, a_taxes_copy, rounds, 3),
+                (a_copy, a_taxes_copy, other_rounds, 0)]:
+            assert_run_matches(inst, taxes, run_rounds, eta, seed, out_dir)
+
+    def test_later_seeds_reuse_what_earlier_seeds_built(self, monkeypatch):
+        inst, taxes = learn_family(4)
+        priced = []
+        real = learning._PricedProfiles._add
+
+        def recording(memo, profile, social, costs):
+            priced.append(profile)
+            real(memo, profile, social, costs)
+
+        monkeypatch.setattr(learning._PricedProfiles, "_add", recording)
+        multiplicative_weights_run(inst, taxes, rounds=2000, seed=0)
+        first = last_entry()
+        assert first.instance is inst and first.taxes is taxes
+        cold = len(priced)
+        multiplicative_weights_run(inst, taxes, rounds=2000, seed=1)
+        assert last_entry().memo is first.memo
+        # Seed 1 prices only the profiles seed 0 never priced.
+        assert len(priced) == len(set(priced)) and len(priced) - cold < cold
+        # Equal but other objects compile their own game.
+        multiplicative_weights_run(equal_copy(inst), equal_copy(taxes), rounds=2000)
+        assert last_entry().game is not first.game
+        # Another round count sets other rates: same game, new memo.
+        multiplicative_weights_run(inst, taxes, rounds=2000)
+        again = last_entry()
+        multiplicative_weights_run(inst, taxes, rounds=100)
+        assert last_entry().game is again.game
+        assert last_entry().memo is not again.memo
+
+    # Two untaxed links: the cost bound is 2, and eta = 1e4 underflows every
+    # weight in the first round, after the run has built its memo.
+    def test_underflow_drops_the_entry(self, tmp_path):
+        inst = parallel_links(2, 2)
+        assert_run_matches(inst, None, 200, "auto", 0, tmp_path)
+        for _ in range(2):
+            assert assert_run_matches(inst, None, 200, 1e4, 1, tmp_path) == \
+                f"InvalidParams: {learning.UNDERFLOW}"
+            assert last_entry() is None
+        assert_run_matches(inst, None, 200, "auto", 2, tmp_path)
+        assert last_entry().instance is inst
+
+    # A negative perceived cost is rejected while the game is checked,
+    # before any memo exists; a rejected game is never kept.
+    def test_negative_costs_rejected_on_every_call(self, tmp_path):
+        inst, taxes = taxed_two_by_two()
+        negated = negated_taxes(inst, 2.0)
+        assert_run_matches(inst, taxes, 50, "auto", 0, tmp_path)
+        for _ in range(2):
+            with pytest.raises(InvalidParams, match="must be >= 0"):
+                multiplicative_weights_run(inst, negated, rounds=50, seed=0)
+            assert last_entry() is None
+        assert_run_matches(inst, taxes, 50, "auto", 1, tmp_path)
+
+    # Each round's costs are finite; 50 rounds of them are not. The run
+    # raises after its rounds, as it sums them.
+    def test_overflowing_totals_drop_the_entry(self, tmp_path):
+        inst = two_by_two_symmetric()
+        huge = TaxProfile(v=(0.0, 0.0), tau=((1e307,) * 3,) * 2,
+                          ell_bar=((1e307,) * 3,) * 2, n_cap=2)
+        for seed in range(2):
+            with pytest.raises(KernelOverflow):
+                multiplicative_weights_run(inst, huge, rounds=50, seed=seed)
+            assert last_entry() is None
+        assert_run_matches(inst, huge, 1, "auto", 0, tmp_path)
+        assert last_entry().taxes is huge
+
+    def test_threads_running_two_games_at_once(self):
+        """Two threads per game, more threads than this suite's two CPUs,
+        switching every 10 µs. Each thread's later seeds reuse what its first
+        seed built, and every trace equals the reference."""
+        games = [learn_family(4), learn_family(8)]
+        want = {(g, seed): reference.multiplicative_weights_run(*games[g], 400, seed=seed)
+                for g in range(2) for seed in range(3)}
+        got, built = {}, {}
+        turns = threading.Barrier(4)
+
+        def play(k):
+            inst, taxes = games[k % 2]
+            for seed in range(3):
+                turns.wait(timeout=60)  # every thread starts each seed together
+                got[k, seed] = multiplicative_weights_run(inst, taxes, rounds=400, seed=seed)
+                entry = last_entry()
+                built[k, seed] = entry.instance is inst, entry.memo
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=play, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {(k, seed): want[k % 2, seed] for k in range(4) for seed in range(3)}
+        for k in range(4):
+            firsts = [built[k, seed] for seed in range(3)]
+            assert firsts == [(True, firsts[0][1])] * 3
 
 
 class TestBestProfileApproximation:

@@ -34,9 +34,9 @@ def test_install_then_uninstall_restores_every_original():
         assert vars(owner)[attr] is original, attr
 
 
-def test_tracer_times_each_trace_write(capsys, tmp_path):
-    """``learning.trace_write_s`` comes from one ``RunTrace.save_jsonl``
-    span per seed of a ``learn`` call."""
+def traced_learn(capsys, tmp_path, rounds):
+    """``learn --seeds 0,1`` under the tracer: the tracer module, the
+    spans, and the layer metrics of that one item."""
     from tollkit import BasisFunction, GameInstance, build_tax_profile, cli
     b = BasisFunction.monomial(1)
     inst = GameInstance.build([b], [[1.0], [1.0]], [[[0], [1]], [[0], [1]]])
@@ -47,18 +47,37 @@ def test_tracer_times_each_trace_write(capsys, tmp_path):
     traced.install()
     try:
         code = cli.main(["learn", str(tmp_path / "game.json"),
-                         "--taxes", str(tmp_path / "taxes.json"), "--rounds", "200",
+                         "--taxes", str(tmp_path / "taxes.json"), "--rounds", str(rounds),
                          "--seeds", "0,1", "--out", str(tmp_path / "runs")])
     finally:
         traced.uninstall()
     capsys.readouterr()
     assert code == 0
     spans, counters, rho_bases = traced.take()
+    return tracer, spans, tracer.layer_metrics(spans, counters, rho_bases, items=1)
+
+
+def test_tracer_times_each_trace_write(capsys, tmp_path):
+    """``learning.trace_write_s`` comes from one ``RunTrace.save_jsonl``
+    span per seed of a ``learn`` call."""
+    tracer, spans, metrics = traced_learn(capsys, tmp_path, rounds=200)
     writes = [s for s in spans if s[tracer.NAME] == "RunTrace.save_jsonl"]
     assert len(writes) == 2
     assert all(s[tracer.END] > s[tracer.START] for s in writes)
-    metrics = tracer.layer_metrics(spans, counters, rho_bases, items=1)
     assert metrics["learning.trace_write_s"] > 0
+
+
+def test_tracer_times_each_seeds_run(capsys, tmp_path):
+    """``learning.mw_s`` and ``learning.us_per_round`` come from one
+    ``multiplicative_weights_run`` span per seed, even where later seeds
+    reuse what the first built, and ``learning.mw_rounds`` counts every
+    seed's rounds."""
+    tracer, spans, metrics = traced_learn(capsys, tmp_path, rounds=200)
+    runs = [s for s in spans if s[tracer.NAME] == "multiplicative_weights_run"]
+    assert len(runs) == 2
+    assert all(s[tracer.END] > s[tracer.START] for s in runs)
+    assert metrics["learning.mw_rounds"] == 2 * 200
+    assert metrics["learning.mw_s"] > 0 and metrics["learning.us_per_round"] > 0
 
 
 def test_no_module_imports_private_names_of_another():
