@@ -498,8 +498,9 @@ def equal_copy(obj):
 
 
 class TestRunsShareTheLastEntry:
-    """A run reuses the compiled game and memo of its thread's last run on the same instance and taxes objects at the same rates. Whatever
-    ran before it on its thread, a trace equals the reference's."""
+    """A run reuses the compiled game and memo of its thread's last run on
+    the same instance and taxes objects at the same rates. Whatever ran
+    before it on its thread, a trace equals the reference's."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -588,9 +589,9 @@ class TestRunsShareTheLastEntry:
         assert last_entry().taxes is huge
 
     def test_threads_running_two_games_at_once(self):
-        """Two threads per game, more threads than this suite's two CPUs,
-        switching every 10 µs. Each thread's later seeds reuse what its first
-        seed built, and every trace equals the reference."""
+        """Four threads, two per game, switching every 10 µs. Each thread's
+        later seeds reuse what its first seed built, and every trace equals
+        the reference."""
         games = [learn_family(4), learn_family(8)]
         want = {(g, seed): reference.multiplicative_weights_run(*games[g], 400, seed=seed)
                 for g in range(2) for seed in range(3)}
