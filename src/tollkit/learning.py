@@ -17,8 +17,12 @@ A run plays its rounds in speculative windows: it guesses a block of
 rounds' profiles, plays them in numpy, and keeps the rounds up to the first
 guessed wrong. Every weight, sum and pick equals the round-by-round loop's
 to the last bit, so the window length changes speed only, never a trace.
-Where windows would play too few rounds to pay, rounds are stepped one at a
-time instead (``_Pace``).
+A window finds its guessed profiles' numbers in numpy: by code, the
+profile's number in product order modulo 2^64, among the priced profiles'
+sorted codes, checked against the choices stored at the number found. Only
+new profiles, and ones whose code another profile holds, are looked up by
+tuple. Where windows would play too few rounds to pay, rounds are stepped
+one at a time instead (``_Pace``).
 
 Runs of one game share their pricing. Each thread keeps its last run's
 compiled game and memo of priced profiles (``_LastRun``). A run on the
@@ -261,6 +265,14 @@ class _PricedProfiles:
     player's update factors ``exp(-rate * cost)``, as lists for the round
     loop and, for windows, as column ``j`` of ``factors()``. Windows price
     profiles they only guessed, so it holds profiles never played too.
+
+    Windows find profiles through a numpy index (``numbers``): each
+    profile's code, ``sum_i choices[i] * multipliers[i]`` in wrapping
+    ``uint64`` arithmetic, which is unique below 2^64 profiles; the codes
+    sorted beside their numbers; and the choices as a ``(players,
+    profiles)`` array. Profiles priced since the index was last brought up
+    to date wait in ``_fresh`` as the arrays ``ids`` priced them from, and
+    join the index at the next window's lookup.
     """
 
     def __init__(self, game: CompiledGame, rates: list[float]):
@@ -271,6 +283,7 @@ class _PricedProfiles:
         self.social = []
         self.rows = []
         self.factor_lists = []
+        self._flat_factors = []
         bounds = list(accumulate(radices, initial=0))
         self._starts = bounds[:-1]
         self._spans = list(zip(bounds, bounds[1:]))
@@ -280,6 +293,19 @@ class _PricedProfiles:
                            np.array([i for i, s in enumerate(radices) for _ in range(s)]))
         self._factors = np.ones((max(radices), len(radices), 0))
         self._filled = 0
+        # A profile's code is its number in product order modulo 2^64.
+        multipliers, step = [], 1
+        for s in reversed(radices):
+            multipliers.append(step)
+            step = step * s % 2 ** 64
+        self._multipliers = np.array(multipliers[::-1], dtype=np.uint64)
+        self._fresh = []  # choice arrays priced since the index was built
+        # Every priced profile's choices are stored, so in the smallest type
+        # that holds every strategy index.
+        self._choices = np.empty((len(radices), 0),
+                                 dtype=np.min_scalar_type(max(radices)))
+        self._codes = np.empty(0, dtype=np.uint64)  # sorted
+        self._numbers = np.empty(0, dtype=np.intp)  # each code's profile
 
     def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
         """The numbers of ``profiles``, pricing the new ones in one
@@ -288,10 +314,59 @@ class _PricedProfiles:
         new = [p for p in profiles if p not in index]
         if new:
             new = list(dict.fromkeys(new))
-            social, costs = self.game.price_many(np.array(new).T)
+            choices = np.array(new).T
+            social, costs = self.game.price_many(choices)
             for profile, sc, flat in zip(new, social.tolist(), costs.tolist()):
                 self._add(profile, sc, flat)
+            self._fresh.append(choices)
         return [index[p] for p in profiles]
+
+    def numbers(self, profiles: np.ndarray) -> np.ndarray:
+        """The numbers of the columns of ``profiles`` (``(players, m)``).
+
+        Each column's code is found among the sorted codes, and its number
+        kept where the stored choices at that number equal the column's.
+        The other columns, new profiles or ones whose code another profile
+        holds, take the tuple path (``ids``)."""
+        if self._fresh:
+            self._index_fresh()
+        codes = self._multipliers @ profiles.view(np.uint64)
+        found = self._numbers.take(self._codes.searchsorted(codes), mode="clip")
+        miss = (self._choices.take(found, axis=1) != profiles).any(axis=0)
+        if miss.any():
+            found[miss] = self.ids(list(map(tuple, profiles[:, miss].T.tolist())))
+        return found
+
+    def _index_fresh(self) -> None:
+        """Add the profiles priced since the last call to the stored
+        choices and the sorted codes.
+
+        The new codes are ordered in Python and merged in by
+        ``searchsorted``, with no numpy sort: the first in a process faults
+        in a few hundred KB of code pages that nothing else in a run
+        touches."""
+        fresh = np.concatenate(self._fresh, axis=1)
+        self._fresh.clear()
+        start = len(self._codes)
+        count = start + fresh.shape[1]
+        if self._choices.shape[1] < count:
+            grown = np.empty((len(fresh), 2 * count), dtype=self._choices.dtype)
+            grown[:, :start] = self._choices[:, :start]
+            self._choices = grown
+        self._choices[:, start:count] = fresh
+        codes = self._multipliers @ fresh.view(np.uint64)
+        ranked = np.array(sorted(range(len(codes)), key=codes.tolist().__getitem__))
+        codes = codes[ranked]
+        new_at = self._codes.searchsorted(codes, side="right") + np.arange(len(codes))
+        old_at = np.ones(count, dtype=bool)
+        old_at[new_at] = False
+        merged = np.empty(count, dtype=np.uint64)
+        merged[new_at] = codes
+        merged[old_at] = self._codes
+        numbers = np.empty(count, dtype=np.intp)
+        numbers[new_at] = ranked + start
+        numbers[old_at] = self._numbers
+        self._codes, self._numbers = merged, numbers
 
     def _add(self, profile: tuple[int, ...], social: float, costs: list[float]) -> None:
         self.index[profile] = len(self.profiles)
@@ -300,6 +375,7 @@ class _PricedProfiles:
         self.rows.append(costs + [costs[s + k] for s, k in zip(self._starts, profile)])
         factors = [math.exp(-rate * c) for rate, c in zip(self._rates, costs)]
         self.factor_lists.append([factors[a:b] for a, b in self._spans])
+        self._flat_factors.append(factors)
 
     def factors(self) -> np.ndarray:
         """Every priced profile's factors as a ``(widest, players,
@@ -310,10 +386,8 @@ class _PricedProfiles:
                 grown = np.ones(self._factors.shape[:2] + (2 * count,))
                 grown[:, :, :self._filled] = self._factors[:, :, :self._filled]
                 self._factors = grown
-            flat = [[f for row in factors for f in row]
-                    for factors in self.factor_lists[self._filled:count]]
             at = self._padded_at + (slice(self._filled, count),)
-            self._factors[at] = np.array(flat).T
+            self._factors[at] = np.array(self._flat_factors[self._filled:count]).T
             self._filled = count
         return self._factors
 
@@ -403,7 +477,14 @@ class _Windows:
         numbers, the weights after them, the picks known for the rounds
         after them (the next window's guesses: the exact picks computed
         for rounds not played, then the rest of ``ahead``), and whether
-        the weights were renormalised."""
+        the weights were renormalised.
+
+        The guesses' profile numbers come from the memo's numpy index
+        (``_PricedProfiles.numbers``): one matrix-vector product gives their
+        codes, one ``searchsorted`` their numbers, and one comparison with
+        the choices stored at those numbers confirms them. Only rounds that
+        fail it, new profiles or ones whose code another holds, are looked
+        up by tuple."""
         memo = self.memo
         size = draws.shape[1]
         known = min(ahead.shape[1], size)
@@ -412,11 +493,7 @@ class _Windows:
         else:
             guess = self.picks(np.add.accumulate(weights)[:, :, None], draws)
             guess[:, :known] = ahead[:, :known]
-        # One lookup per run of equal guesses.
-        new_run = np.ones(size, dtype=bool)
-        np.any(guess[:, 1:] != guess[:, :-1], axis=0, out=new_run[1:])
-        run_ids = memo.ids(list(map(tuple, guess[:, new_run].T.tolist())))
-        ids = np.array(run_ids)[new_run.cumsum() - 1]
+        ids = memo.numbers(guess)
 
         path = self._path[:self._plane * (size + 1)].reshape(self._shape + (size + 1,))
         path[:, :, 0] = weights
@@ -441,7 +518,9 @@ class _Windows:
         played = ids[:last + 1]
         pick = exact[:, last].tolist()
         if pick != guess[:, last].tolist():
-            played[last] = memo.ids([tuple(pick)])[0]
+            pick = tuple(pick)
+            j = memo.index.get(pick)
+            played[last] = memo.ids([pick])[0] if j is None else j
             after = path[:, :, last] * memo.factors()[:, :, played[last]]
         else:
             after = path[:, :, last + 1].copy()
@@ -537,10 +616,12 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     observes the perceived cost of each own strategy against the others'
     realised play and updates ``w_{i,k} *= exp(-eta_i * cost / K_i)``, where
     ``K_i`` bounds any perceived cost player ``i`` can face. ``eta="auto"``
-    sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player. The
-    losses must lie in ``[0, K_i]`` with ``K_i > 0``: a negative perceived
-    cost, or a player whose ``K_i`` is 0, raises ``InvalidParams``; cost
-    totals over the rounds past the double range raise ``KernelOverflow``.
+    sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player. ``rounds``
+    must be an integer >= 1 and ``eta`` a number or ``"auto"``, else
+    ``InvalidParams`` is raised. The losses must lie in ``[0, K_i]`` with
+    ``K_i > 0``: a negative perceived cost, or a player whose ``K_i`` is 0,
+    raises ``InvalidParams``; cost totals over the rounds past the double
+    range raise ``KernelOverflow``.
 
     A player picks the first strategy whose running weight sum exceeds
     ``u`` times the sum's last entry. Taking the total from the running sum,
@@ -575,6 +656,10 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     """
     last = getattr(_last_run, "entry", None)
     _last_run.entry = None  # kept again only if this run returns
+    try:
+        rounds = operator.index(rounds)
+    except TypeError:
+        raise InvalidParams(f"rounds must be an integer, got {rounds!r}") from None
     if rounds < 1:
         raise InvalidParams(f"rounds must be >= 1, got {rounds}")
     n = instance.num_players
@@ -600,7 +685,10 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         etas = [math.sqrt(8.0 * math.log(instance.num_strategies(i)) / rounds)
                 for i in range(n)]
     else:
-        etas = [float(eta)] * n
+        try:
+            etas = [float(eta)] * n
+        except (TypeError, ValueError):
+            raise InvalidParams(f"eta must be 'auto' or a number, got {eta!r}") from None
     if any(not math.isfinite(e) or e < 0 for e in etas):
         raise InvalidParams(f"eta must be finite and >= 0, got {eta}")
 
@@ -633,17 +721,21 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
             t += len(played)
             pace.window(draws.shape[1], len(played), ahead.shape[1], renormalised)
 
-    # Memo numbers in first-visit order, and each round's place among them.
-    # The first strict minimum over the rounds is the first distinct profile
-    # with the least cost; a trace shares its profiles and costs with the
-    # memo. (numpy's sorts would fault in a few hundred KB of code pages
-    # that nothing else in a run touches, hence no np.unique.)
+    # Memo numbers in first-visit order, and each round's place among them:
+    # the rounds that visit a number first, picked in round order. The first
+    # strict minimum over the rounds is the first distinct profile with the
+    # least cost; a trace shares its profiles and costs with the memo. (No
+    # np.unique: numpy's first sort faults in a few hundred KB of code pages
+    # that nothing else in a run touches.)
     totals = iter(_totals_in_round_order(memo.rows, order))
-    order = order.tolist()
-    visited = list(dict.fromkeys(order))
-    place = [0] * len(memo.profiles)
-    for k, j in enumerate(visited):
-        place[j] = k
+    first = np.full(len(memo.profiles), rounds)  # each number's first round
+    np.minimum.at(first, order, np.arange(rounds))
+    visits = np.zeros(rounds, dtype=bool)
+    visits[first[first < rounds]] = True
+    visited = order[visits]
+    place = np.empty(len(memo.profiles), dtype=np.intp)
+    place[visited] = np.arange(len(visited))
+    visited = visited.tolist()
     distinct = tuple([memo.profiles[j] for j in visited])
     costs = tuple([memo.social[j] for j in visited])
     best_sc = min(costs)
@@ -653,7 +745,7 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     return RunTrace(
         seed=seed, rounds=rounds, eta=tuple(etas),
         distinct_profiles=distinct, distinct_social_costs=costs,
-        index=tuple(map(place.__getitem__, order)),
+        index=tuple(place[order].tolist()),
         incurred_total=tuple(totals),
         strategy_costs_total=alt_totals,
         best_profile=Allocation(distinct[costs.index(best_sc)]),

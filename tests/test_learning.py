@@ -278,6 +278,18 @@ class TestMultiplicativeWeights:
         with pytest.raises(InvalidParams):
             multiplicative_weights_run(inst, taxes, rounds=0)
 
+    # Each raised ValueError or TypeError, not InvalidParams.
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"eta": "fast"}, "eta must be 'auto' or a number, got 'fast'"),
+        ({"eta": None}, "eta must be 'auto' or a number, got None"),
+        ({"rounds": 2.5}, "rounds must be an integer, got 2.5"),
+        ({"rounds": "10"}, "rounds must be an integer, got '10'"),
+    ], ids=["eta-word", "eta-none", "rounds-float", "rounds-text"])
+    def test_rejects_arguments_of_the_wrong_type(self, kwargs, message):
+        inst, taxes = taxed_two_by_two()
+        with pytest.raises(InvalidParams, match=message):
+            multiplicative_weights_run(inst, taxes, **{"rounds": 10, **kwargs})
+
     # tau = -ell makes every perceived cost, so every cost bound, 0;
     # tau = -2 ell makes them negative, which would push factors above 1.
     @pytest.mark.parametrize("factor,message", [
@@ -621,6 +633,85 @@ class TestRunsShareTheLastEntry:
         for k in range(4):
             firsts = [built[k, seed] for seed in range(3)]
             assert firsts == [(True, firsts[0][1])] * 3
+
+
+def record_lookups(monkeypatch) -> dict:
+    """Record, from now on, how many of the profiles windows look up were
+    priced before, and every profile handed to ``_PricedProfiles.ids`` that
+    was."""
+    seen = {"known": 0, "repriced": []}
+    real_numbers = learning._PricedProfiles.numbers
+    real_ids = learning._PricedProfiles.ids
+
+    def numbers(memo, profiles):
+        seen["known"] += sum(p in memo.index for p in map(tuple, profiles.T.tolist()))
+        return real_numbers(memo, profiles)
+
+    def ids(memo, profiles):
+        seen["repriced"] += [p for p in profiles if p in memo.index]
+        return real_ids(memo, profiles)
+
+    monkeypatch.setattr(learning._PricedProfiles, "numbers", numbers)
+    monkeypatch.setattr(learning._PricedProfiles, "ids", ids)
+    return seen
+
+
+def wide_game():
+    """A ``forge random`` game of 70 players with 2-3 strategies each: about
+    2^91 profiles, so profile codes wrap modulo 2^64."""
+    return random_instance(70, 4, [BasisFunction.monomial(1)],
+                           strategy_count_range=(2, 3), seed=0)
+
+
+class TestProfileCodes:
+    """Windows find the profiles they guess by code. Codes are numbers in
+    product order modulo 2^64, so past 2^64 profiles two can share one;
+    a guess is checked against the choices stored at the number found.
+    Traces equal the reference's, field by field and in their files."""
+
+    def test_codes_wrap_past_two_to_the_64(self, monkeypatch, tmp_path):
+        inst = wide_game()
+        assert math.prod(map(len, inst.strategies)) > 2 ** 64
+        seen = record_lookups(monkeypatch)
+        assert_run_matches(inst, None, 600, "auto", 0, tmp_path)
+        # Retries guess profiles that earlier windows priced: their wrapped
+        # codes find them, and no priced profile is priced again.
+        assert seen["known"] > 0
+        assert seen["repriced"] == []
+
+    def test_profiles_sharing_one_code(self, monkeypatch, tmp_path):
+        real = learning._PricedProfiles.__init__
+
+        def one_code(memo, game, rates):
+            real(memo, game, rates)
+            memo._multipliers[:] = 0
+
+        monkeypatch.setattr(learning._PricedProfiles, "__init__", one_code)
+        seen = record_lookups(monkeypatch)
+        inst, taxes = learn_family(4)
+        for seed in range(3):
+            assert_run_matches(inst, taxes, 2000, "auto", seed, tmp_path)
+        # Every profile but one fails the check at the number its code
+        # finds, so priced profiles take the tuple path.
+        assert seen["repriced"]
+
+    def test_seeds_sharing_one_memo(self, tmp_path):
+        inst = wide_game()
+        memos = []
+        for seed in range(3):
+            assert_run_matches(inst, None, 600, "auto", seed, tmp_path)
+            memos.append(last_entry().memo)
+        assert memos == [memos[0]] * 3
+
+    def test_windows_look_up_priced_profiles_in_numpy(self, monkeypatch):
+        # A fall back to a tuple per round would still equal the reference;
+        # this checks that windows hand the tuple path only new profiles.
+        inst, taxes = learn_family(4)
+        seen = record_lookups(monkeypatch)
+        spans = count_windows(monkeypatch)
+        multiplicative_weights_run(inst, taxes, rounds=5000, seed=0)
+        assert spans and seen["known"] > 4000
+        assert seen["repriced"] == []
 
 
 class TestBestProfileApproximation:
