@@ -24,13 +24,15 @@ new profiles, and ones whose code another profile holds, are looked up by
 tuple. Where windows would play too few rounds to pay, rounds are stepped
 one at a time instead (``_Pace``).
 
-Runs of one game share their pricing. Each thread keeps its last run's
-compiled game and memo of priced profiles (``_LastRun``). A run on the
-same ``instance`` and ``taxes`` objects reuses the game, and at the same
+Each profile is priced once, in batches: the memo (``_PricedProfiles``)
+appends a batch's costs and update factors to arrays, which windows and
+stepped rounds both read. Runs of one game share it. Each thread keeps its
+last run's compiled game and memo (``_LastRun``). A run on the same
+``instance`` and ``taxes`` objects reuses the game, and at the same
 per-player rates also the memo, so the seeds of one ``learn`` call price
-each profile once between them. A profile's prices do not depend on
-which run priced it, so this changes speed only, never a trace. Trace
-files of one round count share their per-round line heads (``_heads``).
+each profile once between them. A profile's prices do not depend on which
+run priced it, so this changes speed only, never a trace. Trace files of
+one round count share their per-round line heads (``_heads``).
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 seed, so identical inputs reproduce traces bit-exactly within one build.
@@ -219,7 +221,7 @@ RENORMALISE = 1e-150
 UNDERFLOW = "weights underflowed to zero; eta too aggressive"
 
 
-def _totals_in_round_order(rows: list[list[float]], order: np.ndarray) -> list[float]:
+def _totals_in_round_order(rows: np.ndarray, order: np.ndarray) -> list[float]:
     """Column totals of ``rows[j]`` over ``j`` in ``order``.
 
     Each column is summed from 0.0 one round at a time, exactly as a
@@ -228,7 +230,6 @@ def _totals_in_round_order(rows: list[list[float]], order: np.ndarray) -> list[f
     reduction such as ``np.sum`` may pair terms and round differently.
     Totals past the double range raise ``KernelOverflow``.
     """
-    rows = np.array(rows)
     totals = np.zeros(rows.shape[1])
     with np.errstate(over="ignore"):  # raised below as KernelOverflow
         for start in range(0, len(order), ROUND_BLOCK):
@@ -251,6 +252,17 @@ def _renormalised(row: list[float]) -> list[float]:
     return row
 
 
+def _grown(array: np.ndarray, axis: int, used: int, count: int) -> np.ndarray:
+    """A copy of ``array`` with room for ``2 * count`` entries along ``axis``,
+    holding its first ``used``; the rest stays unwritten, its pages untouched."""
+    shape = list(array.shape)
+    shape[axis] = 2 * count
+    grown = np.empty(shape, dtype=array.dtype)
+    kept = (slice(None),) * axis + (slice(used),)
+    grown[kept] = array[kept]
+    return grown
+
+
 class _PricedProfiles:
     """Every profile the runs sharing it have priced, numbered in order of
     pricing.
@@ -258,67 +270,83 @@ class _PricedProfiles:
     A profile's costs and update factors depend on the profile and the
     rates alone, so each is priced once per memo, however many runs of one
     game at one set of rates share it (``_LastRun``), with the other new
-    profiles of its call (``CompiledGame.price_many``). Per profile it
-    keeps the choices, the untaxed social cost, the flat row of every
-    player's own-strategy costs followed by the played costs (``rows``,
-    summed over the rounds by ``_totals_in_round_order``), and every
-    player's update factors ``exp(-rate * cost)``, as lists for the round
-    loop and, for windows, as column ``j`` of ``factors()``. Windows price
+    profiles of its call (``CompiledGame.price_many``). Windows price
     profiles they only guessed, so it holds profiles never played too.
+
+    Per profile ``j`` it keeps the tuple ``profiles[j]`` (numbered by the
+    dict ``index``) and the untaxed social cost ``social[j]``. The rest is
+    in arrays, each call appending its batch at once: ``rows[j]``, every
+    own-strategy cost and then every played cost, summed over the rounds
+    by ``_totals_in_round_order``; ``factors[:, :, j]``, the ``(widest,
+    players)`` column of update factors ``exp(-rate * cost)`` padded with
+    1.0, which windows and stepped rounds read; and ``_choices[:, j]``.
+    Past ``len(profiles)`` entries they are unwritten room; they grow by
+    doubling (``_grown``).
 
     Windows find profiles through a numpy index (``numbers``): each
     profile's code, ``sum_i choices[i] * multipliers[i]`` in wrapping
-    ``uint64`` arithmetic, which is unique below 2^64 profiles; the codes
-    sorted beside their numbers; and the choices as a ``(players,
-    profiles)`` array. Profiles priced since the index was last brought up
-    to date wait in ``_fresh`` as the arrays ``ids`` priced them from, and
-    join the index at the next window's lookup.
+    ``uint64`` arithmetic, which is unique below 2^64 profiles, and the
+    codes sorted beside their numbers. New profiles' codes join the index
+    at the next window lookup.
     """
 
     def __init__(self, game: CompiledGame, rates: list[float]):
         radices = game.radices
+        widest, n = max(radices), len(radices)
         self.game = game
         self.index = {}
         self.profiles = []
         self.social = []
-        self.rows = []
-        self.factor_lists = []
-        self._flat_factors = []
-        bounds = list(accumulate(radices, initial=0))
-        self._starts = bounds[:-1]
-        self._spans = list(zip(bounds, bounds[1:]))
-        self._rates = [rates[i] for i, s in enumerate(radices) for _ in range(s)]
+        # Room for a first stretch's profiles (``_Pace``), unwritten.
+        self.rows = np.empty((FIRST_WINDOW, sum(radices) + n))
+        self.factors = np.empty((widest, n, FIRST_WINDOW))
+        # Every priced profile's choices are stored, so in the smallest type
+        # that holds every strategy index.
+        self._choices = np.empty((n, FIRST_WINDOW), dtype=np.min_scalar_type(widest))
+        self._minus_rates = -np.repeat(rates, radices)  # per strategy
         # Where each strategy's factor goes in a padded column.
         self._padded_at = (np.array([a for s in radices for a in range(s)]),
                            np.array([i for i, s in enumerate(radices) for _ in range(s)]))
-        self._factors = np.ones((max(radices), len(radices), 0))
-        self._filled = 0
         # A profile's code is its number in product order modulo 2^64.
         multipliers, step = [], 1
         for s in reversed(radices):
             multipliers.append(step)
             step = step * s % 2 ** 64
         self._multipliers = np.array(multipliers[::-1], dtype=np.uint64)
-        self._fresh = []  # choice arrays priced since the index was built
-        # Every priced profile's choices are stored, so in the smallest type
-        # that holds every strategy index.
-        self._choices = np.empty((len(radices), 0),
-                                 dtype=np.min_scalar_type(max(radices)))
         self._codes = np.empty(0, dtype=np.uint64)  # sorted
         self._numbers = np.empty(0, dtype=np.intp)  # each code's profile
 
     def ids(self, profiles: list[tuple[int, ...]]) -> list[int]:
         """The numbers of ``profiles``, pricing the new ones in one
-        ``price_many`` call."""
+        ``price_many`` call. Factors come from ``math.exp``, which numpy's
+        ``exp`` does not match to the bit; a ``-rate * cost`` past the double
+        range gives a factor of 0.0 (and nan gives nan) silently, as in Python."""
         index = self.index
         new = [p for p in profiles if p not in index]
         if new:
             new = list(dict.fromkeys(new))
-            choices = np.array(new).T
-            social, costs = self.game.price_many(choices)
-            for profile, sc, flat in zip(new, social.tolist(), costs.tolist()):
-                self._add(profile, sc, flat)
-            self._fresh.append(choices)
+            start, count = len(self.profiles), len(self.profiles) + len(new)
+            picked = np.array(new)
+            social, costs = self.game.price_many(picked.T)
+            if len(self.rows) < count:
+                self.rows = _grown(self.rows, 0, start, count)
+                self.factors = _grown(self.factors, 2, start, count)
+                self._choices = _grown(self._choices, 1, start, count)
+            self._choices[:, start:count] = picked.T
+            rows = self.rows[start:count]
+            width = costs.shape[1]
+            rows[:, :width] = costs
+            picked += self.game.offsets  # each player's column of their play
+            rows[:, width:] = costs[np.arange(len(new))[:, None], picked]
+            with np.errstate(over="ignore", invalid="ignore"):
+                exponents = (self._minus_rates * costs).ravel().tolist()
+            column = self.factors[:, :, start:count]
+            column.fill(1.0)
+            column[self._padded_at] = np.fromiter(
+                map(math.exp, exponents), float, costs.size).reshape(costs.shape).T
+            index.update(zip(new, range(start, count)))
+            self.profiles += new
+            self.social += social.tolist()
         return [index[p] for p in profiles]
 
     def numbers(self, profiles: np.ndarray) -> np.ndarray:
@@ -328,8 +356,8 @@ class _PricedProfiles:
         kept where the stored choices at that number equal the column's.
         The other columns, new profiles or ones whose code another profile
         holds, take the tuple path (``ids``)."""
-        if self._fresh:
-            self._index_fresh()
+        if len(self._codes) < len(self.profiles):
+            self._index_new()
         codes = self._multipliers @ profiles.view(np.uint64)
         found = self._numbers.take(self._codes.searchsorted(codes), mode="clip")
         miss = (self._choices.take(found, axis=1) != profiles).any(axis=0)
@@ -337,24 +365,16 @@ class _PricedProfiles:
             found[miss] = self.ids(list(map(tuple, profiles[:, miss].T.tolist())))
         return found
 
-    def _index_fresh(self) -> None:
-        """Add the profiles priced since the last call to the stored
-        choices and the sorted codes.
+    def _index_new(self) -> None:
+        """Merge the codes of the profiles priced since the last call into
+        the sorted codes, from their stored choices.
 
         The new codes are ordered in Python and merged in by
         ``searchsorted``, with no numpy sort: the first in a process faults
         in a few hundred KB of code pages that nothing else in a run
         touches."""
-        fresh = np.concatenate(self._fresh, axis=1)
-        self._fresh.clear()
-        start = len(self._codes)
-        count = start + fresh.shape[1]
-        if self._choices.shape[1] < count:
-            grown = np.empty((len(fresh), 2 * count), dtype=self._choices.dtype)
-            grown[:, :start] = self._choices[:, :start]
-            self._choices = grown
-        self._choices[:, start:count] = fresh
-        codes = self._multipliers @ fresh.view(np.uint64)
+        start, count = len(self._codes), len(self.profiles)
+        codes = self._multipliers @ self._choices[:, start:count].astype(np.uint64)
         ranked = np.array(sorted(range(len(codes)), key=codes.tolist().__getitem__))
         codes = codes[ranked]
         new_at = self._codes.searchsorted(codes, side="right") + np.arange(len(codes))
@@ -368,36 +388,14 @@ class _PricedProfiles:
         numbers[old_at] = self._numbers
         self._codes, self._numbers = merged, numbers
 
-    def _add(self, profile: tuple[int, ...], social: float, costs: list[float]) -> None:
-        self.index[profile] = len(self.profiles)
-        self.profiles.append(profile)
-        self.social.append(social)
-        self.rows.append(costs + [costs[s + k] for s, k in zip(self._starts, profile)])
-        factors = [math.exp(-rate * c) for rate, c in zip(self._rates, costs)]
-        self.factor_lists.append([factors[a:b] for a, b in self._spans])
-        self._flat_factors.append(factors)
-
-    def factors(self) -> np.ndarray:
-        """Every priced profile's factors as a ``(widest, players,
-        profiles)`` array padded with 1.0; it grows by doubling."""
-        count = len(self.profiles)
-        if self._filled < count:
-            if self._factors.shape[2] < count:
-                grown = np.ones(self._factors.shape[:2] + (2 * count,))
-                grown[:, :, :self._filled] = self._factors[:, :, :self._filled]
-                self._factors = grown
-            at = self._padded_at + (slice(self._filled, count),)
-            self._factors[at] = np.array(self._flat_factors[self._filled:count]).T
-            self._filled = count
-        return self._factors
-
 
 def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
                  order: np.ndarray) -> tuple[np.ndarray, int]:
     """Play the rounds of ``draws`` (``(players, rounds)``) one at a time
     from the ``(widest, players)`` padded ``weights``, writing each round's
     profile number to ``order``; returns the weights after them and the
-    number of rounds that renormalised them.
+    number of rounds that renormalised them. A round's factors are its
+    profile's padded column of ``memo.factors``, read as lists.
 
     A player picks the first strategy whose running weight sum exceeds
     ``u`` times the full sum, the last entry of that running sum, or the
@@ -405,7 +403,7 @@ def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
     radices = memo.game.radices
     rows = [row[:s] for row, s in zip(weights.T.tolist(), radices)]
     index = memo.index
-    factor_lists = memo.factor_lists
+    columns = memo.factors.T  # columns[j][i] is factors[:, i, j]
     mul = operator.mul
     renormalised = 0
     played = []
@@ -418,9 +416,11 @@ def _step_rounds(weights: np.ndarray, draws: np.ndarray, memo: _PricedProfiles,
         j = index.get(choices)
         if j is None:
             j = memo.ids([choices])[0]
+            columns = memo.factors.T  # ids may have grown it
         played.append(j)
-        rows = [list(map(mul, row, factors))
-                for row, factors in zip(rows, factor_lists[j])]
+        # A padded column's 1.0s lie past the row's end, where map stops.
+        rows = [list(map(mul, row, column))
+                for row, column in zip(rows, columns[j].tolist())]
         for top in map(max, rows):
             if top < RENORMALISE:
                 rows = [_renormalised(row) for row in rows]
@@ -477,14 +477,8 @@ class _Windows:
         numbers, the weights after them, the picks known for the rounds
         after them (the next window's guesses: the exact picks computed
         for rounds not played, then the rest of ``ahead``), and whether
-        the weights were renormalised.
-
-        The guesses' profile numbers come from the memo's numpy index
-        (``_PricedProfiles.numbers``): one matrix-vector product gives their
-        codes, one ``searchsorted`` their numbers, and one comparison with
-        the choices stored at those numbers confirms them. Only rounds that
-        fail it, new profiles or ones whose code another holds, are looked
-        up by tuple."""
+        the weights were renormalised. The guesses' profile numbers come
+        from the memo's numpy index (``_PricedProfiles.numbers``)."""
         memo = self.memo
         size = draws.shape[1]
         known = min(ahead.shape[1], size)
@@ -497,7 +491,7 @@ class _Windows:
 
         path = self._path[:self._plane * (size + 1)].reshape(self._shape + (size + 1,))
         path[:, :, 0] = weights
-        memo.factors().take(ids, axis=2, out=path[:, :, 1:])
+        memo.factors.take(ids, axis=2, out=path[:, :, 1:])
         np.multiply.accumulate(path, axis=2, out=path)
         sums = self._sums[:self._plane * size].reshape(self._shape + (size,))
         sums[0] = path[0, :, :size]
@@ -521,7 +515,7 @@ class _Windows:
             pick = tuple(pick)
             j = memo.index.get(pick)
             played[last] = memo.ids([pick])[0] if j is None else j
-            after = path[:, :, last] * memo.factors()[:, :, played[last]]
+            after = path[:, :, last] * memo.factors[:, :, played[last]]
         else:
             after = path[:, :, last + 1].copy()
         tops = after.max(axis=0)
@@ -614,8 +608,10 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     Per round every player samples a strategy from their weights
     (independently, in player order, from the seeded generator), then
     observes the perceived cost of each own strategy against the others'
-    realised play and updates ``w_{i,k} *= exp(-eta_i * cost / K_i)``, where
-    ``K_i`` bounds any perceived cost player ``i`` can face. ``eta="auto"``
+    realised play and updates ``w_{i,k} *= exp(-eta_i * cost / K_i)``. The
+    bound ``K_i`` is the costliest strategy of player ``i`` with each of
+    its resources at its costliest load in ``1..N``, so no perceived cost
+    the player can face exceeds it. ``eta="auto"``
     sets the classic ``sqrt(8 ln s_i / rounds)`` rate per player. ``rounds``
     must be an integer >= 1 and ``eta`` a number or ``"auto"``, else
     ``InvalidParams`` is raised. The losses must lie in ``[0, K_i]`` with
@@ -631,20 +627,19 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
     A profile's costs and update factors depend on the profile and the
     rates alone, so each distinct profile is priced once, and later
     visits, in this run or a later one sharing its memo, reuse the result
-    (``_PricedProfiles``). Rounds are played in windows (``_Windows``) of
-    up to ``ROUND_BLOCK`` rounds and ``WINDOW_ENTRIES`` doubles: a window
-    guesses its rounds' profiles, prices the new ones together, and plays
-    in numpy the rounds up to the first one guessed wrong, with the
-    weights, sums and picks of the round-by-round loop to the last bit. A
-    window also ends where weights must be renormalised. The memo
-    therefore also holds profiles that were guessed and never played; only
-    played ones reach ``distinct_profiles``. It grows with the distinct
-    profiles guessed or played by the runs sharing it (typically a few
-    dozen), not with the game's profile count. Where weights renormalise
-    every few rounds (a high ``eta``) or guesses keep missing, windows play
-    too few rounds to pay; the run then steps rounds one at a time in
-    stretches that double, so its worst case costs about what the
-    round-by-round loop costs (``_Pace``).
+    (``_PricedProfiles``). The memo appends each batch of new profiles'
+    costs and factors to its arrays at once, with the factors from
+    ``math.exp``, so they are the round-by-round loop's to the bit. Rounds
+    are played in windows (``_Windows``) of up to ``ROUND_BLOCK`` rounds
+    and ``WINDOW_ENTRIES`` doubles: a window guesses its rounds' profiles,
+    prices the new ones together, and plays in numpy the rounds up to the
+    first one guessed wrong or whose weights must be renormalised, with
+    the weights, sums and picks of the round-by-round loop to the last
+    bit. The memo thus also holds profiles guessed and never played; only
+    played ones reach ``distinct_profiles``. Where windows play too few
+    rounds to pay, the run steps rounds one at a time in stretches that
+    double, so its worst case costs about what the round-by-round loop
+    costs (``_Pace``).
 
     After a run returns, its thread keeps the compiled game and the memo,
     with strong references to ``instance`` and ``taxes``, until the
@@ -669,18 +664,19 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
         last = None
         game = CompiledGame(instance, taxes)
         # A player faces perceived costs at loads 1..N only. K_i is the
-        # largest a strategy can carry: every resource at the all-player load.
+        # largest a strategy can carry: every resource at its costliest of
+        # those loads. Taxes need not rise with load, so that need not be N.
         reachable = game.perceived[:, 1:]
         if (reachable < 0).any():
             raise InvalidParams(
                 f"perceived costs at loads 1..{n} must be >= 0, "
                 f"got {reachable.min()}")
-        full = game.perceived[:, n].tolist()
-        scale = [max(sum(full[r] for r in strat) for strat in strats)
+        top = reachable.max(axis=1).tolist()
+        scale = [max(sum(top[r] for r in strat) for strat in strats)
                  for strats in instance.strategies]
         if 0.0 in scale:
             raise InvalidParams(f"player {scale.index(0.0)}: every strategy "
-                                "costs 0 at the all-player load")
+                                f"costs 0 at every load 1..{n}")
     if eta == "auto":
         etas = [math.sqrt(8.0 * math.log(instance.num_strategies(i)) / rounds)
                 for i in range(n)]

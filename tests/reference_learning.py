@@ -105,7 +105,7 @@ def multiplicative_weights_run(instance: GameInstance, taxes: TaxProfile,
 
     scale = []
     for i in range(n):
-        scale.append(max(sum(tables[r][instance.num_players] for r in strat)
+        scale.append(max(sum(max(tables[r][1:]) for r in strat)
                          for strat in strategies[i]))
     if eta == "auto":
         etas = [math.sqrt(8.0 * math.log(instance.num_strategies(i)) / rounds)

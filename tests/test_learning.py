@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,6 +349,20 @@ def count_windows(monkeypatch) -> list:
     return spans
 
 
+def record_pricing(monkeypatch) -> list:
+    """Record every profile handed to ``CompiledGame.price_many`` from now
+    on, one tuple per column."""
+    priced = []
+    real = CompiledGame.price_many
+
+    def recording(game, profiles):
+        priced.extend(map(tuple, profiles.T.tolist()))
+        return real(game, profiles)
+
+    monkeypatch.setattr(CompiledGame, "price_many", recording)
+    return priced
+
+
 class TestAgainstRoundByRoundReference:
     """The run, with its memo and its speculative windows of rounds, equals
     the loop that prices every round one round at a time, field by field
@@ -417,14 +432,7 @@ class TestAgainstRoundByRoundReference:
     def test_each_distinct_profile_priced_once(self, monkeypatch):
         inst, _ = seeded_instances(12)[-1]
         taxes = build_tax_profile(inst, [0.6] * inst.num_resources)
-        priced = []
-        real = learning._PricedProfiles._add
-
-        def recording(memo, profile, social, costs):
-            priced.append(profile)
-            real(memo, profile, social, costs)
-
-        monkeypatch.setattr(learning._PricedProfiles, "_add", recording)
+        priced = record_pricing(monkeypatch)
         trace = multiplicative_weights_run(inst, taxes, rounds=2000, seed=0)
         played = set(trace.profiles)
         assert 1 < len(played) < 100
@@ -537,14 +545,7 @@ class TestRunsShareTheLastEntry:
 
     def test_later_seeds_reuse_what_earlier_seeds_built(self, monkeypatch):
         inst, taxes = learn_family(4)
-        priced = []
-        real = learning._PricedProfiles._add
-
-        def recording(memo, profile, social, costs):
-            priced.append(profile)
-            real(memo, profile, social, costs)
-
-        monkeypatch.setattr(learning._PricedProfiles, "_add", recording)
+        priced = record_pricing(monkeypatch)
         multiplicative_weights_run(inst, taxes, rounds=2000, seed=0)
         first = last_entry()
         assert first.instance is inst and first.taxes is taxes
@@ -712,6 +713,71 @@ class TestProfileCodes:
         multiplicative_weights_run(inst, taxes, rounds=5000, seed=0)
         assert spans and seen["known"] > 4000
         assert seen["repriced"] == []
+
+
+def falling_tax_game():
+    """Two players on two links of cost ``x``. Resource 0's tax is 2 at
+    load 1 and 0 at load 2, so its perceived cost falls from 3 to 2: a
+    player alone there pays 3, more than any strategy at the all-player
+    load, 2. Each player's cost bound is 3.0."""
+    inst = two_by_two_symmetric()
+    taxes = TaxProfile(v=(0.0, 0.0), tau=((0.0, 2.0, 0.0), (0.0,) * 3),
+                       ell_bar=((0.0,) * 3,) * 2, n_cap=2)
+    return inst, taxes
+
+
+class TestCostBound:
+    """``K_i`` bounds every perceived cost player ``i`` can face, also where
+    perceived costs fall with load."""
+
+    def test_bound_covers_costs_that_fall_with_load(self, tmp_path):
+        inst, taxes = falling_tax_game()
+        assert_run_matches(inst, taxes, 300, "auto", 0, tmp_path)
+        entry = last_entry()
+        assert entry.scale == [3.0, 3.0]
+        _, costs = entry.game.price_many(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]))
+        assert costs.max() == 3.0
+        for i, bound in enumerate(entry.scale):
+            at = entry.game.offsets[i]
+            assert (costs[:, at:at + 2] <= bound).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rate_times_cost_past_the_double_range(self, seed, tmp_path):
+        # rate = M / 3 is finite, and rate * 3 overflows to inf, a factor
+        # of 0.0; the batched exponent must do so silently, as Python does.
+        # Every profile but (0, 0) has a strategy cost of 3.
+        inst, taxes = falling_tax_game()
+        eta = sys.float_info.max
+        assert (eta / 3.0) * 3.0 == math.inf
+        assert_run_matches(inst, taxes, 50, eta, seed, tmp_path)
+
+
+class TestMemoArrays:
+    """The memo's rows and padded factors hold, for every priced profile,
+    what pricing it alone gives: the update factors to the bit, as
+    ``math.exp`` rounds them. A vectorised exponent that rounds otherwise
+    would often keep the picks, so the traces, unchanged."""
+
+    @pytest.mark.parametrize("game", ["family", "wide"])
+    def test_rows_and_factors_match_pricing(self, game):
+        inst, taxes = learn_family(4) if game == "family" else (wide_game(), None)
+        multiplicative_weights_run(inst, taxes, rounds=2000, seed=0)
+        entry = last_entry()
+        memo = entry.memo
+        count = len(memo.profiles)
+        _, costs = entry.game.price_many(np.array(memo.profiles).T)
+        width = costs.shape[1]
+        offsets = entry.game.offsets
+        played = [[row[a + k] for a, k in zip(offsets, profile)]
+                  for row, profile in zip(costs.tolist(), memo.profiles)]
+        assert np.array_equal(memo.rows[:count, :width], costs)
+        assert np.array_equal(memo.rows[:count, width:], played)
+        factors = memo.factors[:, :, :count]
+        for i, (s, rate) in enumerate(zip(entry.game.radices, entry.rates)):
+            own = costs[:, offsets[i]:offsets[i] + s].T.tolist()
+            want = np.array([[math.exp(-rate * c) for c in row] for row in own])
+            assert np.array_equal(factors[:s, i].view(np.int64), want.view(np.int64))
+            assert (factors[s:, i] == 1.0).all()
 
 
 class TestBestProfileApproximation:
