@@ -2,7 +2,9 @@
 
 Subcommands: ``analyze-basis``, ``design``, ``learn``, ``forge``, ``oracle``.
 All commands honour ``--seed`` and ``--out``, never mutate their inputs, and
-emit JSON (plus CSV summaries where tabular). Every run with ``--out`` also
+emit JSON (plus CSV summaries where tabular). Every JSON document, printed
+or saved, is written by ``game.json_text``, the bytes of
+``json.dumps(..., indent=2)``. Every run with ``--out`` also
 drops a ``config-<command>.json`` snapshot; ``tollkit --config <snapshot>``
 replays it to bit-identical outputs. Exit codes: 0 success, 2 parse or validation
 failure, 3 numeric failure where non-convergence is an error, 4 construction
@@ -15,7 +17,6 @@ import argparse
 import csv
 import functools
 import inspect
-import json
 import math
 import os
 import sys
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from .errors import (ConstructionFailed, GameValidationError,
                      InfeasibleParams, InvalidParams, KernelNonConvergent,
                      KernelOverflow, TollkitError, TooLarge, UnsupportedBasis)
-from .game import (BasisFunction, GameInstance, TaxProfile, load_json,
-                   save_json, save_json_text, seeded_rng)
+from .game import (BasisFunction, GameInstance, TaxProfile, json_text,
+                   load_json, save_json, save_json_text, seeded_rng)
 from .kernel import bell_fractional, mu_factor, rho_factor
 # ``best_profile_approximation`` stays importable here: perfbench's tracer
 # wraps the learning entry points at the names ``cli`` holds.
@@ -89,7 +90,7 @@ def _parse_basis(args) -> BasisFunction:
 
 
 def _emit(args, payload, name: str) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json_text(payload)
     print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -222,7 +223,7 @@ def cmd_learn(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["seed", "rounds", "max_average_regret", "best_sc", "ratio"])
         writer.writerows(rows)
-    print(json.dumps({"runs": summary}, indent=2))
+    print(json_text({"runs": summary}))
     return EXIT_OK
 
 
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
     except ConstructionFailed as exc:
         report = {"status": "construction-failed", "detail": str(exc),
                   "worst_margin": exc.worst_margin, "attempts": exc.attempts}
-        print(json.dumps(report, indent=2), file=sys.stderr)
+        print(json_text(report), file=sys.stderr)
         return EXIT_CONSTRUCTION
     except TollkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -51,13 +52,82 @@ def seeded_rng(seed: int) -> Generator:
     return Generator(Philox(key=seed))
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _items_encoder(indent: str):
+    """The encoder of a container's items at ``indent``: with no indent set,
+    ``json`` encodes in C, and an item separator that ends in a newline and
+    ``indent`` lays the items out as ``json.dumps(..., indent=2)`` does."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, at a fraction of its
+    cost.
+
+    With an indent, ``json`` encodes in pure Python. Here only the nesting is
+    walked in Python: a container whose items are all scalars is encoded by
+    one C call of ``_items_encoder``, and its brackets are then moved onto
+    their own lines. Scalars, keys, ``ensure_ascii``, ``allow_nan``, key
+    order, tuples written as lists and the ``TypeError`` on a value ``json``
+    cannot encode are all ``json``'s own. A payload that contains itself
+    raises ``RecursionError`` where ``json.dumps`` raises ``ValueError``.
+    """
+    return _indented(payload, "")
+
+
+def _indented(value, indent: str) -> str:
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return _items_encoder(indent)(value)
+    if not value:
+        return brackets
+    inner = indent + "  "
+    encode = _items_encoder(inner)
+    if _SCALAR_TYPES.issuperset(map(type, items)):
+        body = encode(value)[1:-1]
+    else:
+        texts = [_indented(v, inner) if isinstance(v, _CONTAINERS)
+                 else _scalar_text(v, encode) for v in items]
+        if brackets == "{}":
+            texts = [_key_text(k, encode) + ": " + t for k, t in zip(value, texts)]
+        body = (",\n" + inner).join(texts)
+    return brackets[0] + "\n" + inner + body + "\n" + indent + brackets[1]
+
+
+def _scalar_text(value, encode) -> str:
+    """A scalar as ``json`` writes it: the common exact types directly, and
+    the rest (``null``, ``true``, ``NaN``, subclasses, and the ``TypeError``
+    of a value that is not JSON) by ``encode``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return encode(value)
+
+
+def _key_text(key, encode) -> str:
+    """A dict key as ``json`` writes it; ``json`` itself converts a key of
+    another type, or raises ``TypeError`` for it, in a one-item dict."""
+    if type(key) is str:
+        return encode_basestring_ascii(key)
+    return encode({key: 0})[1:-len(": 0}")]
+
+
 def save_json(path, payload) -> None:
-    save_json_text(path, json.dumps(payload, indent=2))
+    save_json_text(path, json_text(payload))
 
 
 def save_json_text(path, text: str) -> None:
-    """Write a JSON document encoded by ``json.dumps(..., indent=2)`` and a
-    closing newline, in one write."""
+    """Write a JSON document encoded by ``json_text`` (the bytes of
+    ``json.dumps(..., indent=2)``) and a closing newline, in one write."""
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -349,6 +349,7 @@ class RhoReport:
         )
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def rho_factor(basis: BasisFunction, x_max: int = 1000) -> RhoReport:
     """Scan ``sup_x p(x) / (x * b(x))`` over integer loads ``1..x_max``.
 
@@ -357,6 +358,12 @@ def rho_factor(basis: BasisFunction, x_max: int = 1000) -> RhoReport:
     finite scan is a faithful stand-in for the supremum at desk scale. A
     non-convergent kernel at any load is reported as an infinite factor,
     not raised; a ratio past the double range raises ``KernelOverflow``.
+
+    The scan is pure and its report frozen, so reports are memoised per
+    ``(basis, x_max)``, like ``kernel_evaluators``; a scan that raises is
+    not memoised and raises again on the next call. ``typed`` keeps an
+    ``x_max`` of another type (``1000.0``) from being answered by the
+    report of an equal int.
     """
     if x_max < 1:
         raise InvalidParams(f"x_max must be >= 1, got {x_max}")

@@ -78,6 +78,21 @@ class TestAnalyzeBasis:
             mus.append(json.loads(out)["mu"])
         assert mus[0] == pytest.approx(mus[1], rel=1e-15)
 
+    @pytest.mark.parametrize("basis", [["--monomial", "2.5"], ["--table", "1,2.5,4.5"]])
+    def test_memoised_scan_prints_what_a_fresh_scan_prints(self, capsys, tmp_path,
+                                                          monkeypatch, basis):
+        def files(out_dir):
+            return {p.name: p.read_text() for p in out_dir.iterdir()
+                    if not p.name.startswith("config-")}
+
+        argv = ["analyze-basis", *basis, "--x-max", "60", "--bell-table", "3"]
+        runs = [run_cli(capsys, *argv, "--out", str(tmp_path / str(i)))
+                for i in range(2)]
+        monkeypatch.setattr(cli, "rho_factor", cli.rho_factor.__wrapped__)
+        fresh = run_cli(capsys, *argv, "--out", str(tmp_path / "fresh"))
+        assert runs[0] == runs[1] == fresh
+        assert files(tmp_path / "0") == files(tmp_path / "1") == files(tmp_path / "fresh")
+
     def test_missing_basis_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze-basis")
         assert code == 2

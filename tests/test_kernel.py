@@ -258,6 +258,25 @@ class TestRhoFactor:
         with pytest.raises(KernelOverflow):
             rho_factor(BasisFunction.table([5e-324, 1.0]))
 
+    def test_memoised_per_basis_and_x_max(self):
+        basis = BasisFunction.table([1.0, 2.5, 4.5])
+        report = rho_factor(basis, x_max=40)
+        assert rho_factor(basis, x_max=40) is report
+        assert rho_factor(BasisFunction.table([1.0, 2.5, 4.5]), x_max=40) is report
+        assert report == rho_factor.__wrapped__(basis, x_max=40)
+        assert rho_factor(basis, x_max=2) == rho_factor.__wrapped__(basis, x_max=2)
+        assert rho_factor(basis, x_max=2).x_max == 2
+        # An x_max of another type is scanned, and fails, as without the memo.
+        for scan in (rho_factor, rho_factor.__wrapped__):
+            with pytest.raises(TypeError):
+                scan(basis, x_max=40.0)
+
+    def test_overflow_raises_on_every_call(self):
+        basis = BasisFunction.table([5e-324, 1.0])
+        for _ in range(3):
+            with pytest.raises(KernelOverflow):
+                rho_factor(basis)
+
     @pytest.mark.parametrize("degree", range(5))
     def test_integer_monomials_give_exact_bell(self, degree):
         report = rho_factor(BasisFunction.monomial(degree))

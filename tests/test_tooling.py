@@ -1,8 +1,8 @@
 """The benchmark's tracer patches tollkit's layer boundaries from outside:
 installing and removing it must leave every patched name as it was. And no
 module of the package imports another's private names, imports a name it
-never uses, or defines a private name that neither the package nor its
-tests read."""
+never uses, defines a private name that neither the package nor its tests
+read, or encodes JSON with ``json``'s indented (pure-Python) encoder."""
 
 import ast
 import importlib.util
@@ -161,3 +161,16 @@ def test_no_unused_private_names():
                        if name.startswith("_") and not name.endswith("__")
                        and name not in read]
     assert unused == []
+
+
+def test_no_indented_json_dumps():
+    """Indented documents go through ``game.json_text``: ``json`` encodes
+    with an indent in pure Python, several times slower."""
+    indented = []
+    for path in sorted((ROOT / "src" / "tollkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and any(k.arg == "indent" for k in node.keywords)):
+                indented.append(f"{path.name}:{node.lineno}")
+    assert indented == []
